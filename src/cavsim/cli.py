@@ -24,7 +24,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--seed", type=int, help="seed (overrides config)")
     p_run.add_argument("--ticks", help="tick range A:B (overrides config)")
     p_run.add_argument("--workers", type=int,
-                       help="worker count (overrides config)")
+                       help="worker count, >= 1 (overrides config; "
+                            "no effect: the run is single-threaded)")
 
     p_rep = sub.add_parser("report", help="aggregate a finished run to CSV")
     p_rep.add_argument("--run", required=True, dest="run_dir",

@@ -17,7 +17,6 @@ wire.  Plate strings map to dense u32 codes through the plate registry.
 from __future__ import annotations
 
 import struct
-import threading
 from dataclasses import dataclass
 
 from .errors import ConfigError, NotFoundError, ValidationError
@@ -83,10 +82,9 @@ class PendingDelivery:
 class NetworkSim:
     """Collects broadcasts during a tick and delivers them the next tick.
 
-    Broadcast calls may come from concurrent per-vehicle workers; they only
-    append to a locked buffer.  seal() merges the buffer in deterministic
-    order (sender station, then that sender's send order) and serializes
-    payloads; step() resolves recipients and hands out inboxes.
+    Broadcast calls only append to a buffer.  seal() orders the buffer
+    deterministically (sender station, then that sender's send order) and
+    serializes payloads; step() resolves recipients and hands out inboxes.
     """
 
     def __init__(self, comm_range: float, registry: PlateRegistry):
@@ -98,7 +96,6 @@ class NetworkSim:
         self._buffer: list[tuple[int, int, int, tuple[float, float], Cpm]] = []
         self._seq: dict[int, int] = {}
         self._pending: list[tuple[PendingDelivery, Cpm, int]] = []
-        self._lock = threading.Lock()
 
     def update_positions(self, positions: dict[int, tuple[float, float]]) -> None:
         """Replace the station position table for the current tick."""
@@ -115,18 +112,16 @@ class NetworkSim:
             raise NotFoundError(f"station {sender} has no registered position")
         cpm = cpm.without_extensions()
         size = cpm_wire_size(cpm)
-        with self._lock:
-            seq = self._seq.get(sender, 0)
-            self._seq[sender] = seq + 1
-            self._buffer.append((sender, seq, tick, pos, cpm))
+        seq = self._seq.get(sender, 0)
+        self._seq[sender] = seq + 1
+        self._buffer.append((sender, seq, tick, pos, cpm))
         return size
 
     def seal(self) -> None:
         """Serialize the buffered broadcasts in deterministic order."""
-        with self._lock:
-            buffered = self._buffer
-            self._buffer = []
-            self._seq = {}
+        buffered = self._buffer
+        self._buffer = []
+        self._seq = {}
         buffered.sort(key=lambda e: (e[0], e[1]))
         for sender, seq, tick, pos, cpm in buffered:
             payload = serialize_cpm(cpm, self.registry)

@@ -18,7 +18,10 @@ line, and finally filter by plate rotation.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import groupby
+from operator import attrgetter
 
 from .errors import ConfigError, ContractViolation, GeometryError
 from .messages import PerceivedObject
@@ -356,100 +359,47 @@ def get_visible_lines_naive(candidates) -> list[ProjectionView]:
     return visible
 
 
-class _CoverageTree:
-    """Segment tree over discretized units with range-cover and any-covered."""
-
-    __slots__ = ("size", "full", "any")
-
-    def __init__(self, n: int):
-        size = 1
-        while size < n:
-            size <<= 1
-        self.size = size
-        self.full = [False] * (2 * size)
-        self.any = [False] * (2 * size)
-
-    def cover(self, lo: int, hi: int) -> None:
-        self._cover(1, 0, self.size - 1, lo, hi)
-
-    def _cover(self, node, nlo, nhi, lo, hi):
-        if hi < nlo or nhi < lo or self.full[node]:
-            return
-        if lo <= nlo and nhi <= hi:
-            self.full[node] = True
-            self.any[node] = True
-            return
-        mid = (nlo + nhi) >> 1
-        left = node << 1
-        right = left | 1
-        self._cover(left, nlo, mid, lo, hi)
-        self._cover(right, mid + 1, nhi, lo, hi)
-        self.any[node] = self.any[left] or self.any[right]
-        self.full[node] = self.full[left] and self.full[right]
-
-    def any_covered(self, lo: int, hi: int) -> bool:
-        return self._any(1, 0, self.size - 1, lo, hi)
-
-    def _any(self, node, nlo, nhi, lo, hi):
-        if hi < nlo or nhi < lo or not self.any[node]:
-            return False
-        if self.full[node]:
-            return True
-        if lo <= nlo and nhi <= hi:
-            return self.any[node]
-        mid = (nlo + nhi) >> 1
-        return (self._any(node << 1, nlo, mid, lo, hi)
-                or self._any(node << 1 | 1, mid + 1, nhi, lo, hi))
-
-
 def get_visible_lines(candidates) -> list[ProjectionView]:
     """Occlusion filter over candidates sorted ascending by dist_g.
 
     The nearest candidate is always visible; each further candidate is
     visible iff its (open) plate intervals avoid the union of (closed) box
-    intervals of all strictly nearer candidates.  Runs in O(n log n) by
-    discretizing interval endpoints into elementary units (points and the
-    open gaps between them) tracked by a segment tree.  Output preserves
-    input order.
+    intervals of all strictly nearer candidates.  That union is kept as
+    disjoint closed intervals in two sorted lists, starts and ends, so a
+    query is one bisect and a merge one bisect pair plus a slice
+    assignment.  Merging only compares endpoints, never computes new
+    ones, so the result is exact.  Output preserves input order.
     """
     _check_sorted(candidates)
     if len(candidates) <= 1:
         return list(candidates)
-    values = set()
-    for c in candidates:
-        for a, b in c.box_spans:
-            values.add(a)
-            values.add(b)
-        for a, b in c.plate_spans:
-            values.add(a)
-            values.add(b)
-    ordered = sorted(values)
-    rank = {v: i for i, v in enumerate(ordered)}
-    tree = _CoverageTree(2 * len(ordered) - 1)
+    starts: list[float] = []
+    ends: list[float] = []
     visible = []
-    i = 0
-    n = len(candidates)
-    while i < n:
-        j = i
-        d = candidates[i].dist_g
-        while j < n and candidates[j].dist_g == d:
-            j += 1
-        for c in candidates[i:j]:
-            occluded = False
+    for _, group in groupby(candidates, attrgetter("dist_g")):
+        group = tuple(group)
+        for c in group:
             for a, b in c.plate_spans:
                 if a == b:
                     continue
-                lo = 2 * rank[a] + 1
-                hi = 2 * rank[b] - 1
-                if lo <= hi and tree.any_covered(lo, hi):
-                    occluded = True
+                # intervals before k end at or before a; those after k
+                # start after starts[k], so k alone decides
+                k = bisect_right(ends, a)
+                if k < len(starts) and starts[k] < b:
                     break
-            if not occluded:
+            else:
                 visible.append(c)
-        for c in candidates[i:j]:
+        for c in group:
             for a, b in c.box_spans:
-                tree.cover(2 * rank[a], 2 * rank[b])
-        i = j
+                lo = bisect_left(ends, a)
+                hi = bisect_right(starts, b)
+                if lo < hi:  # [a, b] meets stored intervals lo .. hi-1
+                    if starts[lo] < a:
+                        a = starts[lo]
+                    if ends[hi - 1] > b:
+                        b = ends[hi - 1]
+                starts[lo:hi] = (a,)
+                ends[lo:hi] = (b,)
     return visible
 
 
@@ -473,15 +423,27 @@ def perceive(ego: VehicleState, neighbors, cfg: PerceptionConfig,
     ego_id = ego.id
     ego_heading = ego.heading
     plate_width = cfg.plate_width
+    sf = math.sin(cfg.fov_half_angle)
+    cf = math.cos(cfg.fov_half_angle)
     views = []
     by_id = {}
     for s in neighbors:
         if s.id == ego_id:
             continue
-        # conservative reject: every corner lies within length + width/2 of
-        # the front bumper, so boxes this far behind the camera plane cannot
-        # have a corner with x' >= 0
-        if cb * (s.x - ex) + sb * (s.y - ey) < -(s.length + 0.5 * s.width):
+        # Conservative FOV-wedge reject.  Every corner lies within
+        # sqrt(length^2 + width^2/4) < length + width/2 of the front bumper
+        # (strict, since the trace loader requires width > 0).  The camera
+        # axis and the inward normals of the two wedge edges are unit
+        # vectors, so a bumper farther than length + width/2 outside the
+        # half-plane x' >= 0, or outside either edge's half-plane, leaves
+        # every corner outside the wedge: fov_relevant would reject the box.
+        dx = s.x - ex
+        dy = s.y - ey
+        px = cb * dx + sb * dy
+        py = cb * dy - sb * dx
+        reach = -(s.length + 0.5 * s.width)
+        if (px < reach or sf * px - cf * py < reach
+                or sf * px + cf * py < reach):
             continue
         cbox = _camera_box(s, plate_width, ex, ey, cb, sb,
                            normalize_angle(s.heading - ego_heading))

@@ -5,9 +5,9 @@ new vehicles with a seed-hashed type draw and despawning absent ones;
 (2) rebuild the spatial index; (3) deliver the network inboxes queued last
 tick (recipients resolved against send-time positions); (4) compute
 perception, then run every vehicle's module DAG; (5) seal the tick's
-broadcasts; (6) write metrics and phase timings.  All outputs are a pure
-function of (seed, config, trace); the worker count changes wall-clock
-time only.
+broadcasts; (6) write metrics and phase timings.  Every phase runs in the
+calling thread, and all outputs are a pure function of (seed, config,
+trace).  The `workers` setting is validated but has no effect.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import hashlib
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import IO
 
@@ -170,8 +169,6 @@ def run(config: ScenarioConfig,
     os.makedirs(out_dir, exist_ok=True)
     writer = MetricsWriter(out_dir)
     timings: list[PhaseTimings] = []
-    pool = (ThreadPoolExecutor(max_workers=config.workers)
-            if config.workers > 1 else None)
     perf = time.perf_counter
 
     try:
@@ -214,19 +211,14 @@ def run(config: ScenarioConfig,
                                                pcfg, tick)
             t3 = perf()
 
-            def run_one(plate: str):
+            records = []
+            for plate in order:
                 v = vehicles[plate]
                 ctx = SandboxContext(tick, plate, v.station, states[plate],
                                      percepts.get(plate, ()), net, match,
                                      config.comm_range, config.seed)
                 inbox = inboxes.get(v.station, ()) if v.station is not None else ()
-                _, record = tick_vehicle(v, inbox, ctx)
-                return record
-
-            if pool is None:
-                records = [run_one(plate) for plate in order]
-            else:
-                records = list(pool.map(run_one, order))
+                records.append(tick_vehicle(v, inbox, ctx)[1])
             t4 = perf()
 
             net.seal()
@@ -241,8 +233,6 @@ def run(config: ScenarioConfig,
             prev_stations = {p: v.station for p, v in vehicles.items()}
     finally:
         writer.close()
-        if pool is not None:
-            pool.shutdown()
 
     timings_path = os.path.join(out_dir, TIMINGS_FILE)
     with open(timings_path, "w", encoding="ascii") as f:
@@ -364,6 +354,21 @@ def _parse_vehicle_type(name: str, section,
                            connected, params)
 
 
+def _number(section, convert, key: str, default):
+    """section[key] converted by int or float, or default when absent."""
+    raw = section.get(key)
+    if raw is None:
+        return default
+    try:
+        value = convert(raw)
+    except ValueError:
+        value = None
+    if value is None or not math.isfinite(value):
+        raise ConfigError(f"[{section.name}] {key} = {raw!r} is not "
+                          f"a finite number")
+    return value
+
+
 def parse_config(stream: IO[str]) -> ScenarioConfig:
     """Parse the INI-style scenario config.
 
@@ -381,17 +386,19 @@ def parse_config(stream: IO[str]) -> ScenarioConfig:
     cfg = ScenarioConfig()
     if parser.has_section("scenario"):
         s = parser["scenario"]
-        cfg.seed = s.getint("seed", cfg.seed)
+        cfg.seed = _number(s, int, "seed", cfg.seed)
         cfg.out_dir = s.get("out", cfg.out_dir)
         cfg.trace_path = s.get("trace", cfg.trace_path)
         cfg.trace_format = s.get("trace_format", cfg.trace_format)
-        cfg.cell_size = s.getfloat("cell_size", cfg.cell_size)
-        cfg.perception_radius = s.getfloat("perception_radius",
-                                           cfg.perception_radius)
-        cfg.comm_range = s.getfloat("comm_range", cfg.comm_range)
-        cfg.workers = s.getint("workers", cfg.workers)
-        cfg.default_length = s.getfloat("default_length", cfg.default_length)
-        cfg.default_width = s.getfloat("default_width", cfg.default_width)
+        cfg.cell_size = _number(s, float, "cell_size", cfg.cell_size)
+        cfg.perception_radius = _number(s, float, "perception_radius",
+                                        cfg.perception_radius)
+        cfg.comm_range = _number(s, float, "comm_range", cfg.comm_range)
+        cfg.workers = _number(s, int, "workers", cfg.workers)
+        cfg.default_length = _number(s, float, "default_length",
+                                     cfg.default_length)
+        cfg.default_width = _number(s, float, "default_width",
+                                    cfg.default_width)
         ticks = s.get("ticks", None)
         if ticks:
             cfg.tick_range = parse_tick_range(ticks)
@@ -400,12 +407,14 @@ def parse_config(stream: IO[str]) -> ScenarioConfig:
         p = parser["perception"]
         base = PerceptionConfig()
         cfg.perception = PerceptionConfig(
-            fov_half_angle=math.radians(p.getfloat(
-                "fov_half_angle_deg", math.degrees(base.fov_half_angle))),
-            max_range=p.getfloat("max_range", base.max_range),
-            max_plate_angle=math.radians(p.getfloat(
-                "max_plate_angle_deg", math.degrees(base.max_plate_angle))),
-            plate_width=p.getfloat("plate_width", base.plate_width))
+            fov_half_angle=math.radians(_number(
+                p, float, "fov_half_angle_deg",
+                math.degrees(base.fov_half_angle))),
+            max_range=_number(p, float, "max_range", base.max_range),
+            max_plate_angle=math.radians(_number(
+                p, float, "max_plate_angle_deg",
+                math.degrees(base.max_plate_angle))),
+            plate_width=_number(p, float, "plate_width", base.plate_width))
 
     builtin = builtin_vehicle_types()
     for section in parser.sections():

@@ -158,3 +158,80 @@ def test_matches_naive_on_dense_synthetic_intervals():
                               float(rng.randint(1, 6))))
         views.sort(key=lambda v: (v.dist_g, v.vehicle_id))
         assert get_visible_lines(views) == get_visible_lines_naive(views)
+
+
+# --- the interval union: each merge and query case against the oracle -------
+
+def check_filter(views, visible_ids):
+    # the probes of each case share one distance, so they test the union
+    # of the nearer boxes without occluding each other
+    fast = get_visible_lines(views)
+    assert fast == get_visible_lines_naive(views)
+    assert [v.vehicle_id for v in fast] == visible_ids
+
+
+def test_box_touching_stored_interval_at_endpoint():
+    # [0, 0.2] and [0.2, 0.4] share one point; the union is [0, 0.4]
+    views = [view("a", 0.0, 0.2, -0.9, -0.8, 5.0),
+             view("b", 0.2, 0.4, 0.9, 1.0, 6.0),
+             view("inside", -1.0, 1.0, 0.15, 0.25, 9.0),
+             view("tangent_hi", -1.0, 1.0, 0.4, 0.5, 9.0),
+             view("tangent_lo", -1.0, 1.0, -0.1, 0.0, 9.0),
+             view("degenerate", -1.0, 1.0, 0.2, 0.2, 9.0)]
+    check_filter(views, ["a", "b", "tangent_hi", "tangent_lo",
+                         "degenerate"])
+
+
+def test_box_nested_inside_stored_interval():
+    # merging [-0.1, 0.1] must not shrink the stored [-0.5, 0.5]
+    views = [view("outer", -0.5, 0.5, -0.2, 0.2, 5.0),
+             view("nested", -0.1, 0.1, -0.05, 0.05, 6.0),
+             view("edge", -1.0, 1.0, 0.3, 0.4, 9.0),
+             view("clear", -1.0, 1.0, 0.5, 0.6, 9.0)]
+    check_filter(views, ["outer", "clear"])
+
+
+def test_box_bridging_three_stored_intervals():
+    views = [view("p", 0.0, 0.1, -0.9, -0.8, 1.0),
+             view("q", 0.2, 0.3, -0.7, -0.6, 2.0),
+             view("r", 0.4, 0.5, -0.5, -0.4, 3.0),
+             view("gap", 0.11, 0.19, 0.12, 0.18, 4.0),   # visible: in a gap
+             view("bridge", 0.05, 0.45, 0.9, 1.0, 5.0),
+             view("gap_after", -1.0, 1.0, 0.32, 0.38, 9.0),
+             view("past_end", -1.0, 1.0, 0.5, 0.6, 9.0),
+             view("before", -1.0, 1.0, -0.3, 0.0, 9.0)]
+    check_filter(views, ["p", "q", "r", "gap", "bridge", "past_end",
+                         "before"])
+
+
+def test_seam_split_box():
+    seam = ProjectionView("seam", -3.0, 3.0, 1.0, 1.1, 5.0, 0.0,
+                          ((3.0, math.pi), (-math.pi, -3.0)),
+                          ((1.0, 1.1),))
+
+    def plate(vid, spans, dist):
+        return ProjectionView(vid, -math.pi, math.pi, spans[0][0],
+                              spans[-1][1], dist, 0.0,
+                              ((-math.pi, math.pi),), spans)
+
+    views = [seam,
+             plate("upper", ((3.1, 3.14),), 9.0),
+             plate("lower", ((-3.14, -3.1),), 9.0),
+             plate("across", ((3.13, math.pi), (-math.pi, -3.13)), 9.0),
+             plate("tangent_lower", ((-3.0, -2.9),), 9.0),
+             plate("tangent_upper", ((2.9, 3.0),), 9.0)]
+    check_filter(views, ["seam", "tangent_lower", "tangent_upper"])
+
+
+def test_equal_distance_group_tested_before_merge():
+    # a's box covers b's plate and b's box covers a's plate; merged one by
+    # one they would hide each other, tested as a group neither is hidden
+    near = view("near", 2.0, 2.5, 2.1, 2.2, 1.0)
+    a = view("a", -0.5, 0.0, 0.1, 0.2, 10.0)
+    b = view("b", 0.0, 0.5, -0.2, -0.1, 10.0)
+    c = view("c", -0.4, 0.4, 0.3, 0.35, 10.0)
+    behind_a = view("behind_a", -1.0, 1.0, -0.4, -0.3, 11.0)
+    behind_c = view("behind_c", -1.0, 1.0, 0.32, 0.33, 11.0)
+    check_filter([near, a, b, c], ["near", "a", "b", "c"])
+    check_filter([near, a, b, c, behind_a, behind_c], ["near", "a", "b", "c"])
+    check_filter([a, b, c, behind_c], ["a", "b", "c"])

@@ -1,6 +1,8 @@
 import math
 import random
 
+import pytest
+
 from cavsim.errors import GeometryError
 from cavsim.perception import (CameraPose, PerceptionConfig, box_to_camera,
                                fov_relevant, get_visible_lines_naive,
@@ -137,3 +139,51 @@ def test_overlapping_box_skipped_consistently():
     got = perceive(ego, [overlapping, ahead], CFG)
     assert got == perceive_naive(ego, [overlapping, ahead], CFG)
     assert [o.plate for o in got] == ["ok"]
+
+
+def footprint_scene(rng, n):
+    """Random scene mixing thin (0.05 m), long (18 m) and ordinary boxes."""
+    scene = []
+    for s in random_scene(rng, n):
+        length = rng.choice((18.0, 4.5, rng.uniform(0.5, 18.0)))
+        width = rng.choice((0.05, 1.8, rng.uniform(0.05, 2.6)))
+        scene.append(VehicleState(s.id, s.x, s.y, s.heading, length, width))
+    return scene
+
+
+@pytest.mark.parametrize("fov_deg", [5.0, 45.0, 90.0])
+def test_wedge_pre_reject_is_conservative(fov_deg):
+    cfg = PerceptionConfig(fov_half_angle=math.radians(fov_deg))
+    rng = random.Random(int(fov_deg * 10))
+    cam = CameraPose(0.0, 0.0, 0.0)
+    bumper_out_corner_in = 0
+    for _ in range(120):
+        ego = VehicleState("ego", 0.0, 0.0, 0.0)
+        scene = footprint_scene(rng, rng.randint(0, 40))
+        assert perceive(ego, scene, cfg, 3) == perceive_naive(ego, scene,
+                                                              cfg, 3)
+        for s in scene:
+            box = box_to_camera(cam, reconstruct_box(s, cfg.plate_width))
+            if (not fov_relevant((box.f,), cfg)
+                    and fov_relevant(box.corners, cfg)):
+                bumper_out_corner_in += 1
+    # the scenes do reach the reject's margin: boxes whose bumper lies
+    # outside the wedge while a corner lies inside it
+    assert bumper_out_corner_in >= 20
+
+
+def test_wedge_pre_reject_keeps_box_reaching_in_by_its_diagonal():
+    # A short, wide box whose bumper-to-rear-corner diagonal (length
+    # sqrt(1 + 2^2) = 2.236) points straight into the half-plane x >= 0:
+    # the bumper lies 2.136 outside it, farther than the length, yet the
+    # rear corner is 0.1 inside.
+    cfg = PerceptionConfig(fov_half_angle=math.pi / 2,
+                           max_plate_angle=math.pi / 2)
+    ego = VehicleState("ego", 0.0, 0.0, 0.0)
+    diag = math.hypot(1.0, 2.0)
+    wide = VehicleState("w", 0.1 - diag, 5.0, math.atan2(2.0, -1.0), 1.0, 4.0)
+    box = reconstruct_box(wide, cfg.plate_width)
+    assert box.c[0] > 0.0 and max(x for x, _ in box.corners) == box.c[0]
+    got = perceive(ego, [wide], cfg)
+    assert got == perceive_naive(ego, [wide], cfg)
+    assert [o.plate for o in got] == ["w"]

@@ -142,6 +142,17 @@ def test_parse_config_bad_edge_and_range():
         parse_tick_range("a:b")
 
 
+@pytest.mark.parametrize("line", ["[scenario]\nseed = abc",
+                                  "[scenario]\nworkers = x",
+                                  "[scenario]\ncell_size = y",
+                                  "[scenario]\ncell_size = nan",
+                                  "[perception]\nmax_range = far",
+                                  "[perception]\nmax_range = inf"])
+def test_parse_config_non_numeric_value(line):
+    with pytest.raises(ConfigError, match="is not a finite number"):
+        parse_config(io.StringIO(line + "\n"))
+
+
 def test_parse_config_unknown_custom_base():
     with pytest.raises(ConfigError):
         parse_config(io.StringIO("[vehicle_type.NoModules]\nconnected = true\n"))
@@ -392,3 +403,20 @@ def test_cli_fcd_trace(tmp_path, capsys):
     assert rc == 0
     data = load_run(str(tmp_path / "out"))
     assert len(data) == 2
+
+
+def test_cli_non_numeric_config_value(tmp_path, capsys):
+    from cavsim.cli import main
+
+    trace_path = tmp_path / "t.csv"
+    with open(trace_path, "w") as f:
+        write_csv(synth_traffic(1, 2, 2, 100.0), f)
+    config_path = tmp_path / "bad.ini"
+    config_path.write_text("[scenario]\nseed = abc\n")
+    out_dir = tmp_path / "o"
+    rc = main(["run", "--config", str(config_path), "--trace", str(trace_path),
+               "--out", str(out_dir)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "seed" in err
+    assert not out_dir.exists()
