@@ -21,7 +21,8 @@ from .sandbox import (FlowGraph, SandboxContext, Vehicle, VehicleTypeSpec,
                       tick_vehicle, validate_flow)
 from .scenario import (PhaseTimings, RunSummary, ScenarioConfig, assign_type,
                        load_config, parse_config, report, run)
-from .spatial import GridIndex, get_nearby_vehicles, query_radius, rebuild
+from .spatial import (GridIndex, get_nearby_vehicles, query_radius, rebuild,
+                      sweep_neighbors)
 from .trace import (TraceTick, VehicleState, load_trace, normalize_angle,
                     parse_csv, parse_fcd, synth_traffic, write_csv)
 

@@ -135,10 +135,11 @@ class NetworkSim:
     def step(self, tick: int, locator) -> dict[int, list[Cpm]]:
         """Deliver everything sent before `tick` and return the inboxes.
 
-        locator(origin_pos) must yield the stations within comm_range of a
-        point, evaluated against send-time positions; the sender itself is
-        always excluded.  Inboxes are ordered by (send tick, sender
-        station, send order).
+        locator(delivery) is called with each due PendingDelivery and must
+        yield the stations within comm_range of delivery.origin_pos,
+        evaluated against send-time positions; the sender itself is always
+        excluded.  Inboxes are ordered by (send tick, sender station, send
+        order).
         """
         self.seal()
         due = []
@@ -153,7 +154,7 @@ class NetworkSim:
         inboxes: dict[int, list[Cpm]] = {}
         for delivery, cpm, _seq in due:
             origin = delivery.origin
-            for station in locator(delivery.origin_pos):
+            for station in locator(delivery):
                 if station == origin:
                     continue
                 box = inboxes.get(station)
@@ -169,8 +170,8 @@ def full_scan_locator(positions: dict[int, tuple[float, float]],
     """Reference locator over an explicit station->position table."""
     r2 = comm_range * comm_range
 
-    def locate(origin_pos):
-        ox, oy = origin_pos
+    def locate(delivery):
+        ox, oy = delivery.origin_pos
         out = []
         for station, (x, y) in positions.items():
             dx = x - ox

@@ -2,10 +2,12 @@
 
 Each tick runs fixed phases: (1) update states from the trace, spawning
 new vehicles with a seed-hashed type draw and despawning absent ones;
-(2) rebuild the spatial index; (3) deliver the network inboxes queued last
-tick (recipients resolved against send-time positions); (4) compute
-perception, then run every vehicle's module DAG; (5) seal the tick's
-broadcasts; (6) write metrics and phase timings.  Every phase runs in the
+(2) rebuild the spatial index and sweep it once for every vehicle's
+neighbors within perception and communication range; (3) deliver the
+network inboxes queued last tick (recipients are the sender's neighbors
+within comm range in last tick's sweep); (4) compute perception, then run
+every vehicle's module DAG; (5) seal the tick's broadcasts; (6) write
+metrics and phase timings.  Every phase runs in the
 calling thread, and all outputs are a pure function of (seed, config,
 trace).  The `workers` setting is validated but has no effect.
 """
@@ -28,7 +30,10 @@ from .network import NetworkSim
 from .perception import PerceptionConfig, perceive
 from .sandbox import (SandboxContext, Vehicle, VehicleTypeSpec, FlowGraph,
                       build_vehicle, builtin_vehicle_types, tick_vehicle)
-from .spatial import GridIndex, get_nearby_vehicles, query_radius, rebuild
+# get_nearby_vehicles and query_radius stay importable here: the traced
+# benchmark run (perfbench/tracer.py) wraps them by name on this module
+from .spatial import (get_nearby_vehicles, query_radius,  # noqa: F401
+                      rebuild, sweep_neighbors)
 from .trace import DEFAULT_LENGTH, DEFAULT_WIDTH, TraceTick, load_trace
 
 TIMINGS_FILE = "timings.csv"
@@ -87,6 +92,10 @@ class ScenarioConfig:
             if not (weight > 0 and math.isfinite(weight)):
                 raise ConfigError(f"mix weight for {name!r} must be positive "
                                   f"and finite")
+            try:  # unknown or malformed module parameters fail here
+                build_vehicle(types[name], name, None)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"vehicle type {name!r}: {exc}") from None
 
     def vehicle_types(self) -> dict[str, VehicleTypeSpec]:
         types = builtin_vehicle_types()
@@ -123,24 +132,6 @@ def assign_type(seed: int, vehicle_id: str,
     return mix[-1][0]
 
 
-def _make_locator(grid: GridIndex | None,
-                  station_by_plate: dict[str, int | None],
-                  comm_range: float):
-    if grid is None:
-        return lambda pos: ()
-
-    def locate(pos):
-        out = []
-        get = station_by_plate.get
-        for s in query_radius(grid, pos, comm_range):
-            station = get(s.id)
-            if station is not None:
-                out.append(station)
-        return out
-
-    return locate
-
-
 def run(config: ScenarioConfig,
         trace: list[TraceTick] | None = None) -> RunSummary:
     """Execute a scenario and write metrics into config.out_dir."""
@@ -162,8 +153,18 @@ def run(config: ScenarioConfig,
     vehicles: dict[str, Vehicle] = {}
     seen: set[str] = set()
     station_counter = 1
-    prev_grid: GridIndex | None = None
-    prev_stations: dict[str, int | None] = {}
+    # last tick's match table and comm-range neighbor map: every delivery
+    # due now was sealed last tick, from last tick's positions
+    prev_match = MatchTable({})
+    prev_comm: dict[str, list] = {}
+
+    def locate(delivery):
+        out = []
+        for s in prev_comm[prev_match.plate_of(delivery.origin)]:
+            station = prev_match.station_of(s.id)
+            if station is not None:
+                out.append(station)
+        return out
 
     out_dir = config.out_dir
     os.makedirs(out_dir, exist_ok=True)
@@ -189,25 +190,24 @@ def run(config: ScenarioConfig,
                     registry.intern(s.id)
                     vehicles[s.id] = build_vehicle(spec, s.id, station)
                     seen.add(s.id)
-            states = {s.id: s for s in tt.states}
             grid = rebuild(tt.states, config.cell_size)
+            states = grid.states
+            near, comm = sweep_neighbors(grid, config.perception_radius,
+                                         config.comm_range)
             match = MatchTable({p: v.station for p, v in vehicles.items()})
             net.update_positions({v.station: (states[p].x, states[p].y)
                                   for p, v in vehicles.items()
                                   if v.station is not None})
             t1 = perf()
 
-            inboxes = net.step(tick, _make_locator(prev_grid, prev_stations,
-                                                   config.comm_range))
+            inboxes = net.step(tick, locate)
             t2 = perf()
 
             order = sorted(vehicles)
             percepts: dict[str, tuple] = {}
             for plate in order:
                 if vehicles[plate].uses_camera:
-                    neighbors = get_nearby_vehicles(grid, plate,
-                                                    config.perception_radius)
-                    percepts[plate] = perceive(states[plate], neighbors,
+                    percepts[plate] = perceive(states[plate], near[plate],
                                                pcfg, tick)
             t3 = perf()
 
@@ -229,8 +229,8 @@ def run(config: ScenarioConfig,
 
             timings.append(PhaseTimings(tick, t1 - t0, t3 - t2, t4 - t3,
                                         (t2 - t1) + (t5 - t4), t6 - t5))
-            prev_grid = grid
-            prev_stations = {p: v.station for p, v in vehicles.items()}
+            prev_match = match
+            prev_comm = comm
     finally:
         writer.close()
 

@@ -24,6 +24,11 @@ DEFAULT_WIDTH = 1.8
 
 CSV_COLUMNS = ("tick", "id", "x", "y", "heading", "length", "width")
 
+# Every trace row passes one chained comparison,
+# `0.0 * x * y * heading == 0.0 < length < _INF > width > 0.0`: 0 * v is 0
+# for every finite v and NaN for NaN or +-inf, and NaN compares false.
+_INF = math.inf
+
 
 def normalize_angle(a: float) -> float:
     """Map an angle in radians into (-pi, pi]."""
@@ -86,12 +91,16 @@ def parse_fcd(stream: IO, *, default_length: float = DEFAULT_LENGTH,
             raw = elem.get("time")
             if raw is None:
                 raise SchemaError("timestep element without time attribute")
-            t = float(raw)
+            try:
+                t = float(raw)
+                bucket = int(math.floor(t))
+            except (ValueError, OverflowError):
+                raise ValidationError(
+                    f"timestep time {raw!r} is not a finite number") from None
             if last_time is not None and t <= last_time:
                 raise ValidationError(
                     f"non-monotonic timestamps: {t} after {last_time}")
             last_time = t
-            bucket = int(math.floor(t))
             if last_bucket is not None and bucket == last_bucket:
                 elem.clear()
                 continue
@@ -114,14 +123,20 @@ def _fcd_vehicle(elem, default_length, default_width) -> VehicleState:
     for required in ("id", "x", "y", "angle"):
         if required not in attrs:
             raise SchemaError(f"vehicle element missing attribute {required!r}")
-    angle_deg = float(attrs["angle"])
-    heading = normalize_angle(math.radians(90.0 - angle_deg))
-    length = float(attrs["length"]) if "length" in attrs else default_length
-    width = float(attrs["width"]) if "width" in attrs else default_width
-    if length <= 0 or width <= 0:
-        raise ValidationError(f"vehicle {attrs['id']!r}: non-positive dimensions")
-    return VehicleState(attrs["id"], float(attrs["x"]), float(attrs["y"]),
-                        heading, length, width)
+    try:
+        x = float(attrs["x"])
+        y = float(attrs["y"])
+        angle = float(attrs["angle"])
+        length = float(attrs["length"]) if "length" in attrs else default_length
+        width = float(attrs["width"]) if "width" in attrs else default_width
+    except ValueError as exc:
+        raise ValidationError(f"vehicle {attrs['id']!r}: {exc}") from None
+    if not 0.0 * x * y * angle == 0.0 < length < _INF > width > 0.0:
+        raise ValidationError(f"vehicle {attrs['id']!r}: non-finite value "
+                              f"or non-positive dimensions")
+    return VehicleState(attrs["id"], x, y,
+                        normalize_angle(math.radians(90.0 - angle)),
+                        length, width)
 
 
 def parse_csv(stream: IO, *, default_length: float = DEFAULT_LENGTH,
@@ -157,13 +172,14 @@ def parse_csv(stream: IO, *, default_length: float = DEFAULT_LENGTH,
             tick = int(row["tick"])
             x = float(row["x"])
             y = float(row["y"])
-            heading = normalize_angle(float(row["heading"]))
+            heading = float(row["heading"])
             length = float(row["length"]) if (row["length"] or "").strip() else default_length
             width = float(row["width"]) if (row["width"] or "").strip() else default_width
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"row {lineno}: {exc}") from exc
-        if length <= 0 or width <= 0:
-            raise ValidationError(f"row {lineno}: non-positive dimensions")
+        if not 0.0 * x * y * heading == 0.0 < length < _INF > width > 0.0:
+            raise ValidationError(f"row {lineno}: non-finite value or "
+                                  f"non-positive dimensions")
         vid = row["id"]
         if vid is None or vid == "":
             raise ValidationError(f"row {lineno}: empty vehicle id")
@@ -174,7 +190,8 @@ def parse_csv(stream: IO, *, default_length: float = DEFAULT_LENGTH,
             flush()
             cur_tick = tick
             cur_states = []
-        cur_states.append(VehicleState(vid, x, y, heading, length, width))
+        cur_states.append(VehicleState(vid, x, y, normalize_angle(heading),
+                                       length, width))
     flush()
     return ticks
 

@@ -74,6 +74,19 @@ GOLDEN = {
 }
 
 
+# The default radii: perception (100 m) and delivery (300 m) differ, and the
+# cell is as large as the larger one.
+DEFAULT_RADII = {
+    "two_radii": (lambda: churned(scattered(14, 150, 8, 900.0)),
+                  dict(seed=14, mix=ALL_TYPES)),
+}
+
+GOLDEN_DEFAULT_RADII = {
+    "two_radii": ("abbc0f539634a981101260bd5b19f8cd7719dbe7def6b5f18a1146aab54c0028",
+                  "3b482ff66d51f93ef44235718f5649972e5dba77e0b7f17f6558f959a21b698b"),
+}
+
+
 def sha256_of(path):
     with open(path, "rb") as f:
         return hashlib.sha256(f.read()).hexdigest()
@@ -88,3 +101,14 @@ def test_golden_digest(name, tmp_path):
     summary = run(cfg, trace=make_trace())
     got = (sha256_of(summary.metrics_path), sha256_of(summary.index_path))
     assert got == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(DEFAULT_RADII))
+def test_golden_digest_default_radii(name, tmp_path):
+    make_trace, options = DEFAULT_RADII[name]
+    cfg = ScenarioConfig(out_dir=str(tmp_path / name), **options)
+    assert (cfg.cell_size, cfg.perception_radius, cfg.comm_range) == (
+        300.0, 100.0, 300.0)
+    summary = run(cfg, trace=make_trace())
+    got = (sha256_of(summary.metrics_path), sha256_of(summary.index_path))
+    assert got == GOLDEN_DEFAULT_RADII[name]

@@ -420,3 +420,17 @@ def test_cli_non_numeric_config_value(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "seed" in err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("param", ["spam_tx.kk = 3", "spam_tx.k = many"])
+def test_bad_module_parameter_fails_before_output(tmp_path, param):
+    cfg = parse_config(io.StringIO(
+        f"[vehicle_type.SpamAttacker]\n{param}\n"
+        "[mix]\nConnectedVehicle = 1\nSpamAttacker = 1\n"))
+    with pytest.raises(ConfigError) as exc:
+        cfg.validate()
+    assert "SpamAttacker" in str(exc.value)
+    cfg.out_dir = str(tmp_path / "out")
+    with pytest.raises(ConfigError):
+        run(cfg, trace=synth_traffic(1, 4, 2, 100.0))
+    assert not os.path.exists(cfg.out_dir)

@@ -6,8 +6,9 @@ from hypothesis import given, strategies as st
 
 from cavsim.errors import (ConfigError, SchemaError, TraceParseError,
                            ValidationError)
-from cavsim.trace import (TAU, TraceTick, VehicleState, normalize_angle,
-                          parse_csv, parse_fcd, synth_traffic, write_csv)
+from cavsim.trace import (CSV_COLUMNS, TAU, TraceTick, VehicleState,
+                          normalize_angle, parse_csv, parse_fcd, synth_traffic,
+                          write_csv)
 
 FCD_EMPTY = "<fcd-export></fcd-export>"
 
@@ -191,3 +192,79 @@ def test_normalize_angle_range(a):
     # same direction modulo full turns
     assert math.isclose(math.cos(out), math.cos(a), abs_tol=1e-9)
     assert math.isclose(math.sin(out), math.sin(a), abs_tol=1e-9)
+
+
+CSV_ROW = {"tick": "0", "id": "a", "x": "1.5", "y": "-2.0", "heading": "0.5",
+           "length": "4.0", "width": "1.8"}
+FCD_VEHICLE = {"x": "1.5", "y": "-2.0", "angle": "90", "length": "4.0",
+               "width": "1.8"}
+
+
+def csv_doc(**override):
+    row = dict(CSV_ROW, **override)
+    return (",".join(CSV_COLUMNS) + "\n"
+            + ",".join(row[c] for c in CSV_COLUMNS) + "\n")
+
+
+def fcd_doc(time="0", **override):
+    attrs = " ".join(f'{k}="{v}"'
+                     for k, v in dict(FCD_VEHICLE, **override).items())
+    return (f'<fcd-export><timestep time="{time}">'
+            f'<vehicle id="a" {attrs}/></timestep></fcd-export>')
+
+
+def test_valid_rows_parse():
+    (tick,) = parse_csv(io.StringIO(csv_doc()))
+    assert tick.states[0] == VehicleState("a", 1.5, -2.0, 0.5, 4.0, 1.8)
+    (tick,) = parse_fcd(io.StringIO(fcd_doc()))
+    assert (tick.states[0].x, tick.states[0].length) == (1.5, 4.0)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("column", ["x", "y", "heading", "length", "width"])
+def test_csv_non_finite_rejected(column, value):
+    with pytest.raises(ValidationError) as exc:
+        parse_csv(io.StringIO(csv_doc(**{column: value})))
+    assert "row 2" in str(exc.value)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("attr", ["x", "y", "angle", "length", "width"])
+def test_fcd_non_finite_rejected(attr, value):
+    with pytest.raises(ValidationError):
+        parse_fcd(io.StringIO(fcd_doc(**{attr: value})))
+
+
+@pytest.mark.parametrize("attr", ["x", "y", "angle", "length", "width"])
+def test_fcd_non_numeric_rejected(attr):
+    with pytest.raises(ValidationError) as exc:
+        parse_fcd(io.StringIO(fcd_doc(**{attr: "abc"})))
+    assert "'a'" in str(exc.value)
+
+
+@pytest.mark.parametrize("time", ["abc", "", "nan", "inf"])
+def test_fcd_bad_time_rejected(time):
+    with pytest.raises(ValidationError) as exc:
+        parse_fcd(io.StringIO(fcd_doc(time=time)))
+    assert "time" in str(exc.value)
+
+
+@pytest.mark.parametrize("name, doc", [
+    ("t.csv", csv_doc(x="nan")),
+    ("t.csv", csv_doc(width="inf")),
+    ("t.xml", fcd_doc(y="nan")),
+    ("t.xml", fcd_doc(time="soon")),
+], ids=["csv-x-nan", "csv-width-inf", "fcd-y-nan", "fcd-time-text"])
+def test_cli_malformed_trace_value(tmp_path, capsys, name, doc):
+    from cavsim.cli import main
+
+    trace_path = tmp_path / name
+    trace_path.write_text(doc)
+    config_path = tmp_path / "c.ini"
+    config_path.write_text("[scenario]\nseed = 1\n")
+    out_dir = tmp_path / "out"
+    rc = main(["run", "--config", str(config_path), "--trace",
+               str(trace_path), "--out", str(out_dir)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out_dir.exists()
