@@ -12,7 +12,12 @@ The pipeline: reconstruct rectangles in world frame, transform to the
 camera frame, discard boxes with no corner in view, normalize headings so
 every candidate effectively tails the camera, reduce each candidate to
 angular intervals, resolve occlusion on the flattened [-pi, pi] number
-line, and finally filter by plate rotation.
+line, and finally filter by plate rotation.  The public stage functions
+(reconstruct_box, box_to_camera, fov_relevant, normalize_heading,
+projection_angles, get_visible_lines, heading_visible) spell it out step
+by step and are the reference.  perceive runs it as one fused kernel over
+plain floats, bit-equal to the stages composed; it does not project a
+plate that is rotated past readability, whose box still occludes.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import groupby
-from operator import attrgetter
+from operator import itemgetter
 
 from .errors import ConfigError, ContractViolation, GeometryError
 from .messages import PerceivedObject
@@ -167,47 +172,6 @@ def box_to_camera(cam: CameraPose, box: BoundingBox) -> BoundingBox:
         normalize_angle(box.heading - cam.beta0))
 
 
-def _camera_box(state: VehicleState, plate_width: float, x0: float,
-                y0: float, cb: float, sb: float,
-                heading_cam: float) -> BoundingBox:
-    """box_to_camera(cam, reconstruct_box(state, plate_width)) fused.
-
-    Performs the identical operations in the identical order, so results
-    are bit-equal to the composed public functions; it only skips the
-    intermediate world-frame landmark tuples.
-    """
-    ch = math.cos(state.heading)
-    sh = math.sin(state.heading)
-    fx, fy = state.x, state.y
-    hw = 0.5 * state.width
-    dxl = state.length * ch
-    dyl = state.length * sh
-    wax, way = fx - sh * hw, fy + ch * hw
-    wbx, wby = fx + sh * hw, fy - ch * hw
-    wgx, wgy = fx - dxl, fy - dyl
-    hp = 0.5 * plate_width
-    wmx, wmy = wgx - sh * hp, wgy + ch * hp
-    wnx, wny = wgx + sh * hp, wgy - ch * hp
-    ax, ay = wax - x0, way - y0
-    bx, by = wbx - x0, wby - y0
-    cx, cy = (wbx - dxl) - x0, (wby - dyl) - y0
-    dx, dy = (wax - dxl) - x0, (way - dyl) - y0
-    mx, my = wmx - x0, wmy - y0
-    nx, ny = wnx - x0, wny - y0
-    fxr, fyr = fx - x0, fy - y0
-    gx, gy = wgx - x0, wgy - y0
-    return BoundingBox(
-        (cb * ax + sb * ay, cb * ay - sb * ax),
-        (cb * bx + sb * by, cb * by - sb * bx),
-        (cb * cx + sb * cy, cb * cy - sb * cx),
-        (cb * dx + sb * dy, cb * dy - sb * dx),
-        (cb * mx + sb * my, cb * my - sb * mx),
-        (cb * nx + sb * ny, cb * ny - sb * nx),
-        (cb * fxr + sb * fyr, cb * fyr - sb * fxr),
-        (cb * gx + sb * gy, cb * gy - sb * gx),
-        heading_cam)
-
-
 def fov_relevant(corners, cfg: PerceptionConfig) -> bool:
     """True when at least one corner is inside the FOV wedge and range.
 
@@ -268,17 +232,16 @@ def _contains_origin(corners) -> bool:
     return True
 
 
-def _angular_spans(points) -> tuple[tuple[Span, ...], float, float]:
-    """Angular extent of a point set as seen from the origin.
+def _spans(args) -> tuple[Span, ...]:
+    """Angular extent of the arguments (atan2 values) of a point set.
 
-    Returns (spans, principal_min, principal_max).  The extent of a convex
-    set not containing the origin is an arc narrower than pi; when the arc
+    The extent of a convex set not containing the origin is an arc
+    narrower than pi, unwrapped around the first argument; when the arc
     crosses the +-pi seam it is split into two principal sub-intervals.
     """
-    args = [math.atan2(p[1], p[0]) for p in points]
     ref = args[0]
     lo = hi = ref
-    for a in args[1:]:
+    for a in args:
         if a - ref > math.pi:
             a -= TAU
         elif ref - a > math.pi:
@@ -287,13 +250,20 @@ def _angular_spans(points) -> tuple[tuple[Span, ...], float, float]:
             lo = a
         elif a > hi:
             hi = a
-    pmin = min(args)
-    pmax = max(args)
     if lo >= -math.pi and hi <= math.pi:
-        return ((lo, hi),), pmin, pmax
+        return ((lo, hi),)
     if hi > math.pi:
-        return ((lo, math.pi), (-math.pi, hi - TAU)), pmin, pmax
-    return ((lo + TAU, math.pi), (-math.pi, hi)), pmin, pmax
+        return ((lo, math.pi), (-math.pi, hi - TAU))
+    return ((lo + TAU, math.pi), (-math.pi, hi))
+
+
+def _angular_spans(points) -> tuple[tuple[Span, ...], float, float]:
+    """Angular extent of a point set as seen from the origin.
+
+    Returns (spans, principal_min, principal_max).
+    """
+    args = [math.atan2(p[1], p[0]) for p in points]
+    return _spans(args), min(args), max(args)
 
 
 def projection_angles(box: BoundingBox, vehicle_id: str = "") -> ProjectionView:
@@ -359,27 +329,27 @@ def get_visible_lines_naive(candidates) -> list[ProjectionView]:
     return visible
 
 
-def get_visible_lines(candidates) -> list[ProjectionView]:
-    """Occlusion filter over candidates sorted ascending by dist_g.
+def _unoccluded(candidates) -> list:
+    """Occlusion filter over (dist_g, id, box_spans, plate_spans, item)
+    tuples sorted ascending by dist_g.
 
-    The nearest candidate is always visible; each further candidate is
-    visible iff its (open) plate intervals avoid the union of (closed) box
-    intervals of all strictly nearer candidates.  That union is kept as
-    disjoint closed intervals in two sorted lists, starts and ends, so a
-    query is one bisect and a merge one bisect pair plus a slice
+    A candidate is visible iff its (open) plate intervals avoid the union
+    of (closed) box intervals of all strictly nearer candidates; one whose
+    plate_spans is None is never visible but still occludes.  The union is
+    kept as disjoint closed intervals in two sorted lists, starts and ends,
+    so a query is one bisect and a merge one bisect pair plus a slice
     assignment.  Merging only compares endpoints, never computes new
     ones, so the result is exact.  Output preserves input order.
     """
-    _check_sorted(candidates)
-    if len(candidates) <= 1:
-        return list(candidates)
     starts: list[float] = []
     ends: list[float] = []
     visible = []
-    for _, group in groupby(candidates, attrgetter("dist_g")):
+    for _, group in groupby(candidates, itemgetter(0)):
         group = tuple(group)
         for c in group:
-            for a, b in c.plate_spans:
+            if c[3] is None:
+                continue
+            for a, b in c[3]:
                 if a == b:
                     continue
                 # intervals before k end at or before a; those after k
@@ -390,7 +360,7 @@ def get_visible_lines(candidates) -> list[ProjectionView]:
             else:
                 visible.append(c)
         for c in group:
-            for a, b in c.box_spans:
+            for a, b in c[2]:
                 lo = bisect_left(ends, a)
                 hi = bisect_right(starts, b)
                 if lo < hi:  # [a, b] meets stored intervals lo .. hi-1
@@ -403,6 +373,25 @@ def get_visible_lines(candidates) -> list[ProjectionView]:
     return visible
 
 
+def get_visible_lines(candidates) -> list[ProjectionView]:
+    """Occlusion filter over views sorted ascending by dist_g.
+
+    The nearest candidate is always visible; each further candidate is
+    visible iff its plate intervals avoid the box intervals of all
+    strictly nearer candidates.  The views are run through the filter
+    that perceive uses.
+    """
+    _check_sorted(candidates)
+    if len(candidates) <= 1:
+        return list(candidates)
+    return [c[4] for c in _unoccluded(
+        [(v.dist_g, v.vehicle_id, v.box_spans, v.plate_spans, v)
+         for v in candidates])]
+
+
+_ORDER = itemgetter(0, 1)  # candidates by (dist_g, id)
+
+
 def perceive(ego: VehicleState, neighbors, cfg: PerceptionConfig,
              tick: int = 0) -> tuple[PerceivedObject, ...]:
     """Full camera pipeline for one ego vehicle.
@@ -413,6 +402,13 @@ def perceive(ego: VehicleState, neighbors, cfg: PerceptionConfig,
     treated as neither perceivable nor occluding.  Returns the surviving
     vehicles as perceived objects carrying ground-truth poses, ordered by
     distance (ties by id).
+
+    One loop over plain floats runs the stages of the public pipeline
+    (reconstruct_box, box_to_camera, fov_relevant, normalize_heading,
+    projection_angles, get_visible_lines, heading_visible) with the same
+    operations in the same order, so the result is bit-equal to theirs.
+    A plate rotated past readability is never projected: its box still
+    occludes, but the plate itself can never be output.
     """
     if not neighbors:
         return ()
@@ -422,11 +418,17 @@ def perceive(ego: VehicleState, neighbors, cfg: PerceptionConfig,
     ey = ego.y
     ego_id = ego.id
     ego_heading = ego.heading
-    plate_width = cfg.plate_width
-    sf = math.sin(cfg.fov_half_angle)
-    cf = math.cos(cfg.fov_half_angle)
-    views = []
-    by_id = {}
+    hp = 0.5 * cfg.plate_width
+    max_plate = cfg.max_plate_angle
+    r2 = cfg.max_range * cfg.max_range
+    half = cfg.fov_half_angle
+    # fov_relevant's angular test, as 0 <= x and |y| * wy <= wx * x:
+    # |y| <= tan * x below pi/2 (at x == 0 only y == 0 passes), any y at pi/2
+    wy, wx = (1.0, math.tan(half)) if half < HALF_PI else (0.0, 1.0)
+    sf = math.sin(half)
+    cf = math.cos(half)
+    atan2 = math.atan2
+    cands = []
     for s in neighbors:
         if s.id == ego_id:
             continue
@@ -437,34 +439,97 @@ def perceive(ego: VehicleState, neighbors, cfg: PerceptionConfig,
         # vectors, so a bumper farther than length + width/2 outside the
         # half-plane x' >= 0, or outside either edge's half-plane, leaves
         # every corner outside the wedge: fov_relevant would reject the box.
-        dx = s.x - ex
-        dy = s.y - ey
-        px = cb * dx + sb * dy
-        py = cb * dy - sb * dx
+        sx = s.x
+        sy = s.y
+        u = sx - ex
+        v = sy - ey
+        fx = cb * u + sb * v  # the front bumper f in the camera frame
+        fy = cb * v - sb * u
         reach = -(s.length + 0.5 * s.width)
-        if (px < reach or sf * px - cf * py < reach
-                or sf * px + cf * py < reach):
+        if (fx < reach or sf * fx - cf * fy < reach
+                or sf * fx + cf * fy < reach):
             continue
-        cbox = _camera_box(s, plate_width, ex, ey, cb, sb,
-                           normalize_angle(s.heading - ego_heading))
-        if not fov_relevant(cbox.corners, cfg):
+        # reconstruct_box, then box_to_camera, on the corners a b c d
+        ch = math.cos(s.heading)
+        sh = math.sin(s.heading)
+        hw = 0.5 * s.width
+        dxl = s.length * ch
+        dyl = s.length * sh
+        wax = sx - sh * hw
+        way = sy + ch * hw
+        wbx = sx + sh * hw
+        wby = sy - ch * hw
+        u = wax - ex
+        v = way - ey
+        ax = cb * u + sb * v
+        ay = cb * v - sb * u
+        u = wbx - ex
+        v = wby - ey
+        bx = cb * u + sb * v
+        by = cb * v - sb * u
+        u = (wbx - dxl) - ex
+        v = (wby - dyl) - ey
+        cx = cb * u + sb * v
+        cy = cb * v - sb * u
+        u = (wax - dxl) - ex
+        v = (way - dyl) - ey
+        dx = cb * u + sb * v
+        dy = cb * v - sb * u
+        if not (0.0 <= ax and abs(ay) * wy <= wx * ax
+                and ax * ax + ay * ay <= r2
+                or 0.0 <= bx and abs(by) * wy <= wx * bx
+                and bx * bx + by * by <= r2
+                or 0.0 <= cx and abs(cy) * wy <= wx * cx
+                and cx * cx + cy * cy <= r2
+                or 0.0 <= dx and abs(dy) * wy <= wx * dx
+                and dx * dx + dy * dy <= r2):
+            continue  # fov_relevant
+        # projection_angles rejects a box that contains the origin
+        if (ax * (by - ay) - ay * (bx - ax) <= 0.0
+                and bx * (cy - by) - by * (cx - bx) <= 0.0
+                and cx * (dy - cy) - cy * (dx - cx) <= 0.0
+                and dx * (ay - dy) - dy * (ax - dx) <= 0.0):
             continue
-        cbox = normalize_heading(cbox)
-        try:
-            views.append(projection_angles(cbox, s.id))
-        except GeometryError:
-            continue
-        by_id[s.id] = s
-    if len(views) > 1:
-        views.sort(key=_view_order)
-        views = get_visible_lines(views)
-    out = []
-    for v in views:
-        if heading_visible(v.heading, cfg):
-            s = by_id[v.vehicle_id]
-            out.append(PerceivedObject(s.id, s.x, s.y, s.heading, tick))
-    return tuple(out)
+        gx = sx - dxl
+        gy = sy - dyl
+        h = normalize_angle(s.heading - ego_heading)
+        flip = not -HALF_PI <= h <= HALF_PI
+        if flip:  # normalize_heading: labels (c, d, a, b), g and f swap
+            h = h - math.pi if h > 0 else h + math.pi
+            box_spans = _spans((atan2(cy, cx), atan2(dy, dx),
+                                atan2(ay, ax), atan2(by, bx)))
+            dist_g = math.hypot(fx, fy)
+        else:
+            box_spans = _spans((atan2(ay, ax), atan2(by, bx),
+                                atan2(cy, cx), atan2(dy, dx)))
+            u = gx - ex
+            v = gy - ey
+            dist_g = math.hypot(cb * u + sb * v, cb * v - sb * u)
+        plate_spans = None
+        if abs(h) <= max_plate:  # heading_visible
+            u = (gx - sh * hp) - ex
+            v = (gy + ch * hp) - ey
+            mx = cb * u + sb * v
+            my = cb * v - sb * u
+            u = (gx + sh * hp) - ex
+            v = (gy - ch * hp) - ey
+            nx = cb * u + sb * v
+            ny = cb * v - sb * u
+            if flip:
+                tx = 0.5 * (ax + cx)
+                ty = 0.5 * (ay + cy)
+                tx = tx + tx
+                ty = ty + ty
+                mx = tx - mx
+                my = ty - my
+                nx = tx - nx
+                ny = ty - ny
+            plate_spans = _spans((atan2(my, mx), atan2(ny, nx)))
+        cands.append((dist_g, s.id, box_spans, plate_spans, s))
+    if len(cands) > 1:
+        cands.sort(key=_ORDER)
+        cands = _unoccluded(cands)
+    return tuple(PerceivedObject(s.id, s.x, s.y, s.heading, tick)
+                 for _, _, _, plate_spans, s in cands
+                 if plate_spans is not None)
 
-
-def _view_order(v: ProjectionView):
-    return (v.dist_g, v.vehicle_id)

@@ -516,7 +516,8 @@ def tick_vehicle(vehicle: Vehicle, network_inbox,
     Each module's inbox is the concatenation of its predecessors'
     outboxes, with the network inbox prepended for entry modules.  A
     module failure aborts this vehicle's tick only: the error is counted
-    in the metrics record and the simulation carries on.
+    in the metrics record and the simulation carries on.  Broadcasts that
+    modules made before the failure stand and go out next tick.
     """
     outboxes: dict[str, list] = {}
     try:

@@ -13,6 +13,7 @@ import random
 
 import pytest
 
+from cavsim.perception import PerceptionConfig
 from cavsim.scenario import ScenarioConfig, run
 from cavsim.trace import TraceTick, VehicleState, synth_traffic
 
@@ -87,6 +88,23 @@ GOLDEN_DEFAULT_RADII = {
 }
 
 
+# A non-default camera: the widest field of view (its boundary test has no
+# tangent) and a strict plate angle, so many boxes that are in view show a
+# plate too rotated to read and only occlude.
+WIDE_CAMERA = {
+    "wide_camera": (lambda: scattered(15, 120, 6, 160.0),
+                    dict(seed=15, mix=(("ConnectedVehicle", 1.0),
+                                       ("PoTVehicle", 1.0),
+                                       ("UnconnectedVehicle", 1.0),
+                                       ("SpamAttacker", 1.0)))),
+}
+
+GOLDEN_WIDE_CAMERA = {
+    "wide_camera": ("6bdf461a78d25ac4104a2572620c5b4179253df86b01472dd04c5b35134aabd6",
+                    "87a7720e4c3f8ca9e369018fcb5b0eed955677df628ca34892f6461fdd897ea5"),
+}
+
+
 def sha256_of(path):
     with open(path, "rb") as f:
         return hashlib.sha256(f.read()).hexdigest()
@@ -112,3 +130,16 @@ def test_golden_digest_default_radii(name, tmp_path):
     summary = run(cfg, trace=make_trace())
     got = (sha256_of(summary.metrics_path), sha256_of(summary.index_path))
     assert got == GOLDEN_DEFAULT_RADII[name]
+
+
+@pytest.mark.parametrize("name", sorted(WIDE_CAMERA))
+def test_golden_digest_wide_camera(name, tmp_path):
+    make_trace, options = WIDE_CAMERA[name]
+    camera = PerceptionConfig(fov_half_angle=math.radians(90.0),
+                              max_plate_angle=math.radians(20.0))
+    cfg = ScenarioConfig(out_dir=str(tmp_path / name), cell_size=100.0,
+                         perception_radius=100.0, comm_range=100.0,
+                         perception=camera, **options)
+    summary = run(cfg, trace=make_trace())
+    got = (sha256_of(summary.metrics_path), sha256_of(summary.index_path))
+    assert got == GOLDEN_WIDE_CAMERA[name]

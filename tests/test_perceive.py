@@ -187,3 +187,19 @@ def test_wedge_pre_reject_keeps_box_reaching_in_by_its_diagonal():
     got = perceive(ego, [wide], cfg)
     assert got == perceive_naive(ego, [wide], cfg)
     assert [o.plate for o in got] == ["w"]
+
+
+def test_unreadable_plate_still_occludes():
+    # a sideways vehicle between the camera and a tailing vehicle: its own
+    # plate is rotated past readability, but its box hides the other plate
+    ego = VehicleState("ego", 0.0, 0.0, 0.0)
+    sideways = VehicleState("side", 15.0, -2.0, -math.pi / 2, 4.0, 2.0)
+    tailing = VehicleState("tail", 30.0, 0.0, 0.0)
+    assert not heading_visible(sideways.heading, CFG)
+    scene = [tailing, sideways]
+    assert perceive(ego, scene, CFG) == ()
+    assert perceive(ego, scene, CFG) == perceive_naive(ego, scene, CFG)
+    assert [o.plate for o in perceive(ego, [tailing], CFG)] == ["tail"]
+    # readable, the same box is the one vehicle seen
+    relaxed = PerceptionConfig(max_plate_angle=math.pi / 2)
+    assert [o.plate for o in perceive(ego, scene, relaxed)] == ["side"]

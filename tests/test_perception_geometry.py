@@ -5,10 +5,11 @@ import pytest
 from cavsim.errors import GeometryError
 from cavsim.perception import (BoundingBox, CameraPose, PerceptionConfig,
                                box_to_camera, fov_relevant, from_camera_frame,
-                               heading_visible, normalize_heading,
+                               heading_visible, normalize_heading, perceive,
                                projection_angles, reconstruct_box,
                                to_camera_frame)
 from cavsim.trace import VehicleState, normalize_angle
+from test_perceive import perceive_naive
 
 
 def rotate(p, angle, about=(0.0, 0.0)):
@@ -103,20 +104,62 @@ def test_transform_is_isometry(rng):
                             abs_tol=1e-9)
 
 
-def test_fused_camera_box_bit_equal(rng):
-    from cavsim.perception import _camera_box
+def kernel_scene(rng, ego, n):
+    """Neighbours around the ego with the camera kernel's edge cases: plate
+    headings on both sides of +-pi/2 and across the +-pi seam, exact
+    dist_g ties (twins under another id, mirror images about the camera
+    axis) and boxes that contain the camera origin."""
+    edges = (math.pi / 2, -math.pi / 2, math.pi, -math.pi + 1e-12,
+             math.pi - 1e-12, math.pi / 2 + 1e-12, -math.pi / 2 - 1e-12,
+             math.pi / 2 - 1e-12, 0.0)
+    ch, sh = math.cos(ego.heading), math.sin(ego.heading)
+    scene = []
+    for _ in range(n):
+        # camera-frame pose, mapped to the world frame
+        x, y = rng.uniform(-5.0, 60.0), rng.uniform(-30.0, 30.0)
+        h = rng.choice(edges) if rng.random() < 0.4 else rng.uniform(
+            -math.pi, math.pi)
+        length, width = rng.uniform(3.0, 12.0), rng.uniform(1.5, 2.5)
+        poses = [(x, y, h)]
+        if rng.random() < 0.2:
+            poses.append((x, -y, -h))
+        for x, y, h in poses:
+            s = VehicleState(f"k{len(scene):03d}", ego.x + ch * x - sh * y,
+                             ego.y + sh * x + ch * y,
+                             normalize_angle(ego.heading + h), length, width)
+            scene.append(s)
+            if rng.random() < 0.1:
+                scene.append(VehicleState(f"k{len(scene):03d}", s.x, s.y,
+                                          s.heading, length, width))
+    if rng.random() < 0.3:
+        scene.append(VehicleState("around", ego.x + 2.0 * ch,
+                                  ego.y + 2.0 * sh, ego.heading, 4.0, 2.0))
+    # front edge on the camera's lateral axis (exactly when the ego heading
+    # is 0): in view only at a 90 degree half angle
+    y = rng.choice((-1.0, 1.0)) * rng.uniform(3.0, 30.0)
+    scene.append(VehicleState("lateral", ego.x - sh * y, ego.y + ch * y,
+                              ego.heading, 4.0, 2.0))
+    return scene
 
-    for _ in range(300):
-        cam = CameraPose(rng.uniform(-500, 500), rng.uniform(-500, 500),
-                         rng.uniform(-math.pi, math.pi) or math.pi)
-        s = VehicleState("t", rng.uniform(-500, 500), rng.uniform(-500, 500),
-                         rng.uniform(-math.pi, math.pi) or math.pi,
-                         rng.uniform(0.5, 15.0), rng.uniform(0.5, 3.0))
-        composed = box_to_camera(cam, reconstruct_box(s, 0.52))
-        fused = _camera_box(s, 0.52, cam.x0, cam.y0, math.cos(cam.beta0),
-                            math.sin(cam.beta0),
-                            normalize_angle(s.heading - cam.beta0))
-        assert fused == composed  # bit-exact, not approximate
+
+@pytest.mark.parametrize("fov_deg", [5.0, 45.0, 90.0])
+@pytest.mark.parametrize("plate_deg", [20.0, 60.0, 90.0])
+def test_perceive_bit_equal_to_stage_pipeline(fov_deg, plate_deg, rng):
+    """The fused kernel in perceive against the public stage functions
+    composed one by one (perceive_naive): equal outputs, exactly."""
+    cfg = PerceptionConfig(fov_half_angle=math.radians(fov_deg),
+                           max_plate_angle=math.radians(plate_deg))
+    seen = 0
+    for _ in range(60):
+        heading = rng.choice((0.0, math.pi / 2, math.pi,
+                              rng.uniform(-math.pi, math.pi) or math.pi))
+        ego = VehicleState("ego", rng.uniform(-300.0, 300.0),
+                           rng.uniform(-300.0, 300.0), heading)
+        scene = kernel_scene(rng, ego, rng.randint(1, 30))
+        got = perceive(ego, scene, cfg, 4)
+        assert got == perceive_naive(ego, scene, cfg, 4)
+        seen += len(got)
+    assert seen > 0
 
 
 # --- fov_relevant ---------------------------------------------------------

@@ -355,6 +355,33 @@ def test_module_failure_contained():
         del MODULES["boom"]
 
 
+def test_module_failure_keeps_earlier_broadcasts():
+    # cpm_tx broadcasts, then boom raises: the CPM already queued goes out
+    # on the next tick, and modules after the failure do not run
+    register_module("boom", BoomModule)
+    try:
+        spec = VehicleTypeSpec(
+            "LateExploder",
+            FlowGraph(("camera", "cpm_tx", "boom", "object_store"),
+                      {"camera": ("cpm_tx", "boom"),
+                       "boom": ("object_store",)}))
+        v = build_vehicle(spec, "a", 1)
+        net = NetworkSim(300.0, PlateRegistry())
+        positions = {1: (0.0, 0.0), 2: (10.0, 0.0)}
+        net.update_positions(positions)
+        ctx = make_ctx(0, "a", 1, percept=(obj("c"),), net=net,
+                       match=MatchTable({"a": 1, "b": 2, "c": None}))
+        n, rec = tick_vehicle(v, (), ctx)
+        assert rec.errors == 1
+        assert n == 1 and rec.bytes_sent == 34 + 32
+        assert rec.all_objects == 0
+        inboxes = net.step(1, full_scan_locator(positions, 300.0))
+        assert [c.sender_station for c in inboxes[2]] == [1]
+        assert [o.plate for o in inboxes[2][0].objects] == ["c"]
+    finally:
+        del MODULES["boom"]
+
+
 class RecordingModule:
     def __init__(self):
         self.sizes = []
