@@ -7,6 +7,11 @@ index file maps every tick to the byte offset and length of its line so
 individual ticks can be read without scanning.  Keys and float formatting
 are fixed, so identical runs produce byte-identical files.
 
+The whole-run aggregations take any iterable of tick lines, so a report
+streams metrics.jsonl through iter_ticks; a one-tick report reads its one
+line through the index (load_run with a tick).  Either way a report holds
+one tick line in memory, not the run.
+
 Per-vehicle record keys, in order:
     id, bytes_sent, local_objects, received_objects, all_objects,
     ttv, errors, x, y
@@ -23,7 +28,8 @@ import os
 from dataclasses import dataclass, field
 from typing import IO, Iterable
 
-from .errors import ConfigError, ContractViolation, NotFoundError
+from .errors import (ConfigError, ContractViolation, NotFoundError,
+                     ValidationError)
 
 METRICS_FILE = "metrics.jsonl"
 INDEX_FILE = "metrics.idx"
@@ -117,12 +123,16 @@ class MetricsWriter:
 def read_index(stream: IO[str]) -> list[tuple[int, int, int]]:
     """Parse the index file into (tick, offset, length) triples."""
     entries = []
-    for line in stream:
+    for n, line in enumerate(stream, 1):
         line = line.strip()
         if not line:
             continue
-        tick, offset, length = line.split()
-        entries.append((int(tick), int(offset), int(length)))
+        try:
+            tick, offset, length = map(int, line.split())
+        except ValueError:
+            raise ValidationError(f"{INDEX_FILE} line {n}: want 'tick offset "
+                                  f"length', got {line!r}") from None
+        entries.append((tick, offset, length))
     return entries
 
 
@@ -132,26 +142,54 @@ def seek_tick(index: list[tuple[int, int, int]], data: IO[bytes],
     for t, offset, length in index:
         if t == tick:
             data.seek(offset)
-            return json.loads(data.read(length))
-    raise NotFoundError(f"tick {tick} not in index")
+            return _json_line(data.read(length), f"the line of tick {tick}")
+    raise NotFoundError(f"tick {tick} not in run")
+
+
+def _json_line(line: str | bytes, where: str) -> dict:
+    try:
+        return json.loads(line)
+    except ValueError:
+        raise ValidationError(f"{METRICS_FILE}: {where} is not valid "
+                              f"JSON") from None
 
 
 def iter_ticks(stream: IO[str]):
     """Linear scan over a metrics JSONL stream."""
-    for line in stream:
+    for n, line in enumerate(stream, 1):
         line = line.strip()
         if line:
-            yield json.loads(line)
+            yield _json_line(line, f"line {n}")
 
 
-def load_run(run_dir: str) -> list[dict]:
-    """Load all tick lines of a run directory."""
-    path = os.path.join(run_dir, METRICS_FILE)
-    with open(path, "r", encoding="ascii") as f:
-        return list(iter_ticks(f))
+def open_run_file(run_dir: str, name: str, mode: str = "r") -> IO:
+    """Open one file of a run directory (text files as ASCII); a missing
+    file is a NotFoundError that names it."""
+    path = os.path.join(run_dir, name)
+    try:
+        return open(path, mode, encoding=None if "b" in mode else "ascii")
+    except FileNotFoundError:
+        raise NotFoundError(f"no {name} in {run_dir!r}") from None
 
 
-def avg_bandwidth(run: list[dict]) -> list[tuple[int, float]]:
+def run_index(run_dir: str) -> list[tuple[int, int, int]]:
+    """The parsed metrics.idx of a run directory."""
+    with open_run_file(run_dir, INDEX_FILE) as f:
+        return read_index(f)
+
+
+def load_run(run_dir: str, tick: int | None = None) -> list[dict]:
+    """Load all tick lines of a run directory or, given a tick, only that
+    tick's line, read through the index."""
+    if tick is None:
+        with open_run_file(run_dir, METRICS_FILE) as f:
+            return list(iter_ticks(f))
+    index = run_index(run_dir)
+    with open_run_file(run_dir, METRICS_FILE, "rb") as f:
+        return [seek_tick(index, f, tick)]
+
+
+def avg_bandwidth(run: Iterable[dict]) -> list[tuple[int, float]]:
     """Per tick, the mean bytes_sent over vehicles active that tick."""
     out = []
     for entry in run:
@@ -177,7 +215,7 @@ def ttv_distribution(run: list[dict], tick: int) -> dict[int, int]:
     raise NotFoundError(f"tick {tick} not in run data")
 
 
-def ttv_distribution_total(run: list[dict]) -> dict[int, int]:
+def ttv_distribution_total(run: Iterable[dict]) -> dict[int, int]:
     """TTV histogram summed over the whole run."""
     total: dict[int, int] = {}
     for entry in run:
@@ -186,6 +224,13 @@ def ttv_distribution_total(run: list[dict]) -> dict[int, int]:
                 d = int(delay)
                 total[d] = total.get(d, 0) + count
     return total
+
+
+def check_cell_size(cell_size: float) -> None:
+    """A CPR cell size must be a positive, finite number of meters."""
+    if not 0.0 < cell_size < math.inf:
+        raise ConfigError(f"cell size must be positive and finite, "
+                          f"not {cell_size!r}")
 
 
 def cpr(run: list[dict], tick: int,
@@ -197,8 +242,7 @@ def cpr(run: list[dict], tick: int,
     cell.  Cells with zero locally perceived objects are undefined and
     omitted.
     """
-    if cell_size <= 0:
-        raise ConfigError("cell_size must be positive")
+    check_cell_size(cell_size)
     for entry in run:
         if entry["tick"] == tick:
             remote: dict[tuple[int, int], int] = {}

@@ -25,7 +25,9 @@ from typing import IO
 from .errors import ConfigError, NotFoundError
 from .identity import MatchTable, PlateRegistry
 from .metrics import (INDEX_FILE, METRICS_FILE, MetricsWriter, avg_bandwidth,
-                      cpr, load_run, ttv_distribution, ttv_distribution_total)
+                      check_cell_size, cpr, iter_ticks, load_run,
+                      open_run_file, run_index, ttv_distribution,
+                      ttv_distribution_total)
 from .network import NetworkSim
 from .perception import PerceptionConfig, perceive
 from .sandbox import (SandboxContext, Vehicle, VehicleTypeSpec, FlowGraph,
@@ -252,35 +254,40 @@ def run(config: ScenarioConfig,
 
 def report(run_dir: str, kind: str, out: IO[str], tick: int | None = None,
            cell_size: float = 100.0) -> None:
-    """Write one aggregation as CSV with a documented header."""
+    """Write one aggregation as CSV with a documented header.
+
+    Whole-run reports stream metrics.jsonl; `ttv` at a tick and `cpr`
+    (default: the last tick in metrics.idx) read one line through the
+    index, so a report holds one tick line in memory."""
     if kind not in REPORT_KINDS:
         raise ConfigError(f"unknown report kind {kind!r}")
     if kind == "timing":
-        path = os.path.join(run_dir, TIMINGS_FILE)
-        if not os.path.exists(path):
-            raise NotFoundError(f"no timings file in {run_dir!r}")
-        with open(path, "r", encoding="ascii") as f:
+        with open_run_file(run_dir, TIMINGS_FILE) as f:
             for line in f:
                 out.write(line)
-        return
-
-    run_data = load_run(run_dir)
-    if kind == "bandwidth":
+    elif kind == "bandwidth":
+        with open_run_file(run_dir, METRICS_FILE) as f:
+            rows = avg_bandwidth(iter_ticks(f))
         out.write("tick,avg_bytes_sent\n")
-        for t, mean in avg_bandwidth(run_data):
+        for t, mean in rows:
             out.write(f"{t},{mean!r}\n")
     elif kind == "ttv":
-        hist = (ttv_distribution(run_data, tick) if tick is not None
-                else ttv_distribution_total(run_data))
+        if tick is not None:
+            hist = ttv_distribution(load_run(run_dir, tick), tick)
+        else:
+            with open_run_file(run_dir, METRICS_FILE) as f:
+                hist = ttv_distribution_total(iter_ticks(f))
         out.write("delay,count\n")
         for delay in sorted(hist):
             out.write(f"{delay},{hist[delay]}\n")
     else:  # cpr
+        check_cell_size(cell_size)
         if tick is None:
-            if not run_data:
+            index = run_index(run_dir)
+            if not index:
                 raise NotFoundError("run has no ticks")
-            tick = run_data[-1]["tick"]
-        heat = cpr(run_data, tick, cell_size)
+            tick = index[-1][0]
+        heat = cpr(load_run(run_dir, tick), tick, cell_size)
         out.write("cell_x,cell_y,ratio\n")
         for key in sorted(heat):
             out.write(f"{key[0]},{key[1]},{heat[key]!r}\n")

@@ -63,3 +63,41 @@ def test_tracer_install_keeps_names_and_output(tmp_path):
     assert {"spatial.rebuild", "perception.perceive", "identity.MatchTable",
             "network.step", "sandbox.tick_vehicle"} <= set(got["spans"])
     assert got["metrics"] > 0
+
+
+REPORT_SCRIPT = r"""
+import io, json, os, sys
+root, out = sys.argv[1], sys.argv[2]
+sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "perfbench")]
+import cavsim
+import tracer as tracing
+from cavsim.scenario import ScenarioConfig, run
+from cavsim.trace import synth_traffic
+
+run(ScenarioConfig(out_dir=out, seed=5), trace=synth_traffic(5, 40, 4, 300.0))
+t = tracing.Tracer()
+tracing.install(t, cavsim)
+csv = {}
+for kind in ("bandwidth", "ttv", "cpr"):
+    buf = io.StringIO()
+    cavsim.report(out, kind, buf)
+    csv[kind] = buf.getvalue()
+print(json.dumps({"csv": csv,
+                  "load_run": [s[2] - s[1] for spans in t.threads
+                               for s in spans if s[0] == "metrics.load_run"]}))
+"""
+
+
+def test_traced_reports_record_load_run(tmp_path):
+    # perfbench's traced report child takes the median of the
+    # `metrics.load_run` spans, so the reports must still call the
+    # `load_run` name that the tracer wraps in `cavsim.scenario`.
+    proc = subprocess.run([sys.executable, "-c", REPORT_SCRIPT, ROOT,
+                           str(tmp_path / "out")],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout.splitlines()[-1])
+    assert got["load_run"]
+    assert got["csv"]["bandwidth"].startswith("tick,avg_bytes_sent\n0,")
+    assert got["csv"]["ttv"].startswith("delay,count\n")
+    assert got["csv"]["cpr"].startswith("cell_x,cell_y,ratio\n")
