@@ -19,11 +19,12 @@ from .perception import (BoundingBox, CameraPose, PerceptionConfig,
 from .sandbox import (FlowGraph, SandboxContext, Vehicle, VehicleTypeSpec,
                       build_vehicle, builtin_vehicle_types, register_module,
                       tick_vehicle, validate_flow)
-from .scenario import (PhaseTimings, RunSummary, ScenarioConfig, assign_type,
-                       load_config, parse_config, report, run)
+from .scenario import (RunSummary, ScenarioConfig, assign_type, load_config,
+                       parse_config, report, run)
 from .spatial import (GridIndex, get_nearby_vehicles, query_radius, rebuild,
                       sweep_neighbors)
-from .trace import (TraceTick, VehicleState, load_trace, normalize_angle,
-                    parse_csv, parse_fcd, synth_traffic, write_csv)
+from .trace import (TraceTick, VehicleState, iter_trace, load_trace,
+                    normalize_angle, parse_csv, parse_fcd, synth_traffic,
+                    write_csv)
 
 __version__ = "0.1.0"

@@ -10,6 +10,12 @@ every vehicle's module DAG; (5) seal the tick's broadcasts; (6) write
 metrics and phase timings.  Every phase runs in the
 calling thread, and all outputs are a pure function of (seed, config,
 trace).  The `workers` setting is validated but has no effect.
+
+A run reads its trace once, tick by tick: from a trace file it holds one
+tick of the trace at a time.  It writes into a fresh staging directory
+next to the output directory and moves the three output files into place
+only when every tick has run, so a run that fails (a malformed trace row
+found mid-run, an interrupt) leaves the output directory as it was.
 """
 
 from __future__ import annotations
@@ -18,9 +24,11 @@ import configparser
 import hashlib
 import math
 import os
+import shutil
+import tempfile
 import time
 from dataclasses import dataclass, field, replace
-from typing import IO
+from typing import IO, Iterable, Iterator
 
 from .errors import ConfigError, NotFoundError
 from .identity import MatchTable, PlateRegistry
@@ -36,25 +44,13 @@ from .sandbox import (SandboxContext, Vehicle, VehicleTypeSpec, FlowGraph,
 # benchmark run (perfbench/tracer.py) wraps them by name on this module
 from .spatial import (get_nearby_vehicles, query_radius,  # noqa: F401
                       rebuild, sweep_neighbors)
-from .trace import DEFAULT_LENGTH, DEFAULT_WIDTH, TraceTick, load_trace
+from .trace import DEFAULT_LENGTH, DEFAULT_WIDTH, TraceTick, iter_trace
 
 TIMINGS_FILE = "timings.csv"
 TIMING_COLUMNS = ("tick", "position_rebuild", "perception", "agent_ticks",
                   "network_step", "metrics_write")
 
 REPORT_KINDS = ("bandwidth", "ttv", "cpr", "timing")
-
-
-@dataclass(slots=True)
-class PhaseTimings:
-    """Wall-clock durations (seconds) of the five phases of one tick."""
-
-    tick: int
-    position_rebuild: float
-    perception: float
-    agent_ticks: float
-    network_step: float
-    metrics_write: float
 
 
 @dataclass
@@ -77,8 +73,13 @@ class ScenarioConfig:
     def validate(self) -> None:
         if self.cell_size <= 0:
             raise ConfigError("cell_size must be positive")
+        if not self.perception_radius >= 0.0:
+            raise ConfigError("perception_radius must be >= 0")
         if self.perception_radius > self.cell_size:
             raise ConfigError("perception_radius must not exceed cell_size")
+        if self.perception.max_range > self.perception_radius:
+            raise ConfigError("perception max_range must not exceed "
+                              "perception_radius")
         if self.comm_range > self.cell_size:
             raise ConfigError("comm_range must not exceed cell_size")
         if self.workers < 1:
@@ -134,20 +135,68 @@ def assign_type(seed: int, vehicle_id: str,
     return mix[-1][0]
 
 
+def _ticks_in(trace: Iterable[TraceTick], lo: int,
+              hi: int) -> Iterator[TraceTick]:
+    """The ticks in [lo, hi).  Ticks strictly increase, so reading stops
+    at the first tick >= hi."""
+    for tt in trace:
+        if tt.tick >= hi:
+            return
+        if tt.tick >= lo:
+            yield tt
+
+
 def run(config: ScenarioConfig,
-        trace: list[TraceTick] | None = None) -> RunSummary:
-    """Execute a scenario and write metrics into config.out_dir."""
+        trace: Iterable[TraceTick] | None = None) -> RunSummary:
+    """Execute a scenario and write metrics into config.out_dir.
+
+    `trace` (default: the config's trace file, streamed) is iterated once,
+    lazily.  The output goes to a staging directory next to out_dir
+    (missing parent directories are created first).  On success out_dir
+    is created if needed and its metrics.jsonl, metrics.idx and
+    timings.csv are replaced; other files in it are left alone.  On any
+    exception, KeyboardInterrupt included, the staging directory is
+    removed and out_dir is not created or touched.
+    """
     config.validate()
+    source = None
     if trace is None:
         if config.trace_path is None:
             raise ConfigError("no trace given (config trace path is empty)")
-        trace = load_trace(config.trace_path, config.trace_format,
-                           default_length=config.default_length,
-                           default_width=config.default_width)
+        trace = source = iter_trace(config.trace_path, config.trace_format,
+                                    default_length=config.default_length,
+                                    default_width=config.default_width)
     if config.tick_range is not None:
-        lo, hi = config.tick_range
-        trace = [tt for tt in trace if lo <= tt.tick < hi]
+        trace = _ticks_in(trace, *config.tick_range)
 
+    out_dir = config.out_dir
+    # the staging directory shares out_dir's file system, so the moves
+    # into out_dir are renames
+    target = os.path.realpath(out_dir)
+    parent = os.path.dirname(target)
+    os.makedirs(parent, exist_ok=True)
+    stage = tempfile.mkdtemp(prefix=f".{os.path.basename(target)}.",
+                             dir=parent)
+    try:
+        ticks, seen = _run_ticks(config, trace, stage)
+        os.makedirs(out_dir, exist_ok=True)
+        for name in (METRICS_FILE, INDEX_FILE, TIMINGS_FILE):
+            os.replace(os.path.join(stage, name), os.path.join(out_dir, name))
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
+        if source is not None:
+            source.close()
+
+    return RunSummary(ticks, seen, out_dir,
+                      os.path.join(out_dir, METRICS_FILE),
+                      os.path.join(out_dir, INDEX_FILE),
+                      os.path.join(out_dir, TIMINGS_FILE))
+
+
+def _run_ticks(config: ScenarioConfig, trace: Iterable[TraceTick],
+               out_dir: str) -> tuple[int, int]:
+    """The tick loop; writes the three output files into out_dir and
+    returns (ticks executed, vehicles seen)."""
     types = config.vehicle_types()
     registry = PlateRegistry()
     net = NetworkSim(config.comm_range, registry)
@@ -155,6 +204,7 @@ def run(config: ScenarioConfig,
     vehicles: dict[str, Vehicle] = {}
     seen: set[str] = set()
     station_counter = 1
+    ticks = 0
     # last tick's match table and comm-range neighbor map: every delivery
     # due now was sealed last tick, from last tick's positions
     prev_match = MatchTable({})
@@ -168,13 +218,12 @@ def run(config: ScenarioConfig,
                 out.append(station)
         return out
 
-    out_dir = config.out_dir
-    os.makedirs(out_dir, exist_ok=True)
-    writer = MetricsWriter(out_dir)
-    timings: list[PhaseTimings] = []
     perf = time.perf_counter
 
-    try:
+    with MetricsWriter(out_dir) as writer, \
+            open(os.path.join(out_dir, TIMINGS_FILE), "w",
+                 encoding="ascii") as timings:
+        timings.write(",".join(TIMING_COLUMNS) + "\n")
         for tt in trace:
             tick = tt.tick
 
@@ -229,24 +278,13 @@ def run(config: ScenarioConfig,
             writer.record_tick(tick, records)
             t6 = perf()
 
-            timings.append(PhaseTimings(tick, t1 - t0, t3 - t2, t4 - t3,
-                                        (t2 - t1) + (t5 - t4), t6 - t5))
+            timings.write(f"{tick},{t1 - t0:.6f},{t3 - t2:.6f},"
+                          f"{t4 - t3:.6f},{(t2 - t1) + (t5 - t4):.6f},"
+                          f"{t6 - t5:.6f}\n")
+            ticks += 1
             prev_match = match
             prev_comm = comm
-    finally:
-        writer.close()
-
-    timings_path = os.path.join(out_dir, TIMINGS_FILE)
-    with open(timings_path, "w", encoding="ascii") as f:
-        f.write(",".join(TIMING_COLUMNS) + "\n")
-        for t in timings:
-            f.write(f"{t.tick},{t.position_rebuild:.6f},{t.perception:.6f},"
-                    f"{t.agent_ticks:.6f},{t.network_step:.6f},"
-                    f"{t.metrics_write:.6f}\n")
-
-    return RunSummary(len(timings), len(seen), out_dir,
-                      os.path.join(out_dir, METRICS_FILE),
-                      os.path.join(out_dir, INDEX_FILE), timings_path)
+    return ticks, len(seen)
 
 
 # ---------------------------------------------------------------------------
@@ -456,4 +494,9 @@ def parse_tick_range(raw: str) -> tuple[int, int]:
 
 def load_config(path: str) -> ScenarioConfig:
     with open(path, "r", encoding="utf-8") as f:
-        return parse_config(f)
+        try:
+            return parse_config(f)
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path!r} is not UTF-8 text: {exc.reason} "
+                              f"(byte 0x{exc.object[exc.start]:02x})"
+                              ) from None

@@ -4,6 +4,13 @@ All downstream math uses one convention: world coordinates in meters,
 headings in radians counterclockwise from +x, normalized to (-pi, pi].
 Source conventions (e.g. FCD angles in degrees clockwise from north) are
 converted here, at ingest, and nowhere else.
+
+Each format has one streaming parser, a generator of TraceTicks that
+validates every row as it reads it.  iter_trace streams a trace file tick
+by tick, so a consumer holds one tick at a time (plus, for FCD, the
+emptied timestep elements that ElementTree keeps under the root);
+parse_csv, parse_fcd and load_trace are the list-building forms of the
+same parsers.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ import math
 import random
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
-from typing import IO, Iterable
+from typing import IO, Callable, Iterable, Iterator
 
 from .errors import ConfigError, SchemaError, TraceParseError, ValidationError
 
@@ -40,12 +47,16 @@ def normalize_angle(a: float) -> float:
     return a
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class VehicleState:
     """Ground-truth pose and footprint of one vehicle at one tick.
 
     (x, y) is the center of the front bumper; heading is radians CCW
     from +x in (-pi, pi]; length/width are the rectangle dimensions.
+    States are shared by the spatial index, perception and every module
+    of the tick, so treat them as read-only.  (Not frozen: a frozen
+    dataclass costs four times as much to build, and ingest builds one
+    per trace row.)
     """
 
     id: str
@@ -64,7 +75,9 @@ class TraceTick:
     states: tuple[VehicleState, ...]
 
 
-def _check_unique_ids(tick: int, states: Iterable[VehicleState]) -> None:
+def _check_unique_ids(tick: int, states: list[VehicleState]) -> None:
+    if len({s.id for s in states}) == len(states):
+        return
     seen = set()
     for s in states:
         if s.id in seen:
@@ -81,7 +94,11 @@ def parse_fcd(stream: IO, *, default_length: float = DEFAULT_LENGTH,
     are degrees clockwise from north and get converted to radians CCW from
     +x.  Missing length/width attributes fall back to the defaults.
     """
-    ticks: list[TraceTick] = []
+    return list(_fcd_ticks(stream, default_length, default_width))
+
+
+def _fcd_ticks(stream: IO, default_length: float,
+               default_width: float) -> Iterator[TraceTick]:
     last_time = None
     last_bucket = None
     try:
@@ -111,11 +128,10 @@ def parse_fcd(stream: IO, *, default_length: float = DEFAULT_LENGTH,
                     continue
                 states.append(_fcd_vehicle(veh, default_length, default_width))
             _check_unique_ids(bucket, states)
-            ticks.append(TraceTick(bucket, tuple(states)))
             elem.clear()
+            yield TraceTick(bucket, tuple(states))
     except ET.ParseError as exc:
         raise TraceParseError(str(exc), line=exc.position[0]) from exc
-    return ticks
 
 
 def _fcd_vehicle(elem, default_length, default_width) -> VehicleState:
@@ -143,57 +159,80 @@ def parse_csv(stream: IO, *, default_length: float = DEFAULT_LENGTH,
               default_width: float = DEFAULT_WIDTH) -> list[TraceTick]:
     """Parse the CSV trace schema: tick,id,x,y,heading,length,width.
 
-    Headings are already radians and are renormalized into (-pi, pi].
-    Rows for one tick must be contiguous and tick groups strictly
-    increasing.  Blank length/width cells fall back to the defaults.
+    Columns may come in any order, and header names may be padded with
+    spaces.  Headings are already radians and are renormalized into
+    (-pi, pi].  Rows for one tick must be contiguous and tick groups
+    strictly increasing.  Blank length/width cells fall back to the
+    defaults, and blank lines are skipped.  A row with more or fewer
+    fields than the header is an error; every row error names the line.
     """
-    reader = csv.DictReader(stream)
-    if reader.fieldnames is None:
-        return []
-    fields = [f.strip() for f in reader.fieldnames]
+    return list(_csv_ticks(stream, default_length, default_width))
+
+
+def _csv_ticks(stream: IO, default_length: float,
+               default_width: float) -> Iterator[TraceTick]:
+    reader = csv.reader(stream)
+    header = next(reader, None)
+    if header is None:
+        return
+    fields = [f.strip() for f in header]
     for col in CSV_COLUMNS:
         if col not in fields:
             raise SchemaError(f"missing column {col!r}")
     for col in fields:
         if col not in CSV_COLUMNS:
             raise SchemaError(f"unexpected column {col!r}")
+        if fields.count(col) > 1:
+            raise SchemaError(f"duplicate column {col!r}")
+    n_fields = len(fields)
+    i_tick, i_id, i_x, i_y, i_heading, i_length, i_width = (
+        fields.index(col) for col in CSV_COLUMNS)
+    pi = math.pi
 
-    ticks: list[TraceTick] = []
-    cur_tick = None
-    cur_states: list[VehicleState] = []
-
-    def flush():
-        if cur_tick is not None:
-            _check_unique_ids(cur_tick, cur_states)
-            ticks.append(TraceTick(cur_tick, tuple(cur_states)))
-
-    for lineno, row in enumerate(reader, start=2):
+    raw_tick = None
+    tick = None
+    states: list[VehicleState] = []
+    for row in reader:
+        if len(row) != n_fields:
+            if not row:
+                continue
+            raise ValidationError(f"row {reader.line_num}: {len(row)} fields, "
+                                  f"header has {n_fields}")
         try:
-            tick = int(row["tick"])
-            x = float(row["x"])
-            y = float(row["y"])
-            heading = float(row["heading"])
-            length = float(row["length"]) if (row["length"] or "").strip() else default_length
-            width = float(row["width"]) if (row["width"] or "").strip() else default_width
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"row {lineno}: {exc}") from exc
+            if row[i_tick] != raw_tick:
+                raw_tick = row[i_tick]
+                new_tick = int(raw_tick)
+                if new_tick != tick:
+                    if tick is not None:
+                        if new_tick < tick:
+                            raise ValidationError(
+                                f"row {reader.line_num}: non-monotonic tick "
+                                f"{new_tick} after {tick}")
+                        _check_unique_ids(tick, states)
+                        yield TraceTick(tick, tuple(states))
+                    tick = new_tick
+                    states = []
+            x = float(row[i_x])
+            y = float(row[i_y])
+            heading = float(row[i_heading])
+            length = row[i_length]
+            length = float(length) if length.strip() else default_length
+            width = row[i_width]
+            width = float(width) if width.strip() else default_width
+        except ValueError as exc:
+            raise ValidationError(f"row {reader.line_num}: {exc}") from exc
         if not 0.0 * x * y * heading == 0.0 < length < _INF > width > 0.0:
-            raise ValidationError(f"row {lineno}: non-finite value or "
-                                  f"non-positive dimensions")
-        vid = row["id"]
-        if vid is None or vid == "":
-            raise ValidationError(f"row {lineno}: empty vehicle id")
-        if cur_tick is None or tick != cur_tick:
-            if cur_tick is not None and tick < cur_tick:
-                raise ValidationError(
-                    f"row {lineno}: non-monotonic tick {tick} after {cur_tick}")
-            flush()
-            cur_tick = tick
-            cur_states = []
-        cur_states.append(VehicleState(vid, x, y, normalize_angle(heading),
-                                       length, width))
-    flush()
-    return ticks
+            raise ValidationError(f"row {reader.line_num}: non-finite value "
+                                  f"or non-positive dimensions")
+        vid = row[i_id]
+        if not vid:
+            raise ValidationError(f"row {reader.line_num}: empty vehicle id")
+        if not -pi < heading <= pi:  # in range, normalize_angle is identity
+            heading = normalize_angle(heading)
+        states.append(VehicleState(vid, x, y, heading, length, width))
+    if tick is not None:
+        _check_unique_ids(tick, states)
+        yield TraceTick(tick, tuple(states))
 
 
 def write_csv(ticks: Iterable[TraceTick], stream: IO) -> None:
@@ -251,10 +290,17 @@ def synth_traffic(seed: int, n_vehicles: int, n_ticks: int,
     return ticks
 
 
-def load_trace(path: str, fmt: str | None = None, *,
+def iter_trace(path: str, fmt: str | None = None, *,
                default_length: float = DEFAULT_LENGTH,
-               default_width: float = DEFAULT_WIDTH) -> list[TraceTick]:
-    """Load a trace file, guessing the format from the extension."""
+               default_width: float = DEFAULT_WIDTH) -> Iterator[TraceTick]:
+    """Stream a trace file tick by tick, guessing the format from the
+    extension.
+
+    The format is checked at the call; the file is opened at the first
+    tick and closed when the generator is exhausted or closed.  A row is
+    validated when its tick is read, so a malformed row late in the file
+    raises only after the ticks before it have been yielded.
+    """
     if fmt is None:
         lower = path.lower()
         if lower.endswith(".csv"):
@@ -265,9 +311,25 @@ def load_trace(path: str, fmt: str | None = None, *,
             raise ConfigError(f"cannot guess trace format of {path!r}")
     if fmt not in ("csv", "fcd"):
         raise ConfigError(f"unknown trace format {fmt!r}")
+    ticks = _csv_ticks if fmt == "csv" else _fcd_ticks
+    return _read_ticks(path, ticks, default_length, default_width)
+
+
+def _read_ticks(path: str, ticks: Callable[..., Iterator[TraceTick]],
+                default_length: float,
+                default_width: float) -> Iterator[TraceTick]:
     with open(path, "r", encoding="utf-8", newline="") as f:
-        if fmt == "csv":
-            return parse_csv(f, default_length=default_length,
-                             default_width=default_width)
-        return parse_fcd(f, default_length=default_length,
-                         default_width=default_width)
+        try:
+            yield from ticks(f, default_length, default_width)
+        except UnicodeDecodeError as exc:
+            raise TraceParseError(f"{path!r} is not UTF-8 text: {exc.reason} "
+                                  f"(byte 0x{exc.object[exc.start]:02x})"
+                                  ) from None
+
+
+def load_trace(path: str, fmt: str | None = None, *,
+               default_length: float = DEFAULT_LENGTH,
+               default_width: float = DEFAULT_WIDTH) -> list[TraceTick]:
+    """Load a whole trace file, guessing the format from the extension."""
+    return list(iter_trace(path, fmt, default_length=default_length,
+                           default_width=default_width))

@@ -1,12 +1,14 @@
 import io
 import math
 import os
+import tracemalloc
 
 import pytest
 
-from cavsim.errors import ConfigError
+from cavsim.errors import ConfigError, ValidationError
 from cavsim.metrics import load_run
 from cavsim.perception import PerceptionConfig
+from cavsim.sandbox import MODULES, FlowGraph, VehicleTypeSpec, register_module
 from cavsim.scenario import (ScenarioConfig, assign_type, parse_config,
                              parse_tick_range, report, run)
 from cavsim.trace import TraceTick, VehicleState, synth_traffic, write_csv
@@ -434,3 +436,149 @@ def test_bad_module_parameter_fails_before_output(tmp_path, param):
     with pytest.raises(ConfigError):
         run(cfg, trace=synth_traffic(1, 4, 2, 100.0))
     assert not os.path.exists(cfg.out_dir)
+
+
+# --- perception radius rules -------------------------------------------------
+
+@pytest.mark.parametrize("cfg", [
+    ScenarioConfig(perception_radius=-5.0),
+    ScenarioConfig(perception_radius=math.nan),
+    ScenarioConfig(perception=PerceptionConfig(max_range=250.0)),
+    ScenarioConfig(perception_radius=50.0),  # default max_range is 100
+], ids=["negative", "nan", "max-range-250", "radius-50"])
+def test_perception_radius_rules(cfg):
+    with pytest.raises(ConfigError, match="perception_radius"):
+        cfg.validate()
+
+
+def test_perception_max_range_may_equal_radius():
+    ScenarioConfig(perception_radius=100.0,
+                   perception=PerceptionConfig(max_range=100.0)).validate()
+    ScenarioConfig(perception_radius=100.0,
+                   perception=PerceptionConfig(max_range=40.0)).validate()
+
+
+@pytest.mark.parametrize("text", [
+    "[scenario]\nperception_radius = -5\n",
+    "[perception]\nmax_range = 250\n",
+], ids=["negative-radius", "max-range-over-radius"])
+def test_cli_perception_radius_rules(tmp_path, capsys, text):
+    from cavsim.cli import main
+
+    trace_path = tmp_path / "t.csv"
+    with open(trace_path, "w") as f:
+        write_csv(synth_traffic(1, 2, 2, 100.0), f)
+    config_path = tmp_path / "c.ini"
+    config_path.write_text(text)
+    out_dir = tmp_path / "o"
+    rc = main(["run", "--config", str(config_path), "--trace", str(trace_path),
+               "--out", str(out_dir)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "perception_radius" in err
+    assert not out_dir.exists()
+
+
+# --- streamed trace, staged output -------------------------------------------
+
+def write_trace(path, trace, tail=""):
+    with open(path, "w") as f:
+        write_csv(trace, f)
+        f.write(tail)
+    return str(path)
+
+
+def run_peak(config):
+    """tracemalloc allocation peak of one run."""
+    tracemalloc.start()
+    try:
+        run(config)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_streamed_run_memory_is_flat(tmp_path):
+    n = 8
+    configs = {}
+    for ticks in (n, 4 * n):
+        trace = write_trace(tmp_path / f"t{ticks}.csv",
+                            synth_traffic(3, 60, ticks, 600.0))
+        configs[ticks] = ScenarioConfig(seed=3, trace_path=trace,
+                                        out_dir=str(tmp_path / f"o{ticks}"))
+    run_peak(configs[n])  # warm up lazy imports and caches
+    short, long = run_peak(configs[n]), run_peak(configs[4 * n])
+    assert long <= 1.25 * short, (short, long)
+
+
+def test_bad_row_at_last_tick_leaves_no_output(tmp_path):
+    trace = write_trace(tmp_path / "t.csv", synth_traffic(2, 6, 5, 200.0),
+                        "4,v00000x,1,2,0,4,inf\n")
+    cfg = ScenarioConfig(trace_path=trace, out_dir=str(tmp_path / "out"))
+    with pytest.raises(ValidationError, match="row 32"):
+        run(cfg)
+    assert sorted(os.listdir(tmp_path)) == ["t.csv"]
+
+
+class InterruptModule:
+    def process(self, inbox, ctx):
+        if ctx.tick == 2:
+            raise KeyboardInterrupt
+        return []
+
+
+def test_interrupt_mid_run_leaves_no_output(tmp_path):
+    register_module("interrupt", InterruptModule)
+    try:
+        spec = VehicleTypeSpec("Interrupter",
+                               FlowGraph(("camera", "interrupt"),
+                                         {"camera": ("interrupt",)}))
+        cfg = ScenarioConfig(out_dir=str(tmp_path / "out"),
+                             extra_types={"Interrupter": spec},
+                             mix=(("Interrupter", 1.0),))
+        with pytest.raises(KeyboardInterrupt):
+            run(cfg, trace=synth_traffic(2, 6, 5, 200.0))
+    finally:
+        del MODULES["interrupt"]
+    assert os.listdir(tmp_path) == []
+
+
+def test_existing_out_dir(tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "notes.txt").write_bytes(b"kept")
+    names = ("metrics.jsonl", "metrics.idx", "timings.csv")
+
+    run(ScenarioConfig(seed=1, out_dir=str(out)),
+        trace=synth_traffic(1, 6, 3, 200.0))
+    first = {n: read_bytes(out / n) for n in names}
+    run(ScenarioConfig(seed=2, out_dir=str(out)),
+        trace=synth_traffic(2, 6, 5, 200.0))
+    second = {n: read_bytes(out / n) for n in names}
+    assert second["metrics.jsonl"] != first["metrics.jsonl"]
+    assert second["metrics.idx"].count(b"\n") == 5
+    assert second["timings.csv"].count(b"\n") == 6
+    assert read_bytes(out / "notes.txt") == b"kept"
+
+    def failing_trace():
+        yield from synth_traffic(3, 6, 2, 200.0)
+        raise ConfigError("trace gave out")
+
+    with pytest.raises(ConfigError):
+        run(ScenarioConfig(seed=3, out_dir=str(out)), trace=failing_trace())
+    assert {n: read_bytes(out / n) for n in names} == second
+    assert sorted(os.listdir(out)) == sorted(names + ("notes.txt",))
+    assert os.listdir(tmp_path) == ["out"]
+
+
+def test_run_reads_trace_once_and_stops_at_range_end(tmp_path):
+    pulled = []
+
+    def trace():
+        for tt in synth_traffic(4, 5, 10, 200.0):
+            pulled.append(tt.tick)
+            yield tt
+
+    cfg = ScenarioConfig(out_dir=str(tmp_path / "out"), tick_range=(2, 4))
+    assert run(cfg, trace=trace()).ticks_executed == 2
+    assert pulled == [0, 1, 2, 3, 4]

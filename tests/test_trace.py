@@ -1,5 +1,7 @@
+import csv
 import io
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -7,8 +9,8 @@ from hypothesis import given, strategies as st
 from cavsim.errors import (ConfigError, SchemaError, TraceParseError,
                            ValidationError)
 from cavsim.trace import (CSV_COLUMNS, TAU, TraceTick, VehicleState,
-                          normalize_angle, parse_csv, parse_fcd, synth_traffic,
-                          write_csv)
+                          iter_trace, normalize_angle, parse_csv, parse_fcd,
+                          synth_traffic, write_csv)
 
 FCD_EMPTY = "<fcd-export></fcd-export>"
 
@@ -268,3 +270,201 @@ def test_cli_malformed_trace_value(tmp_path, capsys, name, doc):
     assert rc == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert not out_dir.exists()
+
+
+# --- streaming CSV ingest ---------------------------------------------------
+
+def reference_parse_csv(stream, default_length=5.0, default_width=1.8):
+    """The DictReader parser that preceded the positional one, kept as the
+    oracle: the positional parser must give equal ticks, float for float."""
+    reader = csv.DictReader(stream)
+    if reader.fieldnames is None:
+        return []
+    ticks, cur_tick, cur_states = [], None, []
+
+    def flush():
+        if cur_tick is not None:
+            ids = [s.id for s in cur_states]
+            if len(set(ids)) != len(ids):
+                raise ValidationError(f"tick {cur_tick}: duplicate vehicle id")
+            ticks.append(TraceTick(cur_tick, tuple(cur_states)))
+
+    for lineno, row in enumerate(reader, start=2):
+        try:
+            tick = int(row["tick"])
+            x = float(row["x"])
+            y = float(row["y"])
+            heading = float(row["heading"])
+            length = (float(row["length"]) if (row["length"] or "").strip()
+                      else default_length)
+            width = (float(row["width"]) if (row["width"] or "").strip()
+                     else default_width)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"row {lineno}: {exc}") from exc
+        if not 0.0 * x * y * heading == 0.0 < length < math.inf > width > 0.0:
+            raise ValidationError(f"row {lineno}: non-finite value")
+        vid = row["id"]
+        if vid is None or vid == "":
+            raise ValidationError(f"row {lineno}: empty vehicle id")
+        if cur_tick is None or tick != cur_tick:
+            if cur_tick is not None and tick < cur_tick:
+                raise ValidationError(f"row {lineno}: non-monotonic tick")
+            flush()
+            cur_tick = tick
+            cur_states = []
+        cur_states.append(VehicleState(vid, x, y, normalize_angle(heading),
+                                       length, width))
+    flush()
+    return ticks
+
+
+def random_csv(rng):
+    """A valid CSV trace with permuted columns, blank dimension cells,
+    headings outside (-pi, pi], exactly +-pi and -0.0, padded and
+    zero-prefixed ticks, and blank lines."""
+    columns = list(CSV_COLUMNS)
+    rng.shuffle(columns)
+    lines = [",".join(columns)]
+    tick = rng.randrange(3)
+    for _ in range(rng.randrange(1, 6)):
+        for n in rng.sample(range(40), rng.randrange(1, 7)):
+            heading = rng.choice([
+                repr(rng.uniform(-math.pi, math.pi)),
+                repr(rng.uniform(-20.0, 20.0)), repr(math.pi),
+                repr(-math.pi), "-0.0", "0", repr(3 * math.pi),
+                repr(-TAU), f"{rng.uniform(-4.0, 4.0):.3f}"])
+            row = {
+                "tick": rng.choice([str(tick), f" {tick}", f"0{tick}",
+                                    f"{tick} "]),
+                "id": f"v{n}",
+                "x": rng.choice([repr(rng.uniform(-1e4, 1e4)), "-0.0",
+                                 f"{rng.uniform(-50.0, 50.0):.2f}"]),
+                "y": repr(rng.uniform(-1e4, 1e4)),
+                "heading": heading,
+                "length": rng.choice(["", "  ", repr(rng.uniform(1.0, 9.0)),
+                                      "4.5"]),
+                "width": rng.choice(["", repr(rng.uniform(0.5, 3.0))]),
+            }
+            lines.append(",".join(row[c] for c in columns))
+            if rng.random() < 0.15:
+                lines.append("")
+        tick += rng.randrange(1, 4)
+    return "\n".join(lines) + "\n"
+
+
+def float_reprs(ticks):
+    return [(tt.tick, [(s.id, repr(s.x), repr(s.y), repr(s.heading),
+                        repr(s.length), repr(s.width)) for s in tt.states])
+            for tt in ticks]
+
+
+def test_csv_matches_dictreader_oracle(tmp_path):
+    for seed in range(300):
+        doc = random_csv(random.Random(seed))
+        want = reference_parse_csv(io.StringIO(doc))
+        got = parse_csv(io.StringIO(doc))
+        assert float_reprs(got) == float_reprs(want), (seed, doc)
+        if seed % 20 == 0:
+            path = tmp_path / f"t{seed}.csv"
+            path.write_text(doc)
+            streamed = iter_trace(str(path))
+            assert float_reprs(streamed) == float_reprs(want)
+
+
+def test_csv_padded_header_names():
+    padded = "tick, id, x, y, heading, length, width\n0,a,1,2,0.5,4,1.8\n"
+    plain = "tick,id,x,y,heading,length,width\n0,a,1,2,0.5,4,1.8\n"
+    assert parse_csv(io.StringIO(padded)) == parse_csv(io.StringIO(plain))
+    assert parse_csv(io.StringIO(padded))[0].states[0].x == 1.0
+
+
+@pytest.mark.parametrize("row, count", [("0,b,1,2,0,4,1.8,EXTRA", 8),
+                                        ("0,b,1,2,0,4", 6)],
+                         ids=["extra", "short"])
+def test_csv_field_count_must_match_header(row, count):
+    doc = f"{','.join(CSV_COLUMNS)}\n0,a,1,2,0,4,1.8\n\n{row}\n"
+    with pytest.raises(ValidationError) as exc:
+        parse_csv(io.StringIO(doc))
+    assert str(exc.value).startswith(f"row 4: {count} fields")
+
+
+def test_csv_duplicate_column_rejected():
+    with pytest.raises(SchemaError) as exc:
+        parse_csv(io.StringIO(",".join(CSV_COLUMNS) + ",x\n"))
+    assert "'x'" in str(exc.value)
+
+
+@pytest.mark.parametrize("name, doc", [
+    ("t.csv", csv_doc().encode() + b"1,a,1,\xff,0,4,1.8\n"),
+    ("t.xml", fcd_doc().replace("</fcd-export>", "").encode()
+     + b'<timestep time="1"><vehicle id="\xff" x="0" y="0" angle="0"/>'
+       b'</timestep></fcd-export>'),
+], ids=["csv", "fcd"])
+def test_non_utf8_trace_is_parse_error(tmp_path, name, doc):
+    path = tmp_path / name
+    path.write_bytes(doc)
+    with pytest.raises(TraceParseError) as exc:
+        list(iter_trace(str(path)))
+    assert "UTF-8" in str(exc.value) and "0xff" in str(exc.value)
+
+
+def cli_run(tmp_path, capsys, trace_name, data,
+            config=b"[scenario]\nseed = 1\n", *extra):
+    """Run `cavsim run` on the given trace and config bytes; return
+    (exit code, stderr, out directory)."""
+    from cavsim.cli import main
+
+    trace_path = tmp_path / trace_name
+    trace_path.write_bytes(data)
+    config_path = tmp_path / "c.ini"
+    config_path.write_bytes(config)
+    out_dir = tmp_path / "out"
+    rc = main(["run", "--config", str(config_path), "--trace",
+               str(trace_path), "--out", str(out_dir), *extra])
+    return rc, capsys.readouterr().err, out_dir
+
+
+def assert_failed_cleanly(tmp_path, rc, err, out_dir):
+    assert rc == 1
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not out_dir.exists()
+    # nothing left next to out: no staging directory
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.ini", "t.csv"]
+
+
+def multi_tick_csv(n_ticks, last_row):
+    buf = io.StringIO()
+    write_csv(synth_traffic(2, 5, n_ticks, 200.0), buf)
+    return buf.getvalue().encode() + last_row
+
+
+@pytest.mark.parametrize("row", [b"5,zz,1,2,0,4,1.8,EXTRA\n",
+                                 b"5,zz,1,2,0,4\n"], ids=["extra", "short"])
+def test_cli_field_count_mismatch(tmp_path, capsys, row):
+    rc, err, out_dir = cli_run(tmp_path, capsys, "t.csv",
+                               multi_tick_csv(6, row))
+    assert_failed_cleanly(tmp_path, rc, err, out_dir)
+    assert "fields" in err
+
+
+def test_cli_non_utf8_byte_in_last_tick(tmp_path, capsys):
+    rc, err, out_dir = cli_run(tmp_path, capsys, "t.csv",
+                               multi_tick_csv(6, b"5,\xff,1,2,0,4,1.8\n"))
+    assert_failed_cleanly(tmp_path, rc, err, out_dir)
+    assert "UTF-8" in err
+
+
+def test_cli_non_utf8_config(tmp_path, capsys):
+    rc, err, out_dir = cli_run(tmp_path, capsys, "t.csv",
+                               multi_tick_csv(2, b""),
+                               b"[scenario]\nseed = 1 ; \xff\n")
+    assert_failed_cleanly(tmp_path, rc, err, out_dir)
+    assert "c.ini" in err and "UTF-8" in err
+
+
+def test_cli_tick_range_stops_reading_early(tmp_path, capsys):
+    rc, err, out_dir = cli_run(tmp_path, capsys, "t.csv",
+                               multi_tick_csv(5, b"5,zz,1,nan,0,4,1.8\n"),
+                               b"[scenario]\nseed = 1\n", "--ticks", "0:2")
+    assert rc == 0, err
+    assert (out_dir / "metrics.idx").read_text().count("\n") == 2
