@@ -17,7 +17,7 @@ wire.  Plate strings map to dense u32 codes through the plate registry.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import ConfigError, NotFoundError, ValidationError
 from .identity import PlateRegistry
@@ -37,10 +37,14 @@ def cpm_wire_size(cpm: Cpm) -> int:
     return HEADER_SIZE + OBJECT_SIZE * len(cpm.objects)
 
 
-def serialize_cpm(cpm: Cpm, registry: PlateRegistry) -> bytes:
-    """Canonical wire encoding; unseen plates are interned on the fly."""
+def _check_object_count(cpm: Cpm) -> None:
     if len(cpm.objects) > MAX_OBJECTS:
         raise ValidationError(f"too many objects for the wire: {len(cpm.objects)}")
+
+
+def serialize_cpm(cpm: Cpm, registry: PlateRegistry) -> bytes:
+    """Canonical wire encoding; unseen plates are interned on the fly."""
+    _check_object_count(cpm)
     x, y, heading = cpm.sender_pose
     parts = [_HEADER.pack(cpm.sender_station, cpm.gen_tick, x, y, heading,
                           len(cpm.objects))]
@@ -71,20 +75,30 @@ def deserialize_cpm(data: bytes, registry: PlateRegistry) -> Cpm:
 
 @dataclass(frozen=True, slots=True)
 class PendingDelivery:
-    """One sealed broadcast awaiting delivery at send_tick + 1."""
+    """One sealed broadcast awaiting delivery at send_tick + 1.
 
-    payload: bytes
+    Its wire `payload` is encoded each time it is read, not at seal: a run
+    delivers the CPM itself and never reads it, so the plate registry
+    interns only the plates of payloads that something encodes.
+    """
+
+    cpm: Cpm
     origin: int
     origin_pos: tuple[float, float]
     send_tick: int
+    registry: PlateRegistry = field(repr=False, compare=False)
+
+    @property
+    def payload(self) -> bytes:
+        return serialize_cpm(self.cpm, self.registry)
 
 
 class NetworkSim:
     """Collects broadcasts during a tick and delivers them the next tick.
 
     Broadcast calls only append to a buffer.  seal() orders the buffer
-    deterministically (sender station, then that sender's send order) and
-    serializes payloads; step() resolves recipients and hands out inboxes.
+    deterministically (sender station, then that sender's send order);
+    step() resolves recipients and hands out inboxes.
     """
 
     def __init__(self, comm_range: float, registry: PlateRegistry):
@@ -95,7 +109,7 @@ class NetworkSim:
         self._positions: dict[int, tuple[float, float]] = {}
         self._buffer: list[tuple[int, int, int, tuple[float, float], Cpm]] = []
         self._seq: dict[int, int] = {}
-        self._pending: list[tuple[PendingDelivery, Cpm, int]] = []
+        self._pending: list[tuple[PendingDelivery, int]] = []
 
     def update_positions(self, positions: dict[int, tuple[float, float]]) -> None:
         """Replace the station position table for the current tick."""
@@ -118,15 +132,16 @@ class NetworkSim:
         return size
 
     def seal(self) -> None:
-        """Serialize the buffered broadcasts in deterministic order."""
+        """Queue the buffered broadcasts for delivery in deterministic
+        order; a CPM with more objects than the wire can count fails here."""
         buffered = self._buffer
         self._buffer = []
         self._seq = {}
         buffered.sort(key=lambda e: (e[0], e[1]))
         for sender, seq, tick, pos, cpm in buffered:
-            payload = serialize_cpm(cpm, self.registry)
+            _check_object_count(cpm)
             self._pending.append(
-                (PendingDelivery(payload, sender, pos, tick), cpm, seq))
+                (PendingDelivery(cpm, sender, pos, tick, self.registry), seq))
 
     def pending_deliveries(self) -> list[PendingDelivery]:
         """Sealed, not yet delivered broadcasts (for inspection/tests)."""
@@ -150,9 +165,10 @@ class NetworkSim:
             else:
                 later.append(entry)
         self._pending = later
-        due.sort(key=lambda e: (e[0].send_tick, e[0].origin, e[2]))
+        due.sort(key=lambda e: (e[0].send_tick, e[0].origin, e[1]))
         inboxes: dict[int, list[Cpm]] = {}
-        for delivery, cpm, _seq in due:
+        for delivery, _seq in due:
+            cpm = delivery.cpm
             origin = delivery.origin
             for station in locator(delivery):
                 if station == origin:

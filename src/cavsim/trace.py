@@ -7,10 +7,13 @@ converted here, at ingest, and nowhere else.
 
 Each format has one streaming parser, a generator of TraceTicks that
 validates every row as it reads it.  iter_trace streams a trace file tick
-by tick, so a consumer holds one tick at a time (plus, for FCD, the
-emptied timestep elements that ElementTree keeps under the root);
-parse_csv, parse_fcd and load_trace are the list-building forms of the
-same parsers.
+by tick, so a consumer holds one tick at a time; parse_csv, parse_fcd and
+load_trace are the list-building forms of the same parsers.  Both parsers
+remember the previous tick's rows: a vehicle present one tick earlier
+reuses that state's id, and each of its heading, length and width whose
+raw text is unchanged.  A held trace costs about 260 B a row when every
+value is new, about 165 B when only the heading changes and about 140 B
+when nothing but the position does.
 """
 
 from __future__ import annotations
@@ -36,6 +39,14 @@ CSV_COLUMNS = ("tick", "id", "x", "y", "heading", "length", "width")
 # for every finite v and NaN for NaN or +-inf, and NaN compares false.
 _INF = math.inf
 
+# Characters fed to the XML parser per call, as ElementTree.iterparse reads.
+_CHUNK = 16 * 1024
+
+# The window entry of a vehicle absent one tick earlier: its text matches
+# nothing, not even an absent attribute's None.
+_NEVER = object()
+_UNSEEN = (_NEVER, _NEVER, _NEVER, None)
+
 
 def normalize_angle(a: float) -> float:
     """Map an angle in radians into (-pi, pi]."""
@@ -54,9 +65,10 @@ class VehicleState:
     (x, y) is the center of the front bumper; heading is radians CCW
     from +x in (-pi, pi]; length/width are the rectangle dimensions.
     States are shared by the spatial index, perception and every module
-    of the tick, so treat them as read-only.  (Not frozen: a frozen
-    dataclass costs four times as much to build, and ingest builds one
-    per trace row.)
+    of the tick, and a state's unchanged values are shared with the same
+    vehicle's state one tick earlier, so treat them as read-only.  (Not
+    frozen: a frozen dataclass costs four times as much to build, and
+    ingest builds one per trace row.)
     """
 
     id: str
@@ -75,14 +87,13 @@ class TraceTick:
     states: tuple[VehicleState, ...]
 
 
-def _check_unique_ids(tick: int, states: list[VehicleState]) -> None:
-    if len({s.id for s in states}) == len(states):
-        return
+def _duplicate_id(tick: int, states: list[VehicleState]) -> ValidationError:
     seen = set()
     for s in states:
         if s.id in seen:
-            raise ValidationError(f"tick {tick}: duplicate vehicle id {s.id!r}")
+            break
         seen.add(s.id)
+    return ValidationError(f"tick {tick}: duplicate vehicle id {s.id!r}")
 
 
 def parse_fcd(stream: IO, *, default_length: float = DEFAULT_LENGTH,
@@ -92,67 +103,123 @@ def parse_fcd(stream: IO, *, default_length: float = DEFAULT_LENGTH,
     Fractional timestamps are floor-bucketed to integer ticks; when several
     timesteps land in the same bucket only the first is kept.  Source angles
     are degrees clockwise from north and get converted to radians CCW from
-    +x.  Missing length/width attributes fall back to the defaults.
+    +x.  Missing length/width attributes fall back to the defaults.  Only a
+    direct child of a timestep counts as a vehicle.
     """
     return list(_fcd_ticks(stream, default_length, default_width))
+
+
+class _Timesteps:
+    """XMLParser target that collects, as each <timestep> closes, its time
+    attribute and the attributes of its direct <vehicle> children."""
+
+    def __init__(self):
+        self.closed: list[tuple[str | None, list[dict]]] = []
+        # per open element: its (time, vehicles) if a timestep, else None
+        self._open: list[tuple[str | None, list[dict]] | None] = [None]
+
+    def start(self, tag, attrib):
+        parent = self._open[-1]
+        if tag == "vehicle" and parent is not None:
+            parent[1].append(attrib)
+        self._open.append((attrib.get("time"), []) if tag == "timestep"
+                          else None)
+
+    def end(self, tag):
+        step = self._open.pop()
+        if step is not None:
+            self.closed.append(step)
+
+
+def _fcd_steps(stream: IO) -> Iterator[tuple[str | None, list[dict]]]:
+    """(time, vehicle attribute dicts) of every <timestep>, in end-tag
+    order, read _CHUNK characters at a time without building a tree.
+
+    The timesteps a chunk completes are yielded before a parse error found
+    later in that chunk is raised, but none completed by a closing parse
+    that fails; both as ElementTree.iterparse does.
+    """
+    target = _Timesteps()
+    parser = ET.XMLParser(target=target)
+    closed = target.closed
+    while chunk := stream.read(_CHUNK):
+        try:
+            parser.feed(chunk)
+        except ET.ParseError as exc:
+            yield from closed
+            raise TraceParseError(str(exc), line=exc.position[0]) from exc
+        yield from closed
+        closed.clear()
+    try:
+        parser.close()
+    except ET.ParseError as exc:
+        raise TraceParseError(str(exc), line=exc.position[0]) from exc
+    yield from closed
 
 
 def _fcd_ticks(stream: IO, default_length: float,
                default_width: float) -> Iterator[TraceTick]:
     last_time = None
     last_bucket = None
-    try:
-        for event, elem in ET.iterparse(stream, events=("end",)):
-            if elem.tag != "timestep":
-                continue
-            raw = elem.get("time")
-            if raw is None:
-                raise SchemaError("timestep element without time attribute")
+    prev: dict[str, tuple] = {}
+    for raw, vehicles in _fcd_steps(stream):
+        if raw is None:
+            raise SchemaError("timestep element without time attribute")
+        try:
+            t = float(raw)
+            bucket = int(math.floor(t))
+        except (ValueError, OverflowError):
+            raise ValidationError(
+                f"timestep time {raw!r} is not a finite number") from None
+        if last_time is not None and t <= last_time:
+            raise ValidationError(
+                f"non-monotonic timestamps: {t} after {last_time}")
+        last_time = t
+        if bucket == last_bucket:
+            continue
+        last_bucket = bucket
+        states = []
+        cur = {}
+        for attrs in vehicles:
             try:
-                t = float(raw)
-                bucket = int(math.floor(t))
-            except (ValueError, OverflowError):
-                raise ValidationError(
-                    f"timestep time {raw!r} is not a finite number") from None
-            if last_time is not None and t <= last_time:
-                raise ValidationError(
-                    f"non-monotonic timestamps: {t} after {last_time}")
-            last_time = t
-            if last_bucket is not None and bucket == last_bucket:
-                elem.clear()
-                continue
-            last_bucket = bucket
-            states = []
-            for veh in elem:
-                if veh.tag != "vehicle":
-                    continue
-                states.append(_fcd_vehicle(veh, default_length, default_width))
-            _check_unique_ids(bucket, states)
-            elem.clear()
-            yield TraceTick(bucket, tuple(states))
-    except ET.ParseError as exc:
-        raise TraceParseError(str(exc), line=exc.position[0]) from exc
-
-
-def _fcd_vehicle(elem, default_length, default_width) -> VehicleState:
-    attrs = elem.attrib
-    for required in ("id", "x", "y", "angle"):
-        if required not in attrs:
-            raise SchemaError(f"vehicle element missing attribute {required!r}")
-    try:
-        x = float(attrs["x"])
-        y = float(attrs["y"])
-        angle = float(attrs["angle"])
-        length = float(attrs["length"]) if "length" in attrs else default_length
-        width = float(attrs["width"]) if "width" in attrs else default_width
-    except ValueError as exc:
-        raise ValidationError(f"vehicle {attrs['id']!r}: {exc}") from None
-    if not 0.0 * x * y * angle == 0.0 < length < _INF > width > 0.0:
-        raise ValidationError(f"vehicle {attrs['id']!r}: non-finite value "
-                              f"or non-positive dimensions")
-    return VehicleState(attrs["id"], x, y,
-                        normalize_angle(math.radians(90.0 - angle)),
-                        length, width)
+                vid = attrs["id"]
+                x = attrs["x"]
+                y = attrs["y"]
+                a = attrs["angle"]
+            except KeyError as exc:
+                raise SchemaError(f"vehicle element missing attribute "
+                                  f"{exc.args[0]!r}") from None
+            l = attrs.get("length")
+            w = attrs.get("width")
+            old_a, old_l, old_w, old = prev.get(vid, _UNSEEN)
+            try:
+                x = float(x)
+                y = float(y)
+                if a == old_a:  # checked when first read; as finite
+                    angle = heading = old.heading
+                else:
+                    angle = float(a)
+                    heading = None
+                length = (old.length if l == old_l else
+                          default_length if l is None else float(l))
+                width = (old.width if w == old_w else
+                         default_width if w is None else float(w))
+            except ValueError as exc:
+                raise ValidationError(f"vehicle {vid!r}: {exc}") from None
+            if not 0.0 * x * y * angle == 0.0 < length < _INF > width > 0.0:
+                raise ValidationError(f"vehicle {vid!r}: non-finite value "
+                                      f"or non-positive dimensions")
+            if heading is None:
+                heading = normalize_angle(math.radians(90.0 - angle))
+            if old is not None:
+                vid = old.id
+            state = VehicleState(vid, x, y, heading, length, width)
+            states.append(state)
+            cur[vid] = (a, l, w, state)
+        if len(cur) != len(states):
+            raise _duplicate_id(bucket, states)
+        prev = cur
+        yield TraceTick(bucket, tuple(states))
 
 
 def parse_csv(stream: IO, *, default_length: float = DEFAULT_LENGTH,
@@ -192,6 +259,10 @@ def _csv_ticks(stream: IO, default_length: float,
     raw_tick = None
     tick = None
     states: list[VehicleState] = []
+    # id -> (heading, length and width text, state) of the tick before
+    # and of this one
+    prev: dict[str, tuple] = {}
+    cur: dict[str, tuple] = {}
     for row in reader:
         if len(row) != n_fields:
             if not row:
@@ -208,30 +279,40 @@ def _csv_ticks(stream: IO, default_length: float,
                             raise ValidationError(
                                 f"row {reader.line_num}: non-monotonic tick "
                                 f"{new_tick} after {tick}")
-                        _check_unique_ids(tick, states)
+                        if len(cur) != len(states):
+                            raise _duplicate_id(tick, states)
                         yield TraceTick(tick, tuple(states))
                     tick = new_tick
                     states = []
+                    prev, cur = cur, {}
+            vid = row[i_id]
+            h, l, w = row[i_heading], row[i_length], row[i_width]
+            old_h, old_l, old_w, old = prev.get(vid, _UNSEEN)
             x = float(row[i_x])
             y = float(row[i_y])
-            heading = float(row[i_heading])
-            length = row[i_length]
-            length = float(length) if length.strip() else default_length
-            width = row[i_width]
-            width = float(width) if width.strip() else default_width
+            # an unchanged value was checked and normalized when first read
+            heading = old.heading if h == old_h else float(h)
+            length = (old.length if l == old_l else
+                      float(l) if l.strip() else default_length)
+            width = (old.width if w == old_w else
+                     float(w) if w.strip() else default_width)
         except ValueError as exc:
             raise ValidationError(f"row {reader.line_num}: {exc}") from exc
         if not 0.0 * x * y * heading == 0.0 < length < _INF > width > 0.0:
             raise ValidationError(f"row {reader.line_num}: non-finite value "
                                   f"or non-positive dimensions")
-        vid = row[i_id]
         if not vid:
             raise ValidationError(f"row {reader.line_num}: empty vehicle id")
         if not -pi < heading <= pi:  # in range, normalize_angle is identity
             heading = normalize_angle(heading)
-        states.append(VehicleState(vid, x, y, heading, length, width))
+        if old is not None:
+            vid = old.id
+        state = VehicleState(vid, x, y, heading, length, width)
+        states.append(state)
+        cur[vid] = (h, l, w, state)
     if tick is not None:
-        _check_unique_ids(tick, states)
+        if len(cur) != len(states):
+            raise _duplicate_id(tick, states)
         yield TraceTick(tick, tuple(states))
 
 

@@ -582,3 +582,27 @@ def test_run_reads_trace_once_and_stops_at_range_end(tmp_path):
     cfg = ScenarioConfig(out_dir=str(tmp_path / "out"), tick_range=(2, 4))
     assert run(cfg, trace=trace()).ticks_executed == 2
     assert pulled == [0, 1, 2, 3, 4]
+
+
+def test_run_registry_interns_only_trace_ids(tmp_path, monkeypatch):
+    import cavsim.scenario as scenario
+
+    registries = []
+
+    class Recorded(scenario.PlateRegistry):
+        def __init__(self):
+            super().__init__()
+            registries.append(self)
+
+    monkeypatch.setattr(scenario, "PlateRegistry", Recorded)
+    mix = (("SpamAttacker", 1.0), ("ConnectedVehicle", 1.0))
+    trace = synth_traffic(6, 30, 6, 300.0)
+    summary = run(ScenarioConfig(out_dir=str(tmp_path / "out"), seed=6,
+                                 mix=mix), trace=trace)
+    assert summary.ticks_executed == 6
+    spammers = [s.id for s in trace[0].states
+                if assign_type(6, s.id, mix) == "SpamAttacker"]
+    assert spammers  # the run did fabricate plates
+    (registry,) = registries
+    plates = {registry.name_of(code) for code in range(len(registry))}
+    assert plates == {s.id for tt in trace for s in tt.states}
