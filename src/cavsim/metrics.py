@@ -26,6 +26,8 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
+from itertools import islice
+from json.encoder import encode_basestring_ascii
 from typing import IO, Iterable
 
 from .errors import (ConfigError, ContractViolation, NotFoundError,
@@ -33,6 +35,9 @@ from .errors import (ConfigError, ContractViolation, NotFoundError,
 
 METRICS_FILE = "metrics.jsonl"
 INDEX_FILE = "metrics.idx"
+
+# records encoded and written at a time, so a tick line is never held whole
+WRITE_CHUNK = 256
 
 
 @dataclass(slots=True)
@@ -72,21 +77,24 @@ class MetricsRecord:
 
 def record_json(r: MetricsRecord) -> str:
     """Direct JSON encoding of one record; byte-equal to dumping
-    to_json_obj() with separators=(",", ":") but without the dict walk."""
+    to_json_obj() with separators=(",", ":") but without the dict walk.
+    The id goes through the encoder json.dumps uses for a str."""
     if r.ttv_events:
         ttv = "{" + ",".join(f'"{k}":{r.ttv_events[k]}'
                              for k in sorted(r.ttv_events)) + "}"
     else:
         ttv = "{}"
-    return (f'{{"id":{json.dumps(r.vehicle_id)},"bytes_sent":{r.bytes_sent},'
-            f'"local_objects":{r.local_objects},'
+    return (f'{{"id":{encode_basestring_ascii(r.vehicle_id)},'
+            f'"bytes_sent":{r.bytes_sent},"local_objects":{r.local_objects},'
             f'"received_objects":{r.received_objects},'
             f'"all_objects":{r.all_objects},"ttv":{ttv},"errors":{r.errors},'
             f'"x":{r.position[0]!r},"y":{r.position[1]!r}}}')
 
 
 class MetricsWriter:
-    """Append-only sink writing one JSON line and one index entry per tick."""
+    """Append-only sink writing one JSON line and one index entry per tick.
+
+    A line is encoded and written WRITE_CHUNK records at a time."""
 
     def __init__(self, directory: str):
         os.makedirs(directory, exist_ok=True)
@@ -103,11 +111,16 @@ class MetricsWriter:
                 f"ticks must be recorded in increasing order "
                 f"({tick} after {self._last_tick})")
         self._last_tick = tick
-        body = ",".join(record_json(r) for r in records)
-        data = (f'{{"tick":{tick},"vehicles":[{body}]}}\n').encode("ascii")
-        self._data.write(data)
-        self._index.write(f"{tick} {self._offset} {len(data)}\n")
-        self._offset += len(data)
+        write = self._data.write
+        length = write(f'{{"tick":{tick},"vehicles":['.encode("ascii"))
+        records = iter(records)
+        sep = ""
+        while chunk := [record_json(r) for r in islice(records, WRITE_CHUNK)]:
+            length += write((sep + ",".join(chunk)).encode("ascii"))
+            sep = ","
+        length += write(b"]}\n")
+        self._index.write(f"{tick} {self._offset} {length}\n")
+        self._offset += length
 
     def close(self) -> None:
         self._data.close()

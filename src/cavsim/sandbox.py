@@ -198,6 +198,8 @@ class CameraModule:
     Emits nothing on ticks without perceived objects.
     """
 
+    __slots__ = ()
+
     def process(self, inbox, ctx):
         objs = ctx.perceive()
         if not objs:
@@ -212,6 +214,8 @@ class ObjectStoreModule:
     The vehicle's own plate never counts.  The union size is maintained
     incrementally so per-tick cost stays proportional to new plates.
     """
+
+    __slots__ = ("local", "received", "_union")
 
     def __init__(self):
         self.local = set()
@@ -249,6 +253,8 @@ class CpmTxModule:
     Broadcasts only on ticks with at least one locally perceived object.
     """
 
+    __slots__ = ()
+
     def process(self, inbox, ctx):
         objects = []
         for cpm in inbox:
@@ -262,12 +268,16 @@ class CpmTxModule:
 class RxModule:
     """Entry module: forwards the network inbox into the flow."""
 
+    __slots__ = ()
+
     def process(self, inbox, ctx):
         return list(inbox)
 
 
 class ProofGenModule:
     """Attaches an observation proof for every newly perceived plate."""
+
+    __slots__ = ("proved",)
 
     def __init__(self):
         self.proved = set()
@@ -303,6 +313,8 @@ class ProofVerifyModule:
     """
 
     PROVERS_REQUIRED = 2
+
+    __slots__ = ("provers_required", "first_seen", "provers", "verified")
 
     def __init__(self, provers_required: int = PROVERS_REQUIRED):
         self.provers_required = provers_required
@@ -341,6 +353,8 @@ class ProofVerifyModule:
 class SpamTxModule:
     """Broadcasts k fabricated objects per tick at random nearby positions."""
 
+    __slots__ = ("k",)
+
     def __init__(self, k: int = 5):
         self.k = int(k)
 
@@ -368,6 +382,8 @@ class ReplayTxModule:
     Both received messages and the vehicle's own perception CPMs are
     candidates; replayed payloads are byte-identical to the stored message.
     """
+
+    __slots__ = ("buffer", "replays")
 
     def __init__(self, history: int = 50, replays: int = 1):
         self.buffer = deque(maxlen=int(history))
@@ -422,6 +438,7 @@ class VehicleTypeSpec:
                 raise SchemaError(f"entry module {e!r} not in flow")
         object.__setattr__(self, "_order", tuple(order))
         object.__setattr__(self, "_preds", predecessors(self.graph))
+        object.__setattr__(self, "_entry_set", frozenset(self.entry))
 
     @property
     def order(self) -> tuple[str, ...]:
@@ -430,6 +447,11 @@ class VehicleTypeSpec:
     @property
     def preds(self) -> dict[str, tuple[str, ...]]:
         return self._preds
+
+    @property
+    def entry_set(self) -> frozenset[str]:
+        """The entry modules as a set, shared by every vehicle of the type."""
+        return self._entry_set
 
 
 def builtin_vehicle_types() -> dict[str, VehicleTypeSpec]:
@@ -498,7 +520,8 @@ class Vehicle:
 
 def build_vehicle(spec: VehicleTypeSpec, plate: str,
                   station: int | None) -> Vehicle:
-    """Instantiate a vehicle with fresh module state."""
+    """Instantiate a vehicle with fresh module state; the routing tables
+    are the type's own, shared by all its vehicles."""
     modules = {}
     for name in spec.graph.nodes:
         factory = MODULES.get(name)
@@ -506,7 +529,7 @@ def build_vehicle(spec: VehicleTypeSpec, plate: str,
             raise SchemaError(f"unknown module {name!r}")
         modules[name] = factory(**spec.params.get(name, {}))
     return Vehicle(plate, station, spec.name, modules, spec.order,
-                   spec.preds, frozenset(spec.entry))
+                   spec.preds, spec.entry_set)
 
 
 def tick_vehicle(vehicle: Vehicle, network_inbox,

@@ -1,18 +1,21 @@
 """Top-level simulation lifecycle and reporting.
 
-Each tick runs fixed phases: (1) update states from the trace, spawning
-new vehicles with a seed-hashed type draw and despawning absent ones;
-(2) rebuild the spatial index and sweep it once for every vehicle's
-neighbors within perception and communication range; (3) deliver the
-network inboxes queued last tick (recipients are the sender's neighbors
-within comm range in last tick's sweep); (4) compute perception, then run
-every vehicle's module DAG; (5) seal the tick's broadcasts; (6) write
-metrics and phase timings.  Every phase runs in the
-calling thread, and all outputs are a pure function of (seed, config,
-trace).  The `workers` setting is validated but has no effect.
+Each tick runs fixed phases: (1) deliver the network inboxes queued last
+tick (recipients are the sender's neighbors within comm range in last
+tick's sweep, which is then dropped); (2) rebuild the spatial index from
+the trace, despawning vehicles absent from it and spawning new ones with
+a seed-hashed type draw, and sweep the index once for every vehicle's
+neighbors within perception and communication range; (3) compute
+perception, then run every vehicle's module DAG; (4) seal the tick's
+broadcasts; (5) write metrics and phase timings.  Every phase runs in
+the calling thread, and all outputs are a pure function of (seed,
+config, trace).  The `workers` setting is validated but has no effect.
 
 A run reads its trace once, tick by tick: from a trace file it holds one
-tick of the trace at a time.  It writes into a fresh staging directory
+tick of the trace at a time.  Besides that it holds each vehicle's
+module state and one tick's structures (index, sweep maps, percepts,
+inboxes, records), which are freed as the tick ends; a tick's metrics
+line is written in chunks.  It writes into a fresh staging directory
 next to the output directory and moves the three output files into place
 only when every tick has run, so a run that fails (a malformed trace row
 found mid-run, an interrupt) leaves the output directory as it was.
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 import configparser
 import hashlib
+import itertools
 import math
 import os
 import shutil
@@ -203,8 +207,7 @@ def _run_ticks(config: ScenarioConfig, trace: Iterable[TraceTick],
     pcfg = config.perception
     vehicles: dict[str, Vehicle] = {}
     seen: set[str] = set()
-    station_counter = 1
-    ticks = 0
+    stations = itertools.count(1)
     # last tick's match table and comm-range neighbor map: every delivery
     # due now was sealed last tick, from last tick's positions
     prev_match = MatchTable({})
@@ -220,70 +223,76 @@ def _run_ticks(config: ScenarioConfig, trace: Iterable[TraceTick],
 
     perf = time.perf_counter
 
+    def run_tick(tt: TraceTick) -> None:
+        """One tick.  Its grid, sweep maps, percepts, inboxes and records
+        are locals, freed when it returns; only the match table and comm
+        map outlive it, until the next tick's delivery."""
+        nonlocal prev_match, prev_comm
+        tick = tt.tick
+
+        t0 = perf()
+        inboxes = net.step(tick, locate)
+        prev_match = prev_comm = None  # delivered: done with last tick's
+        t1 = perf()
+
+        grid = rebuild(tt.states, config.cell_size)
+        states = grid.states
+        for plate in [p for p in vehicles if p not in states]:
+            del vehicles[plate]
+        for s in tt.states:
+            if s.id not in vehicles:
+                spec = types[assign_type(config.seed, s.id, config.mix)]
+                station = next(stations) if spec.connected else None
+                registry.intern(s.id)
+                vehicles[s.id] = build_vehicle(spec, s.id, station)
+                seen.add(s.id)
+        near, comm = sweep_neighbors(grid, config.perception_radius,
+                                     config.comm_range)
+        match = MatchTable({p: v.station for p, v in vehicles.items()})
+        net.update_positions({v.station: (states[p].x, states[p].y)
+                              for p, v in vehicles.items()
+                              if v.station is not None})
+        t2 = perf()
+
+        order = sorted(vehicles)
+        percepts: dict[str, tuple] = {}  # only the non-empty ones
+        for plate in order:
+            if vehicles[plate].uses_camera:
+                objs = perceive(states[plate], near[plate], pcfg, tick)
+                if objs:
+                    percepts[plate] = objs
+        t3 = perf()
+
+        records = []
+        for plate in order:
+            v = vehicles[plate]
+            ctx = SandboxContext(tick, plate, v.station, states[plate],
+                                 percepts.get(plate, ()), net, match,
+                                 config.comm_range, config.seed)
+            inbox = inboxes.get(v.station, ()) if v.station is not None else ()
+            records.append(tick_vehicle(v, inbox, ctx)[1])
+        t4 = perf()
+
+        net.seal()
+        t5 = perf()
+
+        writer.record_tick(tick, records)
+        t6 = perf()
+
+        timings.write(f"{tick},{t2 - t1:.6f},{t3 - t2:.6f},"
+                      f"{t4 - t3:.6f},{(t1 - t0) + (t5 - t4):.6f},"
+                      f"{t6 - t5:.6f}\n")
+        prev_match = match
+        prev_comm = comm
+
+    ticks = 0
     with MetricsWriter(out_dir) as writer, \
             open(os.path.join(out_dir, TIMINGS_FILE), "w",
                  encoding="ascii") as timings:
         timings.write(",".join(TIMING_COLUMNS) + "\n")
         for tt in trace:
-            tick = tt.tick
-
-            t0 = perf()
-            alive = {s.id for s in tt.states}
-            for plate in [p for p in vehicles if p not in alive]:
-                del vehicles[plate]
-            for s in tt.states:
-                if s.id not in vehicles:
-                    spec = types[assign_type(config.seed, s.id, config.mix)]
-                    station = None
-                    if spec.connected:
-                        station = station_counter
-                        station_counter += 1
-                    registry.intern(s.id)
-                    vehicles[s.id] = build_vehicle(spec, s.id, station)
-                    seen.add(s.id)
-            grid = rebuild(tt.states, config.cell_size)
-            states = grid.states
-            near, comm = sweep_neighbors(grid, config.perception_radius,
-                                         config.comm_range)
-            match = MatchTable({p: v.station for p, v in vehicles.items()})
-            net.update_positions({v.station: (states[p].x, states[p].y)
-                                  for p, v in vehicles.items()
-                                  if v.station is not None})
-            t1 = perf()
-
-            inboxes = net.step(tick, locate)
-            t2 = perf()
-
-            order = sorted(vehicles)
-            percepts: dict[str, tuple] = {}
-            for plate in order:
-                if vehicles[plate].uses_camera:
-                    percepts[plate] = perceive(states[plate], near[plate],
-                                               pcfg, tick)
-            t3 = perf()
-
-            records = []
-            for plate in order:
-                v = vehicles[plate]
-                ctx = SandboxContext(tick, plate, v.station, states[plate],
-                                     percepts.get(plate, ()), net, match,
-                                     config.comm_range, config.seed)
-                inbox = inboxes.get(v.station, ()) if v.station is not None else ()
-                records.append(tick_vehicle(v, inbox, ctx)[1])
-            t4 = perf()
-
-            net.seal()
-            t5 = perf()
-
-            writer.record_tick(tick, records)
-            t6 = perf()
-
-            timings.write(f"{tick},{t1 - t0:.6f},{t3 - t2:.6f},"
-                          f"{t4 - t3:.6f},{(t2 - t1) + (t5 - t4):.6f},"
-                          f"{t6 - t5:.6f}\n")
+            run_tick(tt)
             ticks += 1
-            prev_match = match
-            prev_comm = comm
     return ticks, len(seen)
 
 

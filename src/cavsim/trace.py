@@ -32,6 +32,9 @@ TAU = 2.0 * math.pi
 DEFAULT_LENGTH = 5.0
 DEFAULT_WIDTH = 1.8
 
+# a tick must fit the wire format's u32 gen_tick
+MAX_TICK = 2 ** 32 - 1
+
 CSV_COLUMNS = ("tick", "id", "x", "y", "heading", "length", "width")
 
 # Every trace row passes one chained comparison,
@@ -100,11 +103,12 @@ def parse_fcd(stream: IO, *, default_length: float = DEFAULT_LENGTH,
               default_width: float = DEFAULT_WIDTH) -> list[TraceTick]:
     """Parse floating-car-data XML (nested timestep/vehicle elements).
 
-    Fractional timestamps are floor-bucketed to integer ticks; when several
-    timesteps land in the same bucket only the first is kept.  Source angles
-    are degrees clockwise from north and get converted to radians CCW from
-    +x.  Missing length/width attributes fall back to the defaults.  Only a
-    direct child of a timestep counts as a vehicle.
+    Fractional timestamps are floor-bucketed to integer ticks, which must
+    lie in 0..MAX_TICK; when several timesteps land in the same bucket only
+    the first is kept.  Source angles are degrees clockwise from north and
+    get converted to radians CCW from +x.  Missing length/width attributes
+    fall back to the defaults.  Only a direct child of a timestep counts as
+    a vehicle.
     """
     return list(_fcd_ticks(stream, default_length, default_width))
 
@@ -177,6 +181,9 @@ def _fcd_ticks(stream: IO, default_length: float,
         last_time = t
         if bucket == last_bucket:
             continue
+        if not 0 <= bucket <= MAX_TICK:
+            raise ValidationError(f"timestep time {raw!r}: tick {bucket} is "
+                                  f"outside 0..{MAX_TICK}")
         last_bucket = bucket
         states = []
         cur = {}
@@ -229,9 +236,10 @@ def parse_csv(stream: IO, *, default_length: float = DEFAULT_LENGTH,
     Columns may come in any order, and header names may be padded with
     spaces.  Headings are already radians and are renormalized into
     (-pi, pi].  Rows for one tick must be contiguous and tick groups
-    strictly increasing.  Blank length/width cells fall back to the
-    defaults, and blank lines are skipped.  A row with more or fewer
-    fields than the header is an error; every row error names the line.
+    strictly increasing, within 0..MAX_TICK.  Blank length/width cells
+    fall back to the defaults, and blank lines are skipped.  A row with
+    more or fewer fields than the header is an error; every row error
+    names the line.
     """
     return list(_csv_ticks(stream, default_length, default_width))
 
@@ -274,6 +282,10 @@ def _csv_ticks(stream: IO, default_length: float,
                 raw_tick = row[i_tick]
                 new_tick = int(raw_tick)
                 if new_tick != tick:
+                    if not 0 <= new_tick <= MAX_TICK:
+                        raise ValidationError(
+                            f"row {reader.line_num}: tick {new_tick} is "
+                            f"outside 0..{MAX_TICK}")
                     if tick is not None:
                         if new_tick < tick:
                             raise ValidationError(

@@ -1,11 +1,15 @@
+import gc
 import json
 import os
+import tracemalloc
 
 import pytest
+from hypothesis import given, strategies as st
 
 from cavsim.errors import ContractViolation, NotFoundError
-from cavsim.metrics import (MetricsRecord, MetricsWriter, avg_bandwidth, cpr,
-                            iter_ticks, load_run, read_index, seek_tick,
+from cavsim.metrics import (WRITE_CHUNK, MetricsRecord, MetricsWriter,
+                            avg_bandwidth, cpr, iter_ticks, load_run,
+                            read_index, record_json, seek_tick,
                             ttv_distribution, ttv_distribution_total)
 
 
@@ -131,6 +135,67 @@ def test_fast_emitter_matches_json_dumps():
     for r in records:
         assert record_json(r) == json.dumps(r.to_json_obj(),
                                             separators=(",", ":"))
+
+
+ODD_IDS = ['q"uote', "back\\slash", "tab\tnew\nline", "nul\x00bell\x07",
+           "\x1f\x7f", "ümlaut", "日本", "emoji \U0001f697", "surrogate \ud800",
+           "", "/slash", "\u2028sep"]
+
+
+@pytest.mark.parametrize("vid", ODD_IDS)
+def test_record_id_encoded_as_json_dumps(vid):
+    line = record_json(rec(0, vid))
+    assert line.startswith('{"id":' + json.dumps(vid) + ',"bytes_sent":')
+    assert line.isascii()
+
+
+@given(st.text())
+def test_record_id_encoded_as_json_dumps_any_text(vid):
+    r = rec(0, vid, 3, ttv={2: 1})
+    assert record_json(r) == json.dumps(r.to_json_obj(), separators=(",", ":"))
+
+
+# --- chunked tick lines ------------------------------------------------------
+
+def many_records(tick, n):
+    return [rec(tick, f"v{i:05d}", 66 + i, 2, 5, 6, {2: 1, i % 7: 4},
+                (101.5 + i, -40.25 * i)) for i in range(n)]
+
+
+def reference_line(tick, records):
+    """The tick line written in one piece."""
+    body = ",".join(record_json(r) for r in records)
+    return f'{{"tick":{tick},"vehicles":[{body}]}}\n'.encode("ascii")
+
+
+def test_chunked_line_index_matches_bytes(tmp_path):
+    counts = (0, 1, WRITE_CHUNK - 1, WRITE_CHUNK, WRITE_CHUNK + 1,
+              2 * WRITE_CHUNK + 3)
+    ticks = [(t, many_records(t, n)) for t, n in enumerate(counts)]
+    data, idx = read_files(write_run(tmp_path, ticks))
+    assert data == b"".join(reference_line(t, r) for t, r in ticks)
+    offset = 0
+    for (t, records), (it, ioff, ilen) in zip(ticks, read_index(idx.splitlines())):
+        line = reference_line(t, records)
+        assert (it, ioff, ilen) == (t, offset, len(line))
+        assert data[ioff:ioff + ilen] == line
+        offset += len(line)
+    assert offset == len(data)
+
+
+def test_record_tick_peak_is_a_fraction_of_the_line(tmp_path):
+    records = many_records(1, 5000)
+    with MetricsWriter(str(tmp_path / "run")) as w:
+        w.record_tick(0, records[:10])  # open the buffers
+        gc.collect()
+        tracemalloc.start()
+        try:
+            w.record_tick(1, records)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    length = len(reference_line(1, records))
+    assert peak < 0.5 * length, (peak, length)
 
 
 # --- aggregations ----------------------------------------------------------

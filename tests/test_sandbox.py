@@ -418,3 +418,21 @@ def test_ctx_identity_lookups():
     ctx = make_ctx(0, "a", 1, match=match)
     assert ctx.station_of("u") is None
     assert ctx.plate_of(1) == "a"
+
+
+# --- per-type sharing --------------------------------------------------------
+
+def test_vehicles_of_one_type_share_routing_tables():
+    spec = builtin_vehicle_types()["ConnectedVehicle"]
+    a = build_vehicle(spec, "a", 1)
+    b = build_vehicle(spec, "b", 2)
+    assert a.entry is b.entry and a.entry == frozenset({"rx"})
+    assert a.order is b.order and a.preds is b.preds
+
+
+@pytest.mark.parametrize("name", ["camera", "object_store", "cpm_tx", "rx",
+                                  "proof_gen", "proof_verify", "spam_tx",
+                                  "replay_tx"])
+def test_builtin_modules_have_no_instance_dict(name):
+    assert not hasattr(MODULES[name](), "__dict__")
+

@@ -1,3 +1,4 @@
+import gc
 import io
 import math
 import os
@@ -606,3 +607,21 @@ def test_run_registry_interns_only_trace_ids(tmp_path, monkeypatch):
     (registry,) = registries
     plates = {registry.name_of(code) for code in range(len(registry))}
     assert plates == {s.id for tt in trace for s in tt.states}
+
+
+def test_run_memory_per_vehicle(tmp_path):
+    # what run() allocates on top of a held trace: per-vehicle module state
+    # plus one tick's structures, about 2.6 KB a vehicle; holding the last
+    # tick's index, maps and records through the next tick took 3.8 KB
+    n = 2000
+    trace = synth_traffic(1, n, 8, 6000.0)
+    run(ScenarioConfig(seed=1, out_dir=str(tmp_path / "warm")),
+        trace=synth_traffic(1, 20, 2, 600.0))  # lazy imports and caches
+    gc.collect()
+    tracemalloc.start()
+    try:
+        run(ScenarioConfig(seed=1, out_dir=str(tmp_path / "out")), trace=trace)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / n < 3200, peak / n

@@ -854,3 +854,38 @@ def test_fcd_streaming_memory_is_flat(tmp_path):
     fcd_streaming_peak(paths[n])  # warm up lazy imports and caches
     short, long = fcd_streaming_peak(paths[n]), fcd_streaming_peak(paths[4 * n])
     assert long <= 1.25 * short, (short, long)
+
+
+# --- tick range ------------------------------------------------------------
+
+@pytest.mark.parametrize("tick", [-1, 2 ** 32])
+def test_cli_tick_outside_wire_range(tmp_path, capsys, tick):
+    # the wire's gen_tick is a u32; such a tick used to reach the encoder
+    rows = f"{tick},a,1,2,0,4,1.8\n{tick},b,5,2,0,4,1.8\n"
+    rc, err, out_dir = cli_run(tmp_path, capsys, "t.csv",
+                               ",".join(CSV_COLUMNS).encode() + b"\n"
+                               + rows.encode())
+    assert_failed_cleanly(tmp_path, rc, err, out_dir)
+    assert f"row 2: tick {tick} is outside 0..{2 ** 32 - 1}" in err
+
+
+def test_csv_tick_range_bounds():
+    head = ",".join(CSV_COLUMNS) + "\n"
+    top = 2 ** 32 - 1
+    ticks = parse_csv(io.StringIO(f"{head}0,a,1,2,0,4,1.8\n"
+                                  f"{top},a,1,2,0,4,1.8\n"))
+    assert [tt.tick for tt in ticks] == [0, top]
+    with pytest.raises(ValidationError, match=r"row 3: tick 4294967296 "):
+        parse_csv(io.StringIO(f"{head}0,a,1,2,0,4,1.8\n"
+                              f"{top + 1},a,1,2,0,4,1.8\n"))
+
+
+@pytest.mark.parametrize("time, tick", [("-0.5", -1), ("4294967296.0", 2 ** 32)])
+def test_fcd_tick_outside_wire_range(time, tick):
+    doc = (f'<fcd-export><timestep time="{time}">'
+           f'<vehicle id="a" x="0" y="0" angle="0"/></timestep></fcd-export>')
+    with pytest.raises(ValidationError,
+                       match=f"timestep time '{time}': tick {tick} is outside"):
+        parse_fcd(io.StringIO(doc))
+    top = '<fcd-export><timestep time="4294967295.9"/></fcd-export>'
+    assert [tt.tick for tt in parse_fcd(io.StringIO(top))] == [2 ** 32 - 1]
