@@ -48,11 +48,13 @@ class MatchTable:
     """Ground-truth bijection between alive plates and stations.
 
     Built from the full alive-vehicle registry: connected vehicles map to
-    their station, unconnected vehicles are present with no station.
+    their station, unconnected vehicles are present with no station.  The
+    table takes ownership of `stations_by_plate`: it is kept, not copied,
+    so the caller must not change it afterwards.
     """
 
     def __init__(self, stations_by_plate: dict[str, int | None]):
-        self._station_of = dict(stations_by_plate)
+        self._station_of = stations_by_plate
         self._plate_of: dict[int, str] = {}
         for plate, station in self._station_of.items():
             if station is not None:

@@ -1,27 +1,35 @@
 """Message shapes shared by perception, networking, and vehicle modules.
 
 A collective perception message (CPM) is the single data shape flowing
-both on the V2X network and between in-vehicle modules.  In-vehicle hops
-may attach private extensions (string key -> opaque bytes); extensions
-never reach the wire.
+both on the V2X network and between in-vehicle modules.  Two parts of a
+CPM are in-vehicle only: the `local` flag, set on a CPM the vehicle's own
+camera produced, and the private extensions (string key -> opaque bytes)
+that a module may attach.  Both are stripped before a CPM is broadcast,
+so neither reaches a recipient or the wire.
+
+PerceivedObject and Cpm are plain slots dataclasses, not frozen ones:
+a frozen dataclass costs several times as much to build, and these are
+built per perceived object and per broadcast.  A value may be shared by
+many modules and recipients, so treat it as read-only.  Not being
+frozen, neither is hashable.
 """
 
 from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Mapping
-
-EXT_LOCAL_SOURCE = "src"
-LOCAL_SOURCE_TAG = b"local"
 
 NO_STATION = 0  # sender_station sentinel for messages that never hit the wire
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class PerceivedObject:
-    """One observed vehicle: numberplate plus ground-truth pose."""
+    """One observed vehicle: numberplate plus ground-truth pose.
+
+    Read-only by convention (see the module docstring).
+    """
 
     plate: str
     x: float
@@ -30,35 +38,36 @@ class PerceivedObject:
     observed_tick: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Cpm:
-    """Collective perception message."""
+    """Collective perception message.
+
+    Read-only by convention (see the module docstring).  `local` marks a
+    CPM produced inside the vehicle; it and `extensions` never leave the
+    vehicle.
+    """
 
     sender_station: int
     gen_tick: int
     sender_pose: tuple[float, float, float]
     objects: tuple[PerceivedObject, ...] = ()
     extensions: Mapping[str, bytes] = field(default_factory=dict)
+    local: bool = False
 
     def without_extensions(self) -> "Cpm":
-        if not self.extensions:
+        """This CPM as it goes on the wire: no extensions, not local."""
+        if not self.extensions and not self.local:
             return self
-        return replace(self, extensions={})
-
-    def is_local_source(self) -> bool:
-        return self.extensions.get(EXT_LOCAL_SOURCE) == LOCAL_SOURCE_TAG
+        return Cpm(self.sender_station, self.gen_tick, self.sender_pose,
+                   self.objects, {})
 
 
 def local_cpm(station: int | None, tick: int,
               pose: tuple[float, float, float],
-              objects: tuple[PerceivedObject, ...],
-              extensions: Mapping[str, bytes] | None = None) -> Cpm:
-    """A CPM produced inside the vehicle, tagged as locally sourced."""
-    ext = {EXT_LOCAL_SOURCE: LOCAL_SOURCE_TAG}
-    if extensions:
-        ext.update(extensions)
+              objects: tuple[PerceivedObject, ...]) -> Cpm:
+    """A CPM produced inside the vehicle, flagged as locally sourced."""
     return Cpm(station if station is not None else NO_STATION,
-               tick, pose, objects, ext)
+               tick, pose, objects, {}, True)
 
 
 _PROOF = struct.Struct("<II")

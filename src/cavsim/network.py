@@ -10,8 +10,9 @@ Wire format (little-endian, bit-exact):
     u32 sender_station, u32 gen_tick, f64 x, f64 y, f64 heading,
     u16 object_count, then per object:
     u32 plate_code, f64 x, f64 y, f64 heading, u32 observed_tick.
-Private extensions are stripped before serialization and never reach the
-wire.  Plate strings map to dense u32 codes through the plate registry.
+A CPM's `local` flag and private extensions are in-vehicle only:
+shb_broadcast strips both, so neither reaches a recipient or the wire.
+Plate strings map to dense u32 codes through the plate registry.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ MAX_OBJECTS = 0xFFFF
 
 
 def cpm_wire_size(cpm: Cpm) -> int:
-    """Serialized length in bytes (extensions excluded by definition)."""
+    """Serialized length in bytes (in-vehicle parts excluded by definition)."""
     return HEADER_SIZE + OBJECT_SIZE * len(cpm.objects)
 
 
@@ -73,13 +74,15 @@ def deserialize_cpm(data: bytes, registry: PlateRegistry) -> Cpm:
     return Cpm(station, tick, (x, y, heading), tuple(objects), {})
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class PendingDelivery:
     """One sealed broadcast awaiting delivery at send_tick + 1.
 
     Its wire `payload` is encoded each time it is read, not at seal: a run
     delivers the CPM itself and never reads it, so the plate registry
-    interns only the plates of payloads that something encodes.
+    interns only the plates of payloads that something encodes.  Not
+    frozen, which would make it several times as costly to build, and so
+    not hashable; treat it as read-only.
     """
 
     cpm: Cpm
@@ -112,14 +115,19 @@ class NetworkSim:
         self._pending: list[tuple[PendingDelivery, int]] = []
 
     def update_positions(self, positions: dict[int, tuple[float, float]]) -> None:
-        """Replace the station position table for the current tick."""
-        self._positions = dict(positions)
+        """Replace the station position table for the current tick.
+
+        The network takes ownership of `positions`: it is kept, not
+        copied, so the caller must not change it afterwards.
+        """
+        self._positions = positions
 
     def shb_broadcast(self, sender: int, cpm: Cpm, tick: int) -> int:
         """Queue a single-hop broadcast; returns the wire byte length.
 
-        Extensions are stripped.  The sender position is captured now so
-        recipients are resolved against send-time geometry.
+        The local flag and extensions are stripped.  The sender position
+        is captured now so recipients are resolved against send-time
+        geometry.
         """
         pos = self._positions.get(sender)
         if pos is None:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import groupby
 from operator import itemgetter
 
@@ -49,16 +49,29 @@ class CameraPose:
 
 @dataclass(frozen=True, slots=True)
 class PerceptionConfig:
+    """Camera settings.  `_kernel` holds the constants perceive derives
+    from them, computed once per config (dataclasses.replace recomputes
+    them)."""
+
     fov_half_angle: float = math.radians(45.0)
     max_range: float = 100.0
     max_plate_angle: float = math.radians(60.0)
     plate_width: float = 0.52
+    _kernel: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if not (0.0 < self.fov_half_angle <= HALF_PI):
+        half = self.fov_half_angle
+        if not (0.0 < half <= HALF_PI):
             raise ConfigError("fov_half_angle must be in (0, pi/2]")
         if self.max_range <= 0 or self.max_plate_angle <= 0 or self.plate_width <= 0:
             raise ConfigError("perception distances and angles must be positive")
+        # fov_relevant's angular test, as 0 <= x and |y| * wy <= wx * x:
+        # |y| <= tan * x below pi/2 (at x == 0 only y == 0 passes), any y
+        # at pi/2
+        wy, wx = (1.0, math.tan(half)) if half < HALF_PI else (0.0, 1.0)
+        object.__setattr__(self, "_kernel", (
+            wy, wx, math.sin(half), math.cos(half),
+            self.max_range * self.max_range, 0.5 * self.plate_width))
 
 
 @dataclass(slots=True)
@@ -418,15 +431,9 @@ def perceive(ego: VehicleState, neighbors, cfg: PerceptionConfig,
     ey = ego.y
     ego_id = ego.id
     ego_heading = ego.heading
-    hp = 0.5 * cfg.plate_width
+    wy, wx, sf, cf, r2, hp = cfg._kernel
     max_plate = cfg.max_plate_angle
-    r2 = cfg.max_range * cfg.max_range
-    half = cfg.fov_half_angle
-    # fov_relevant's angular test, as 0 <= x and |y| * wy <= wx * x:
-    # |y| <= tan * x below pi/2 (at x == 0 only y == 0 passes), any y at pi/2
-    wy, wx = (1.0, math.tan(half)) if half < HALF_PI else (0.0, 1.0)
-    sf = math.sin(half)
-    cf = math.cos(half)
+    pi = math.pi
     atan2 = math.atan2
     cands = []
     for s in neighbors:
@@ -492,10 +499,12 @@ def perceive(ego: VehicleState, neighbors, cfg: PerceptionConfig,
             continue
         gx = sx - dxl
         gy = sy - dyl
-        h = normalize_angle(s.heading - ego_heading)
+        h = s.heading - ego_heading
+        if not -pi < h <= pi:  # normalize_angle returns h itself inside
+            h = normalize_angle(h)
         flip = not -HALF_PI <= h <= HALF_PI
         if flip:  # normalize_heading: labels (c, d, a, b), g and f swap
-            h = h - math.pi if h > 0 else h + math.pi
+            h = h - pi if h > 0 else h + pi
             box_spans = _spans((atan2(cy, cx), atan2(dy, dx),
                                 atan2(ay, ax), atan2(by, bx)))
             dist_g = math.hypot(fx, fy)

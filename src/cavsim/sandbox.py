@@ -193,7 +193,7 @@ class SandboxContext:
 # OBU modules
 
 class CameraModule:
-    """Wraps the perception result of the tick into a locally tagged CPM.
+    """Wraps the perception result of the tick into a local CPM.
 
     Emits nothing on ticks without perceived objects.
     """
@@ -227,7 +227,7 @@ class ObjectStoreModule:
         local = self.local
         received = self.received
         for cpm in inbox:
-            if cpm.is_local_source():
+            if cpm.local:
                 for obj in cpm.objects:
                     p = obj.plate
                     if p == own or p in local:
@@ -326,7 +326,7 @@ class ProofVerifyModule:
         own = ctx.plate
         tick = ctx.tick
         for cpm in inbox:
-            if cpm.is_local_source():
+            if cpm.local:
                 for obj in cpm.objects:
                     if obj.plate != own and obj.plate not in self.first_seen:
                         self.first_seen[obj.plate] = tick

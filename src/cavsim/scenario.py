@@ -206,7 +206,6 @@ def _run_ticks(config: ScenarioConfig, trace: Iterable[TraceTick],
     net = NetworkSim(config.comm_range, registry)
     pcfg = config.perception
     vehicles: dict[str, Vehicle] = {}
-    seen: set[str] = set()
     stations = itertools.count(1)
     # last tick's match table and comm-range neighbor map: every delivery
     # due now was sealed last tick, from last tick's positions
@@ -214,12 +213,10 @@ def _run_ticks(config: ScenarioConfig, trace: Iterable[TraceTick],
     prev_comm: dict[str, list] = {}
 
     def locate(delivery):
-        out = []
-        for s in prev_comm[prev_match.plate_of(delivery.origin)]:
-            station = prev_match.station_of(s.id)
-            if station is not None:
-                out.append(station)
-        return out
+        station_of = prev_match.station_of
+        return [station
+                for s in prev_comm[prev_match.plate_of(delivery.origin)]
+                if (station := station_of(s.id)) is not None]
 
     perf = time.perf_counter
 
@@ -245,7 +242,6 @@ def _run_ticks(config: ScenarioConfig, trace: Iterable[TraceTick],
                 station = next(stations) if spec.connected else None
                 registry.intern(s.id)
                 vehicles[s.id] = build_vehicle(spec, s.id, station)
-                seen.add(s.id)
         near, comm = sweep_neighbors(grid, config.perception_radius,
                                      config.comm_range)
         match = MatchTable({p: v.station for p, v in vehicles.items()})
@@ -293,7 +289,9 @@ def _run_ticks(config: ScenarioConfig, trace: Iterable[TraceTick],
         for tt in trace:
             run_tick(tt)
             ticks += 1
-    return ticks, len(seen)
+    # the registry interns each trace id at its first spawn and nothing
+    # else (a run never encodes a payload), so its size is the vehicles seen
+    return ticks, len(registry)
 
 
 # ---------------------------------------------------------------------------

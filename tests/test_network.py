@@ -94,6 +94,15 @@ def test_extensions_stripped_before_wire():
     assert inboxes[2][0].extensions == {}
 
 
+def test_message_values_have_no_instance_dict():
+    net = network_with({1: (0.0, 0.0)})
+    net.shb_broadcast(1, make_cpm(station=1, objects=[obj("a")]), 0)
+    net.seal()
+    (pd,) = net.pending_deliveries()
+    for value in (obj("a"), make_cpm(), pd):
+        assert not hasattr(value, "__dict__")
+
+
 def test_no_station_in_range_still_credits_bytes():
     net = network_with({1: (0.0, 0.0), 2: (10_000.0, 0.0)})
     size = net.shb_broadcast(1, make_cpm(station=1), 0)

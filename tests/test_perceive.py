@@ -1,13 +1,15 @@
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
 from cavsim.errors import GeometryError
-from cavsim.perception import (CameraPose, PerceptionConfig, box_to_camera,
-                               fov_relevant, get_visible_lines_naive,
-                               heading_visible, normalize_heading, perceive,
-                               projection_angles, reconstruct_box)
+from cavsim.perception import (HALF_PI, CameraPose, PerceptionConfig,
+                               box_to_camera, fov_relevant,
+                               get_visible_lines_naive, heading_visible,
+                               normalize_heading, perceive, projection_angles,
+                               reconstruct_box)
 from cavsim.messages import PerceivedObject
 from cavsim.trace import VehicleState
 from conftest import random_scene
@@ -91,6 +93,38 @@ def test_matches_full_naive_pipeline_on_random_scenes():
                            rng.uniform(-math.pi, math.pi) or math.pi)
         scene = random_scene(rng, rng.randint(0, 40))
         assert perceive(ego, scene, CFG, 3) == perceive_naive(ego, scene, CFG, 3)
+
+
+@pytest.mark.parametrize("fov_deg", [45.0, 90.0])
+def test_config_constants_follow_replace(fov_deg):
+    # perceive reads constants each config computes once; a config made
+    # through dataclasses.replace from a very different one must not keep
+    # the old constants
+    direct = PerceptionConfig(fov_half_angle=math.radians(fov_deg))
+    replaced = replace(PerceptionConfig(fov_half_angle=math.radians(10.0),
+                                        max_range=30.0, plate_width=3.0),
+                       fov_half_angle=math.radians(fov_deg), max_range=100.0,
+                       plate_width=0.52)
+    assert replaced == direct
+    rng = random.Random(int(fov_deg))
+    for _ in range(80):
+        # ego headings near +-pi put heading differences on both sides of
+        # (-pi, pi], where perceive skips normalize_angle
+        ego = VehicleState("ego", 0.0, 0.0,
+                           rng.choice((math.pi, -3.0, 3.0,
+                                       rng.uniform(-math.pi, math.pi))))
+        scene = random_scene(rng, rng.randint(0, 40))
+        expected = perceive_naive(ego, scene, direct, 2)
+        assert perceive(ego, scene, direct, 2) == expected
+        assert perceive(ego, scene, replaced, 2) == expected
+    # a heading difference of exactly -pi lies outside (-pi, pi] and is
+    # normalized: the oncoming vehicle shows its front plate
+    ego = VehicleState("ego", 0.0, 0.0, HALF_PI)
+    oncoming = VehicleState("o", 0.0, 30.0, -HALF_PI)
+    for cfg in (direct, replaced):
+        got = perceive(ego, [oncoming], cfg)
+        assert got == perceive_naive(ego, [oncoming], cfg)
+        assert [o.plate for o in got] == ["o"]
 
 
 def test_output_subset_of_fov_relevant_set(rng):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -245,6 +246,25 @@ def test_replay_attacker_byte_identical():
     assert pd.payload in candidates
 
 
+def test_replay_attacker_replays_own_camera_cpm_as_wire_cpm():
+    reg = PlateRegistry()
+    net = NetworkSim(300.0, reg)
+    net.update_positions({7: (0.0, 0.0), 8: (5.0, 0.0)})
+    v = build_vehicle(builtin_vehicle_types()["ReplayAttacker"], "r", 7)
+    ctx = make_ctx(1, "r", 7, percept=(obj("c"),), net=net)
+    n, _ = tick_vehicle(v, (), ctx)  # the camera CPM is the only candidate
+    assert n == 1
+    (stored,) = v.modules["replay_tx"].buffer
+    assert stored.local is False and stored.extensions == {}
+    net.seal()
+    (pd,) = net.pending_deliveries()
+    assert pd.cpm.local is False
+    assert pd.payload == serialize_cpm(
+        wire_cpm(7, 1, [obj("c")]), reg)
+    inboxes = net.step(2, full_scan_locator({8: (5.0, 0.0)}, 300.0))
+    assert inboxes[8][0].local is False
+
+
 def test_replay_attacker_history_and_rate_params():
     spec = builtin_vehicle_types()["ReplayAttacker"]
     assert spec.params["replay_tx"] == {"history": 50, "replays": 1}
@@ -331,6 +351,31 @@ def test_proof_gen_attaches_extensions_once():
                        make_ctx(1, "me", 1))
     keys2 = set(out2[0].extensions)
     assert "proof/c" in keys2 and "proof/a" not in keys2
+
+
+def test_proof_gen_keeps_local_flag():
+    gen = build_vehicle(builtin_vehicle_types()["PoTVehicle"], "me",
+                        1).modules["proof_gen"]
+    (out,) = gen.process([local_cpm(1, 0, (0, 0, 0), (obj("a"),))],
+                         make_ctx(0, "me", 1))
+    assert out.extensions and out.local is True  # dataclasses.replace
+
+
+def test_local_cpm_broadcast_arrives_plain():
+    net = NetworkSim(300.0, PlateRegistry())
+    net.update_positions({1: (0.0, 0.0), 2: (5.0, 0.0)})
+    ctx = make_ctx(0, "ego", 1, net=net)
+    cpm = replace(local_cpm(1, 0, (0.0, 0.0, 0.0), (obj("a"),)),
+                  extensions={"proof/a": b"token"})
+    assert cpm.local is True
+    assert ctx.broadcast(cpm) == 34 + 32
+    inboxes = net.step(1, full_scan_locator({2: (5.0, 0.0)}, 300.0))
+    (got,) = inboxes[2]
+    assert got.local is False and got.extensions == {}
+    assert got == wire_cpm(1, 0, [obj("a")])
+    # a CPM with nothing to strip goes out as it is
+    plain = wire_cpm(1, 0, [obj("a")])
+    assert plain.without_extensions() is plain
 
 
 class BoomModule:

@@ -609,6 +609,28 @@ def test_run_registry_interns_only_trace_ids(tmp_path, monkeypatch):
     assert plates == {s.id for tt in trace for s in tt.states}
 
 
+def test_vehicles_seen_counts_distinct_trace_ids(tmp_path):
+    # churn: one vehicle leaves at tick 2 and comes back at tick 4, another
+    # joins at tick 3; SpamAttackers fabricate plates that are not vehicles
+    mix = (("SpamAttacker", 1.0), ("ConnectedVehicle", 1.0))
+    base = synth_traffic(7, 12, 6, 300.0)
+    gone = base[0].states[0].id
+    trace = []
+    for tt in base:
+        states = [s for s in tt.states
+                  if not (s.id == gone and tt.tick in (2, 3))]
+        if tt.tick >= 3:
+            states.append(state("late", 5.0, 5.0))
+        trace.append(TraceTick(tt.tick, tuple(states)))
+    ids = {s.id for tt in trace for s in tt.states}
+    assert len(ids) == 13
+    assert any(assign_type(7, i, mix) == "SpamAttacker" for i in ids)
+    summary = run(ScenarioConfig(out_dir=str(tmp_path / "out"), seed=7,
+                                 mix=mix), trace=trace)
+    assert summary.ticks_executed == 6
+    assert summary.vehicles_seen == len(ids)
+
+
 def test_run_memory_per_vehicle(tmp_path):
     # what run() allocates on top of a held trace: per-vehicle module state
     # plus one tick's structures, about 2.6 KB a vehicle; holding the last
