@@ -66,6 +66,14 @@ class MatchTable:
         except KeyError:
             raise NotFoundError(f"unknown plate {plate!r}") from None
 
+    def stations_of(self, vehicles) -> list[int]:
+        """The stations of the connected ones among `vehicles` (anything
+        with the `id` of a plate in the table, such as trace states), in
+        order: one lookup each, for a whole delivery's recipients."""
+        station_of = self._station_of
+        return [station for v in vehicles
+                if (station := station_of[v.id]) is not None]
+
     def plate_of(self, station: int) -> str:
         try:
             return self._plate_of[station]

@@ -36,7 +36,7 @@ from .errors import (ConfigError, ContractViolation, NotFoundError,
 METRICS_FILE = "metrics.jsonl"
 INDEX_FILE = "metrics.idx"
 
-# records encoded and written at a time, so a tick line is never held whole
+# records written at a time, so a tick line is never held whole
 WRITE_CHUNK = 256
 
 
@@ -94,7 +94,8 @@ def record_json(r: MetricsRecord) -> str:
 class MetricsWriter:
     """Append-only sink writing one JSON line and one index entry per tick.
 
-    A line is encoded and written WRITE_CHUNK records at a time."""
+    It takes each tick's records already encoded by record_json and
+    writes the line WRITE_CHUNK records at a time."""
 
     def __init__(self, directory: str):
         os.makedirs(directory, exist_ok=True)
@@ -105,7 +106,7 @@ class MetricsWriter:
         self._offset = 0
         self._last_tick = None
 
-    def record_tick(self, tick: int, records: Iterable[MetricsRecord]) -> None:
+    def record_tick(self, tick: int, records: Iterable[str]) -> None:
         if self._last_tick is not None and tick <= self._last_tick:
             raise ContractViolation(
                 f"ticks must be recorded in increasing order "
@@ -115,8 +116,9 @@ class MetricsWriter:
         length = write(f'{{"tick":{tick},"vehicles":['.encode("ascii"))
         records = iter(records)
         sep = ""
-        while chunk := [record_json(r) for r in islice(records, WRITE_CHUNK)]:
-            length += write((sep + ",".join(chunk)).encode("ascii"))
+        # a record is never empty, so an empty chunk means the end
+        while chunk := ",".join(islice(records, WRITE_CHUNK)):
+            length += write((sep + chunk).encode("ascii"))
             sep = ","
         length += write(b"]}\n")
         self._index.write(f"{tick} {self._offset} {length}\n")

@@ -436,22 +436,14 @@ class VehicleTypeSpec:
         for e in self.entry:
             if e not in known:
                 raise SchemaError(f"entry module {e!r} not in flow")
-        object.__setattr__(self, "_order", tuple(order))
-        object.__setattr__(self, "_preds", predecessors(self.graph))
-        object.__setattr__(self, "_entry_set", frozenset(self.entry))
-
-    @property
-    def order(self) -> tuple[str, ...]:
-        return self._order
-
-    @property
-    def preds(self) -> dict[str, tuple[str, ...]]:
-        return self._preds
-
-    @property
-    def entry_set(self) -> frozenset[str]:
-        """The entry modules as a set, shared by every vehicle of the type."""
-        return self._entry_set
+        preds = predecessors(self.graph)
+        entry = frozenset(self.entry)
+        # what build_vehicle hands every vehicle of the type: the order,
+        # predecessors and entry set, and the (module, is entry,
+        # predecessors) steps that tick_vehicle walks
+        object.__setattr__(self, "_routing", (
+            tuple(order), preds, entry,
+            tuple((name, name in entry, preds[name]) for name in order)))
 
 
 def builtin_vehicle_types() -> dict[str, VehicleTypeSpec]:
@@ -505,9 +497,10 @@ class Vehicle:
     """One instantiated vehicle: module instances plus routing tables."""
 
     __slots__ = ("plate", "station", "type_name", "modules", "order",
-                 "preds", "entry", "uses_camera")
+                 "preds", "entry", "steps", "uses_camera")
 
-    def __init__(self, plate, station, type_name, modules, order, preds, entry):
+    def __init__(self, plate, station, type_name, modules, order, preds, entry,
+                 steps):
         self.plate = plate
         self.station = station
         self.type_name = type_name
@@ -515,6 +508,7 @@ class Vehicle:
         self.order = order
         self.preds = preds
         self.entry = entry
+        self.steps = steps
         self.uses_camera = "camera" in modules
 
 
@@ -528,8 +522,7 @@ def build_vehicle(spec: VehicleTypeSpec, plate: str,
         if factory is None:
             raise SchemaError(f"unknown module {name!r}")
         modules[name] = factory(**spec.params.get(name, {}))
-    return Vehicle(plate, station, spec.name, modules, spec.order,
-                   spec.preds, spec.entry_set)
+    return Vehicle(plate, station, spec.name, modules, *spec._routing)
 
 
 def tick_vehicle(vehicle: Vehicle, network_inbox,
@@ -543,12 +536,13 @@ def tick_vehicle(vehicle: Vehicle, network_inbox,
     modules made before the failure stand and go out next tick.
     """
     outboxes: dict[str, list] = {}
+    modules = vehicle.modules
     try:
-        for name in vehicle.order:
-            inbox = list(network_inbox) if name in vehicle.entry else []
-            for pred in vehicle.preds[name]:
+        for name, is_entry, preds in vehicle.steps:
+            inbox = list(network_inbox) if is_entry else []
+            for pred in preds:
                 inbox.extend(outboxes[pred])
-            out = vehicle.modules[name].process(inbox, ctx)
+            out = modules[name].process(inbox, ctx)
             outboxes[name] = out if out is not None else []
     except Exception:
         ctx.errors += 1

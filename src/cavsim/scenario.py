@@ -6,16 +6,18 @@ tick's sweep, which is then dropped); (2) rebuild the spatial index from
 the trace, despawning vehicles absent from it and spawning new ones with
 a seed-hashed type draw, and sweep the index once for every vehicle's
 neighbors within perception and communication range; (3) compute
-perception, then run every vehicle's module DAG; (4) seal the tick's
-broadcasts; (5) write metrics and phase timings.  Every phase runs in
+perception, then run every vehicle's module DAG and encode its metrics
+record; (4) seal the tick's broadcasts; (5) write metrics and phase
+timings.  Every phase runs in
 the calling thread, and all outputs are a pure function of (seed,
 config, trace).  The `workers` setting is validated but has no effect.
 
 A run reads its trace once, tick by tick: from a trace file it holds one
 tick of the trace at a time.  Besides that it holds each vehicle's
-module state and one tick's structures (index, sweep maps, percepts,
-inboxes, records), which are freed as the tick ends; a tick's metrics
-line is written in chunks.  It writes into a fresh staging directory
+module state and one tick's structures (sweep maps, percepts, inboxes,
+encoded records), which are freed as the tick ends, and the index's
+cells only until the sweep has run; a tick's metrics line is written in
+chunks.  It writes into a fresh staging directory
 next to the output directory and moves the three output files into place
 only when every tick has run, so a run that fails (a malformed trace row
 found mid-run, an interrupt) leaves the output directory as it was.
@@ -38,8 +40,8 @@ from .errors import ConfigError, NotFoundError
 from .identity import MatchTable, PlateRegistry
 from .metrics import (INDEX_FILE, METRICS_FILE, MetricsWriter, avg_bandwidth,
                       check_cell_size, cpr, iter_ticks, load_run,
-                      open_run_file, run_index, ttv_distribution,
-                      ttv_distribution_total)
+                      open_run_file, record_json, run_index,
+                      ttv_distribution, ttv_distribution_total)
 from .network import NetworkSim
 from .perception import PerceptionConfig, perceive
 from .sandbox import (SandboxContext, Vehicle, VehicleTypeSpec, FlowGraph,
@@ -84,6 +86,9 @@ class ScenarioConfig:
         if self.perception.max_range > self.perception_radius:
             raise ConfigError("perception max_range must not exceed "
                               "perception_radius")
+        for key in ("comm_range", "default_length", "default_width"):
+            if not getattr(self, key) > 0.0:
+                raise ConfigError(f"{key} must be positive")
         if self.comm_range > self.cell_size:
             raise ConfigError("comm_range must not exceed cell_size")
         if self.workers < 1:
@@ -213,17 +218,18 @@ def _run_ticks(config: ScenarioConfig, trace: Iterable[TraceTick],
     prev_comm: dict[str, list] = {}
 
     def locate(delivery):
-        station_of = prev_match.station_of
-        return [station
-                for s in prev_comm[prev_match.plate_of(delivery.origin)]
-                if (station := station_of(s.id)) is not None]
+        return prev_match.stations_of(
+            prev_comm[prev_match.plate_of(delivery.origin)])
 
     perf = time.perf_counter
 
     def run_tick(tt: TraceTick) -> None:
-        """One tick.  Its grid, sweep maps, percepts, inboxes and records
-        are locals, freed when it returns; only the match table and comm
-        map outlive it, until the next tick's delivery."""
+        """One tick.  Its sweep maps, percepts, inboxes and records are
+        locals, freed when it returns (the grid's cells as soon as the
+        sweep has run); only the match table and comm map outlive it,
+        until the next tick's delivery.  Each record is encoded as soon as
+        its vehicle has ticked, so the tick holds plain strings, which the
+        garbage collector does not track."""
         nonlocal prev_match, prev_comm
         tick = tt.tick
 
@@ -244,6 +250,7 @@ def _run_ticks(config: ScenarioConfig, trace: Iterable[TraceTick],
                 vehicles[s.id] = build_vehicle(spec, s.id, station)
         near, comm = sweep_neighbors(grid, config.perception_radius,
                                      config.comm_range)
+        del grid
         match = MatchTable({p: v.station for p, v in vehicles.items()})
         net.update_positions({v.station: (states[p].x, states[p].y)
                               for p, v in vehicles.items()
@@ -265,8 +272,9 @@ def _run_ticks(config: ScenarioConfig, trace: Iterable[TraceTick],
             ctx = SandboxContext(tick, plate, v.station, states[plate],
                                  percepts.get(plate, ()), net, match,
                                  config.comm_range, config.seed)
-            inbox = inboxes.get(v.station, ()) if v.station is not None else ()
-            records.append(tick_vehicle(v, inbox, ctx)[1])
+            # no inbox has the key None, which an unconnected vehicle has
+            inbox = inboxes.get(v.station, ())
+            records.append(record_json(tick_vehicle(v, inbox, ctx)[1]))
         t4 = perf()
 
         net.seal()

@@ -37,8 +37,6 @@ class GridIndex:
     cell_size: float
     origin: tuple[float, float]
     states: dict[str, VehicleState]
-    lo_cell: tuple[int, int] | None
-    hi_cell: tuple[int, int] | None
     _packed: dict[int, list[VehicleState]]
 
     @property
@@ -49,6 +47,24 @@ class GridIndex:
             cx, cy = divmod(key + _HALF, _STRIDE)
             cells[(cx, cy - _HALF)] = [s.id for s in bucket]
         return MappingProxyType(cells)
+
+    def _corner(self, pick) -> tuple[int, int] | None:
+        if not self._packed:
+            return None
+        xs, ys = zip(*self.cells)
+        return (pick(xs), pick(ys))
+
+    @property
+    def lo_cell(self) -> tuple[int, int] | None:
+        """The lowest occupied cell coordinate on each axis (None when
+        empty), computed on access."""
+        return self._corner(min)
+
+    @property
+    def hi_cell(self) -> tuple[int, int] | None:
+        """The highest occupied cell coordinate on each axis (None when
+        empty), computed on access."""
+        return self._corner(max)
 
     def cell_of(self, x: float, y: float) -> tuple[int, int]:
         ox, oy = self.origin
@@ -67,35 +83,18 @@ def rebuild(states: Iterable[VehicleState], cell_size: float,
     state_map: dict[str, VehicleState] = {}
     floor = math.floor
     n = 0
-    lo_x = lo_y = hi_x = hi_y = 0
     for s in states:
-        kx = floor((s.x - ox) * inv)
-        ky = floor((s.y - oy) * inv)
-        bucket = packed.get(kx * _STRIDE + ky)
+        key = floor((s.x - ox) * inv) * _STRIDE + floor((s.y - oy) * inv)
+        bucket = packed.get(key)
         if bucket is None:
-            packed[kx * _STRIDE + ky] = [s]
+            packed[key] = [s]
         else:
             bucket.append(s)
         state_map[s.id] = s
-        if n == 0:
-            lo_x = hi_x = kx
-            lo_y = hi_y = ky
-        else:
-            if kx < lo_x:
-                lo_x = kx
-            elif kx > hi_x:
-                hi_x = kx
-            if ky < lo_y:
-                lo_y = ky
-            elif ky > hi_y:
-                hi_y = ky
         n += 1
     if len(state_map) != n:
         raise ValidationError("duplicate vehicle id in grid rebuild")
-    if n == 0:
-        return GridIndex(cell_size, (ox, oy), state_map, None, None, packed)
-    return GridIndex(cell_size, (ox, oy), state_map, (lo_x, lo_y),
-                     (hi_x, hi_y), packed)
+    return GridIndex(cell_size, (ox, oy), state_map, packed)
 
 
 def _query_cells(index: GridIndex, x: float, y: float) -> list[tuple[int, int]]:

@@ -51,3 +51,13 @@ def test_match_mutual_inverse():
 def test_match_size_counts_connected_only():
     table = MatchTable({"a": 1, "b": 2, "c": 3, "u1": None, "u2": None})
     assert len(table) == 3
+
+
+def test_stations_of_keeps_order_and_skips_unconnected():
+    from cavsim.trace import VehicleState
+
+    table = MatchTable({"a": 3, "u": None, "b": 1, "c": 7})
+    vehicles = [VehicleState(p, 0.0, 0.0, 0.0) for p in ("c", "u", "a", "b")]
+    assert table.stations_of(vehicles) == [7, 3, 1]
+    assert table.stations_of([]) == []
+    assert [table.station_of(v.id) for v in vehicles] == [7, None, 3, 1]

@@ -23,7 +23,7 @@ def write_run(tmp_path, ticks):
     out = str(tmp_path / "run")
     with MetricsWriter(out) as w:
         for tick, records in ticks:
-            w.record_tick(tick, records)
+            w.record_tick(tick, map(record_json, records))
     return out
 
 
@@ -186,11 +186,11 @@ def test_chunked_line_index_matches_bytes(tmp_path):
 def test_record_tick_peak_is_a_fraction_of_the_line(tmp_path):
     records = many_records(1, 5000)
     with MetricsWriter(str(tmp_path / "run")) as w:
-        w.record_tick(0, records[:10])  # open the buffers
+        w.record_tick(0, map(record_json, records[:10]))  # open the buffers
         gc.collect()
         tracemalloc.start()
         try:
-            w.record_tick(1, records)
+            w.record_tick(1, map(record_json, records))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -257,3 +257,23 @@ def test_cpr_two_cells_hand_computed():
         rec(7, "d", local=0, total=3, pos=(950.0, 950.0)),
     ])])
     assert cpr(data, 7, 100.0) == {(0, 0): 2.0, (3, 0): 0.5}
+
+
+def test_encoded_records_give_the_json_dumps_line_and_index(tmp_path):
+    # record_tick takes records encoded by record_json; the file and the
+    # index are those of dumping every tick's records as one JSON object
+    ticks = [(0, []), (3, many_records(3, 2)),
+             (4, many_records(4, WRITE_CHUNK + 5)),
+             (9, [rec(9, 'we"ird\n', 7, 1, 2, 3, {5: 1}, (-0.5, 1e-9))])]
+    out = str(tmp_path / "run")
+    with MetricsWriter(out) as w:
+        for tick, records in ticks:
+            w.record_tick(tick, [record_json(r) for r in records])
+    data, idx = read_files(out)
+    lines = [(json.dumps({"tick": t, "vehicles": [r.to_json_obj() for r in rs]},
+                         separators=(",", ":")) + "\n").encode("ascii")
+             for t, rs in ticks]
+    assert data == b"".join(lines)
+    offsets = [sum(map(len, lines[:i])) for i in range(len(lines))]
+    assert idx == "".join(f"{t} {o} {len(line)}\n" for (t, _), o, line
+                          in zip(ticks, offsets, lines))

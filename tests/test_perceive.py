@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from dataclasses import replace
@@ -237,3 +238,51 @@ def test_unreadable_plate_still_occludes():
     # readable, the same box is the one vehicle seen
     relaxed = PerceptionConfig(max_plate_angle=math.pi / 2)
     assert [o.plate for o in perceive(ego, scene, relaxed)] == ["side"]
+
+
+# perceive keeps the farthest candidate raw (its box occludes nothing) and
+# builds no spans at all for a lone candidate; each case runs every order
+# of the neighbour list, so each vehicle is met first, last and between
+
+def check_all_orders(ego, scene, expected):
+    for order in itertools.permutations(scene):
+        got = perceive(ego, list(order), CFG, 4)
+        assert got == perceive_naive(ego, list(order), CFG, 4)
+        assert [o.plate for o in got] == expected
+
+
+@pytest.mark.parametrize("offset,expected", [
+    (3.0, ["c", "a", "b"]),  # the tied plates pass beside the nearer box
+    (1.0, ["c"]),            # the nearer box hides both tied plates
+])
+def test_two_farthest_candidates_tie_on_dist_g(offset, expected):
+    ego = VehicleState("ego", 0.0, 0.0, 0.0)
+    a = VehicleState("a", 20.0, offset, 0.0)
+    b = VehicleState("b", 20.0, -offset, 0.0)
+    c = VehicleState("c", 10.0, 0.0, 0.0)
+    check_all_orders(ego, [a, b, c], expected)
+    check_all_orders(ego, [a, b], ["a", "b"])  # a tie never occludes
+
+
+@pytest.mark.parametrize("far,expected", [
+    (VehicleState("f", 40.0, -1.0, 0.0), ["c", "f"]),   # readable, in view
+    (VehicleState("f", 40.0, 5.0, 0.0), ["c"]),         # behind c's box
+    (VehicleState("f", 40.0, -1.0, HALF_PI), ["c"]),    # unreadable
+])
+def test_farthest_candidate_readable_or_not(far, expected):
+    ego = VehicleState("ego", 0.0, 0.0, 0.0)
+    c = VehicleState("c", 10.0, 1.25, 0.0)
+    check_all_orders(ego, [far, c, VehicleState("u", 20.0, 40.0, 0.0)],
+                     expected)
+
+
+@pytest.mark.parametrize("heading,expected", [(0.0, ["t"]),
+                                              (math.pi, ["t"]),
+                                              (HALF_PI, [])])
+def test_single_candidate_among_neighbours(heading, expected):
+    # the other neighbours are behind the camera or outside the wedge
+    ego = VehicleState("ego", 0.0, 0.0, 0.0)
+    scene = [VehicleState("t", 25.0, 0.0, heading),
+             VehicleState("behind", -20.0, 0.0, 0.0),
+             VehicleState("side", 5.0, 40.0, 0.0)]
+    check_all_orders(ego, scene, expected)

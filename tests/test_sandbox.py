@@ -481,3 +481,13 @@ def test_vehicles_of_one_type_share_routing_tables():
 def test_builtin_modules_have_no_instance_dict(name):
     assert not hasattr(MODULES[name](), "__dict__")
 
+
+
+def test_step_table_is_the_types_and_in_topological_order():
+    spec = builtin_vehicle_types()["PoTVehicle"]
+    a = build_vehicle(spec, "a", 1)
+    b = build_vehicle(spec, "b", 2)
+    assert a.steps is b.steps
+    assert [name for name, _, _ in a.steps] == validate_flow(spec.graph)
+    assert list(a.steps) == [(name, name in a.entry, a.preds[name])
+                             for name in a.order]

@@ -115,3 +115,17 @@ def test_query_radius_by_position():
     idx = rebuild(states, 50.0)
     got = {s.id for s in query_radius(idx, (1.0, 0.0), 10.0)}
     assert got == {"a", "b"}
+
+
+@pytest.mark.parametrize("origin", [(0.0, 0.0), (-130.5, 77.25)])
+def test_lo_hi_cell_are_bounds_of_cell_of(rng, origin):
+    for n in (1, 2, 50, 400):
+        states = [VehicleState(f"v{i}", rng.uniform(-5000.0, 800.0),
+                               rng.uniform(-900.0, 3000.0), 0.0)
+                  for i in range(n)]
+        idx = rebuild(states, 75.0, origin)
+        cells = [idx.cell_of(s.x, s.y) for s in states]
+        assert idx.lo_cell == (min(c[0] for c in cells),
+                               min(c[1] for c in cells))
+        assert idx.hi_cell == (max(c[0] for c in cells),
+                               max(c[1] for c in cells))
