@@ -8,7 +8,7 @@ from .errors import (ConfigError, ContractViolation, GeometryError,
                      ValidationError)
 from .identity import MatchTable, PlateRegistry
 from .messages import Cpm, PerceivedObject, ProofToken
-from .metrics import MetricsRecord, MetricsWriter
+from .metrics import MetricsWriter
 from .network import NetworkSim, PendingDelivery, cpm_wire_size, \
     deserialize_cpm, serialize_cpm
 from .perception import (BoundingBox, CameraPose, PerceptionConfig,

@@ -2,7 +2,8 @@
 
 Matching a numberplate to a V2X station identity is an open problem in the
 real world; the simulator sidesteps it with a ground-truth match table
-rebuilt from the vehicle registry each tick.  Plates are the opaque trace
+that a run keeps for its whole length: a vehicle is added when it spawns
+and removed when it despawns.  Plates are the opaque trace
 vehicle ids; stations are dense integers assigned at spawn (0 is reserved
 for "no station").  The plate registry assigns every plate string a dense
 integer code for the wire format; codes are append-only for the lifetime
@@ -47,10 +48,11 @@ class PlateRegistry:
 class MatchTable:
     """Ground-truth bijection between alive plates and stations.
 
-    Built from the full alive-vehicle registry: connected vehicles map to
-    their station, unconnected vehicles are present with no station.  The
-    table takes ownership of `stations_by_plate`: it is kept, not copied,
-    so the caller must not change it afterwards.
+    Connected vehicles map to their station, unconnected vehicles are
+    present with no station.  The table starts from `stations_by_plate`,
+    which it takes ownership of (it is kept, not copied, so the caller
+    must not change it afterwards), and follows spawns and despawns
+    through add and remove.
     """
 
     def __init__(self, stations_by_plate: dict[str, int | None]):
@@ -59,6 +61,15 @@ class MatchTable:
         for plate, station in self._station_of.items():
             if station is not None:
                 self._plate_of[station] = plate
+
+    def add(self, plate: str, station: int | None) -> None:
+        self._station_of[plate] = station
+        if station is not None:
+            self._plate_of[station] = plate
+
+    def remove(self, plate: str) -> None:
+        if (station := self._station_of.pop(plate)) is not None:
+            del self._plate_of[station]
 
     def station_of(self, plate: str) -> int | None:
         try:

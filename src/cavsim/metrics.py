@@ -25,7 +25,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
 from itertools import islice
 from json.encoder import encode_basestring_ascii
 from typing import IO, Iterable
@@ -40,55 +39,25 @@ INDEX_FILE = "metrics.idx"
 WRITE_CHUNK = 256
 
 
-@dataclass(slots=True)
-class MetricsRecord:
-    """One vehicle's counters for one tick."""
-
-    tick: int
-    vehicle_id: str
-    bytes_sent: int = 0
-    local_objects: int = 0
-    received_objects: int = 0
-    all_objects: int = 0
-    ttv_events: dict[int, int] = field(default_factory=dict)
-    errors: int = 0
-    position: tuple[float, float] = (0.0, 0.0)
-
-    def to_json_obj(self) -> dict:
-        return {
-            "id": self.vehicle_id,
-            "bytes_sent": self.bytes_sent,
-            "local_objects": self.local_objects,
-            "received_objects": self.received_objects,
-            "all_objects": self.all_objects,
-            "ttv": {str(k): self.ttv_events[k] for k in sorted(self.ttv_events)},
-            "errors": self.errors,
-            "x": self.position[0],
-            "y": self.position[1],
-        }
-
-    @classmethod
-    def from_json_obj(cls, tick: int, obj: dict) -> "MetricsRecord":
-        return cls(tick, obj["id"], obj["bytes_sent"], obj["local_objects"],
-                   obj["received_objects"], obj["all_objects"],
-                   {int(k): v for k, v in obj["ttv"].items()},
-                   obj.get("errors", 0), (obj["x"], obj["y"]))
-
-
-def record_json(r: MetricsRecord) -> str:
-    """Direct JSON encoding of one record; byte-equal to dumping
-    to_json_obj() with separators=(",", ":") but without the dict walk.
-    The id goes through the encoder json.dumps uses for a str."""
-    if r.ttv_events:
-        ttv = "{" + ",".join(f'"{k}":{r.ttv_events[k]}'
-                             for k in sorted(r.ttv_events)) + "}"
+def record_json(ctx) -> str:
+    """One vehicle's record for a tick, encoded from the SandboxContext
+    its modules have just run in: its plate, counters and TTV events, and
+    the position of its state.  The line is the one json.dumps gives for
+    the record keys above with separators=(",", ":"); the id goes through
+    the encoder json.dumps uses for a str."""
+    ttv_events = ctx.ttv_events
+    if ttv_events:
+        ttv = "{" + ",".join(f'"{k}":{ttv_events[k]}'
+                             for k in sorted(ttv_events)) + "}"
     else:
         ttv = "{}"
-    return (f'{{"id":{encode_basestring_ascii(r.vehicle_id)},'
-            f'"bytes_sent":{r.bytes_sent},"local_objects":{r.local_objects},'
-            f'"received_objects":{r.received_objects},'
-            f'"all_objects":{r.all_objects},"ttv":{ttv},"errors":{r.errors},'
-            f'"x":{r.position[0]!r},"y":{r.position[1]!r}}}')
+    state = ctx.state
+    return (f'{{"id":{encode_basestring_ascii(ctx.plate)},'
+            f'"bytes_sent":{ctx.bytes_sent},'
+            f'"local_objects":{ctx.local_objects},'
+            f'"received_objects":{ctx.received_objects},'
+            f'"all_objects":{ctx.all_objects},"ttv":{ttv},'
+            f'"errors":{ctx.errors},"x":{state.x!r},"y":{state.y!r}}}')
 
 
 class MetricsWriter:

@@ -2,7 +2,9 @@
 
 Propagation is lossless unit-disk: a broadcast reaches every station
 within communication range of the sender's position at send time
-(inclusive boundary), exactly one tick later.  There is no channel model,
+(inclusive boundary), exactly one tick later.  The network holds no
+positions: whoever steps it resolves recipients (a run reads its
+neighbour sweep of the send tick).  There is no channel model,
 contention, or loss; the point is deterministic data flow and byte
 accounting, not radio realism.
 
@@ -20,7 +22,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 
-from .errors import ConfigError, NotFoundError, ValidationError
+from .errors import ConfigError, ValidationError
 from .identity import PlateRegistry
 from .messages import Cpm, PerceivedObject
 
@@ -87,7 +89,6 @@ class PendingDelivery:
 
     cpm: Cpm
     origin: int
-    origin_pos: tuple[float, float]
     send_tick: int
     registry: PlateRegistry = field(repr=False, compare=False)
 
@@ -109,34 +110,21 @@ class NetworkSim:
             raise ConfigError("comm_range must be positive")
         self.comm_range = comm_range
         self.registry = registry
-        self._positions: dict[int, tuple[float, float]] = {}
-        self._buffer: list[tuple[int, int, int, tuple[float, float], Cpm]] = []
+        self._buffer: list[tuple[int, int, int, Cpm]] = []
         self._seq: dict[int, int] = {}
         self._pending: list[tuple[PendingDelivery, int]] = []
-
-    def update_positions(self, positions: dict[int, tuple[float, float]]) -> None:
-        """Replace the station position table for the current tick.
-
-        The network takes ownership of `positions`: it is kept, not
-        copied, so the caller must not change it afterwards.
-        """
-        self._positions = positions
 
     def shb_broadcast(self, sender: int, cpm: Cpm, tick: int) -> int:
         """Queue a single-hop broadcast; returns the wire byte length.
 
-        The local flag and extensions are stripped.  The sender position
-        is captured now so recipients are resolved against send-time
-        geometry.
+        The local flag and extensions are stripped.  Recipients are
+        resolved at delivery, by the locator, against send-time geometry.
         """
-        pos = self._positions.get(sender)
-        if pos is None:
-            raise NotFoundError(f"station {sender} has no registered position")
         cpm = cpm.without_extensions()
         size = cpm_wire_size(cpm)
         seq = self._seq.get(sender, 0)
         self._seq[sender] = seq + 1
-        self._buffer.append((sender, seq, tick, pos, cpm))
+        self._buffer.append((sender, seq, tick, cpm))
         return size
 
     def seal(self) -> None:
@@ -146,10 +134,10 @@ class NetworkSim:
         self._buffer = []
         self._seq = {}
         buffered.sort(key=lambda e: (e[0], e[1]))
-        for sender, seq, tick, pos, cpm in buffered:
+        for sender, seq, tick, cpm in buffered:
             _check_object_count(cpm)
             self._pending.append(
-                (PendingDelivery(cpm, sender, pos, tick, self.registry), seq))
+                (PendingDelivery(cpm, sender, tick, self.registry), seq))
 
     def pending_deliveries(self) -> list[PendingDelivery]:
         """Sealed, not yet delivered broadcasts (for inspection/tests)."""
@@ -159,10 +147,10 @@ class NetworkSim:
         """Deliver everything sent before `tick` and return the inboxes.
 
         locator(delivery) is called with each due PendingDelivery and must
-        yield the stations within comm_range of delivery.origin_pos,
-        evaluated against send-time positions; the sender itself is always
-        excluded.  Inboxes are ordered by (send tick, sender station, send
-        order).
+        yield the stations within comm_range of the sender (station
+        delivery.origin), evaluated against send-time positions; the
+        sender itself is always excluded.  Inboxes are ordered by (send
+        tick, sender station, send order).
         """
         self.seal()
         due = []
@@ -187,21 +175,3 @@ class NetworkSim:
                 else:
                     box.append(cpm)
         return inboxes
-
-
-def full_scan_locator(positions: dict[int, tuple[float, float]],
-                      comm_range: float):
-    """Reference locator over an explicit station->position table."""
-    r2 = comm_range * comm_range
-
-    def locate(delivery):
-        ox, oy = delivery.origin_pos
-        out = []
-        for station, (x, y) in positions.items():
-            dx = x - ox
-            dy = y - oy
-            if dx * dx + dy * dy <= r2:
-                out.append(station)
-        return out
-
-    return locate

@@ -19,7 +19,6 @@ from typing import Any, Callable
 
 from .errors import SchemaError, SimError
 from .messages import Cpm, PerceivedObject, ProofToken, local_cpm
-from .metrics import MetricsRecord
 from .trace import normalize_angle
 
 
@@ -115,12 +114,13 @@ class SandboxContext:
 
     Carries the current tick, the vehicle's own identity and pose, the
     cached perception result, bound simulator APIs, and the per-tick
-    metric scratchpad.  The RNG is seeded from (scenario seed, vehicle id,
-    tick) so results never depend on scheduling.
+    metric scratchpad, which metrics.record_json encodes once the
+    vehicle's modules have run.  The RNG is seeded from (scenario seed,
+    vehicle id, tick) so results never depend on scheduling.
     """
 
     __slots__ = ("tick", "plate", "station", "state", "comm_range",
-                 "bytes_sent", "broadcasts", "errors", "ttv_events",
+                 "bytes_sent", "errors", "ttv_events",
                  "local_objects", "received_objects", "all_objects",
                  "_percept", "_net", "_match", "_seed", "_rng")
 
@@ -132,7 +132,6 @@ class SandboxContext:
         self.state = state
         self.comm_range = comm_range
         self.bytes_sent = 0
-        self.broadcasts = 0
         self.errors = 0
         self.ttv_events = {}
         self.local_objects = 0
@@ -160,7 +159,6 @@ class SandboxContext:
             raise SimError("no network attached to this context")
         size = self._net.shb_broadcast(self.station, cpm, self.tick)
         self.bytes_sent += size
-        self.broadcasts += 1
         return size
 
     def station_of(self, plate: str):
@@ -181,16 +179,22 @@ class SandboxContext:
         self.received_objects = received
         self.all_objects = total
 
-    def finish_record(self) -> MetricsRecord:
-        pos = (self.state.x, self.state.y) if self.state is not None else (0.0, 0.0)
-        return MetricsRecord(self.tick, self.plate, self.bytes_sent,
-                             self.local_objects, self.received_objects,
-                             self.all_objects, self.ttv_events, self.errors,
-                             pos)
-
 
 # ---------------------------------------------------------------------------
 # OBU modules
+
+def _whole(key: str, value, least: int) -> int:
+    """A count parameter as an int; ValueError unless it is a whole
+    number of at least `least`."""
+    try:
+        n = int(value)
+    except (TypeError, ValueError, OverflowError):
+        n = None
+    if n is None or n != value or n < least:
+        raise ValueError(f"{key} must be a whole number >= {least}, "
+                         f"not {value!r}")
+    return n
+
 
 class CameraModule:
     """Wraps the perception result of the tick into a local CPM.
@@ -317,7 +321,8 @@ class ProofVerifyModule:
     __slots__ = ("provers_required", "first_seen", "provers", "verified")
 
     def __init__(self, provers_required: int = PROVERS_REQUIRED):
-        self.provers_required = provers_required
+        self.provers_required = _whole("provers_required",
+                                       provers_required, 1)
         self.first_seen = {}
         self.provers = {}
         self.verified = set()
@@ -356,7 +361,7 @@ class SpamTxModule:
     __slots__ = ("k",)
 
     def __init__(self, k: int = 5):
-        self.k = int(k)
+        self.k = _whole("k", k, 0)
 
     def process(self, inbox, ctx):
         rng = ctx.rng
@@ -386,8 +391,8 @@ class ReplayTxModule:
     __slots__ = ("buffer", "replays")
 
     def __init__(self, history: int = 50, replays: int = 1):
-        self.buffer = deque(maxlen=int(history))
-        self.replays = int(replays)
+        self.buffer = deque(maxlen=_whole("history", history, 1))
+        self.replays = _whole("replays", replays, 0)
 
     def process(self, inbox, ctx):
         for cpm in inbox:
@@ -437,13 +442,12 @@ class VehicleTypeSpec:
             if e not in known:
                 raise SchemaError(f"entry module {e!r} not in flow")
         preds = predecessors(self.graph)
-        entry = frozenset(self.entry)
-        # what build_vehicle hands every vehicle of the type: the order,
-        # predecessors and entry set, and the (module, is entry,
-        # predecessors) steps that tick_vehicle walks
-        object.__setattr__(self, "_routing", (
-            tuple(order), preds, entry,
-            tuple((name, name in entry, preds[name]) for name in order)))
+        at = {name: i for i, name in enumerate(order)}
+        # the steps tick_vehicle walks, shared by every vehicle of the
+        # type: (module, is entry, indices of its predecessors' steps)
+        object.__setattr__(self, "_steps", tuple(
+            (name, name in self.entry, tuple(at[p] for p in preds[name]))
+            for name in order))
 
 
 def builtin_vehicle_types() -> dict[str, VehicleTypeSpec]:
@@ -494,56 +498,52 @@ def builtin_vehicle_types() -> dict[str, VehicleTypeSpec]:
 
 
 class Vehicle:
-    """One instantiated vehicle: module instances plus routing tables."""
+    """One instantiated vehicle: module instances plus its type's steps."""
 
-    __slots__ = ("plate", "station", "type_name", "modules", "order",
-                 "preds", "entry", "steps", "uses_camera")
+    __slots__ = ("plate", "station", "type_name", "modules", "steps",
+                 "uses_camera")
 
-    def __init__(self, plate, station, type_name, modules, order, preds, entry,
-                 steps):
+    def __init__(self, plate, station, type_name, modules, steps):
         self.plate = plate
         self.station = station
         self.type_name = type_name
         self.modules = modules
-        self.order = order
-        self.preds = preds
-        self.entry = entry
         self.steps = steps
         self.uses_camera = "camera" in modules
 
 
 def build_vehicle(spec: VehicleTypeSpec, plate: str,
                   station: int | None) -> Vehicle:
-    """Instantiate a vehicle with fresh module state; the routing tables
-    are the type's own, shared by all its vehicles."""
+    """Instantiate a vehicle with fresh module state; the step table is
+    the type's own, shared by all its vehicles."""
     modules = {}
     for name in spec.graph.nodes:
         factory = MODULES.get(name)
         if factory is None:
             raise SchemaError(f"unknown module {name!r}")
         modules[name] = factory(**spec.params.get(name, {}))
-    return Vehicle(plate, station, spec.name, modules, *spec._routing)
+    return Vehicle(plate, station, spec.name, modules, spec._steps)
 
 
 def tick_vehicle(vehicle: Vehicle, network_inbox,
-                 ctx: SandboxContext) -> tuple[int, MetricsRecord]:
+                 ctx: SandboxContext) -> None:
     """Run the vehicle's modules once each, in topological order.
 
-    Each module's inbox is the concatenation of its predecessors'
-    outboxes, with the network inbox prepended for entry modules.  A
-    module failure aborts this vehicle's tick only: the error is counted
-    in the metrics record and the simulation carries on.  Broadcasts that
-    modules made before the failure stand and go out next tick.
+    Each module's inbox is a fresh list: the concatenation of its
+    predecessors' outboxes, with the network inbox prepended for entry
+    modules.  The tick's counters land in ctx.  A module failure aborts
+    this vehicle's tick only: the error is counted in ctx.errors and the
+    simulation carries on.  Broadcasts that modules made before the
+    failure stand and go out next tick.
     """
-    outboxes: dict[str, list] = {}
+    outboxes: list[list] = []
     modules = vehicle.modules
     try:
         for name, is_entry, preds in vehicle.steps:
             inbox = list(network_inbox) if is_entry else []
-            for pred in preds:
-                inbox.extend(outboxes[pred])
+            for i in preds:
+                inbox.extend(outboxes[i])
             out = modules[name].process(inbox, ctx)
-            outboxes[name] = out if out is not None else []
+            outboxes.append(out if out is not None else [])
     except Exception:
         ctx.errors += 1
-    return ctx.broadcasts, ctx.finish_record()

@@ -4,8 +4,9 @@ Each tick runs fixed phases: (1) deliver the network inboxes queued last
 tick (recipients are the sender's neighbors within comm range in last
 tick's sweep, which is then dropped); (2) rebuild the spatial index from
 the trace, despawning vehicles absent from it and spawning new ones with
-a seed-hashed type draw, and sweep the index once for every vehicle's
-neighbors within perception and communication range; (3) compute
+a seed-hashed type draw (the run's one match table follows both), and
+sweep the index once for every vehicle's neighbors within perception
+and communication range; (3) compute
 perception, then run every vehicle's module DAG and encode its metrics
 record; (4) seal the tick's broadcasts; (5) write metrics and phase
 timings.  Every phase runs in
@@ -14,10 +15,10 @@ config, trace).  The `workers` setting is validated but has no effect.
 
 A run reads its trace once, tick by tick: from a trace file it holds one
 tick of the trace at a time.  Besides that it holds each vehicle's
-module state and one tick's structures (sweep maps, percepts, inboxes,
-encoded records), which are freed as the tick ends, and the index's
-cells only until the sweep has run; a tick's metrics line is written in
-chunks.  It writes into a fresh staging directory
+module state and match-table entry, and one tick's structures (sweep
+maps, percepts, inboxes, encoded records), which are freed as the tick
+ends, and the index's cells only until the sweep has run; a tick's
+metrics line is written in chunks.  It writes into a fresh staging directory
 next to the output directory and moves the three output files into place
 only when every tick has run, so a run that fails (a malformed trace row
 found mid-run, an interrupt) leaves the output directory as it was.
@@ -210,51 +211,51 @@ def _run_ticks(config: ScenarioConfig, trace: Iterable[TraceTick],
     registry = PlateRegistry()
     net = NetworkSim(config.comm_range, registry)
     pcfg = config.perception
+    seed, comm_range = config.seed, config.comm_range
     vehicles: dict[str, Vehicle] = {}
     stations = itertools.count(1)
-    # last tick's match table and comm-range neighbor map: every delivery
-    # due now was sealed last tick, from last tick's positions
-    prev_match = MatchTable({})
+    # the run's one match table, kept up to date at spawn and despawn
+    match = MatchTable({})
+    # last tick's comm-range neighbor map: every delivery due now was
+    # sealed last tick, from last tick's positions.  Delivery runs before
+    # despawn, so the match table still holds last tick's vehicles.
     prev_comm: dict[str, list] = {}
 
     def locate(delivery):
-        return prev_match.stations_of(
-            prev_comm[prev_match.plate_of(delivery.origin)])
+        return match.stations_of(prev_comm[match.plate_of(delivery.origin)])
 
     perf = time.perf_counter
 
     def run_tick(tt: TraceTick) -> None:
         """One tick.  Its sweep maps, percepts, inboxes and records are
         locals, freed when it returns (the grid's cells as soon as the
-        sweep has run); only the match table and comm map outlive it,
-        until the next tick's delivery.  Each record is encoded as soon as
-        its vehicle has ticked, so the tick holds plain strings, which the
-        garbage collector does not track."""
-        nonlocal prev_match, prev_comm
+        sweep has run); only the comm map outlives it, until the next
+        tick's delivery.  Each record is encoded as soon as its vehicle
+        has ticked, so the tick holds plain strings, which the garbage
+        collector does not track."""
+        nonlocal prev_comm
         tick = tt.tick
 
         t0 = perf()
         inboxes = net.step(tick, locate)
-        prev_match = prev_comm = None  # delivered: done with last tick's
+        prev_comm = None  # delivered: done with last tick's
         t1 = perf()
 
         grid = rebuild(tt.states, config.cell_size)
         states = grid.states
         for plate in [p for p in vehicles if p not in states]:
             del vehicles[plate]
+            match.remove(plate)
         for s in tt.states:
             if s.id not in vehicles:
-                spec = types[assign_type(config.seed, s.id, config.mix)]
+                spec = types[assign_type(seed, s.id, config.mix)]
                 station = next(stations) if spec.connected else None
                 registry.intern(s.id)
                 vehicles[s.id] = build_vehicle(spec, s.id, station)
+                match.add(s.id, station)
         near, comm = sweep_neighbors(grid, config.perception_radius,
-                                     config.comm_range)
+                                     comm_range)
         del grid
-        match = MatchTable({p: v.station for p, v in vehicles.items()})
-        net.update_positions({v.station: (states[p].x, states[p].y)
-                              for p, v in vehicles.items()
-                              if v.station is not None})
         t2 = perf()
 
         order = sorted(vehicles)
@@ -271,10 +272,10 @@ def _run_ticks(config: ScenarioConfig, trace: Iterable[TraceTick],
             v = vehicles[plate]
             ctx = SandboxContext(tick, plate, v.station, states[plate],
                                  percepts.get(plate, ()), net, match,
-                                 config.comm_range, config.seed)
+                                 comm_range, seed)
             # no inbox has the key None, which an unconnected vehicle has
-            inbox = inboxes.get(v.station, ())
-            records.append(record_json(tick_vehicle(v, inbox, ctx)[1]))
+            tick_vehicle(v, inboxes.get(v.station, ()), ctx)
+            records.append(record_json(ctx))
         t4 = perf()
 
         net.seal()
@@ -286,7 +287,6 @@ def _run_ticks(config: ScenarioConfig, trace: Iterable[TraceTick],
         timings.write(f"{tick},{t2 - t1:.6f},{t3 - t2:.6f},"
                       f"{t4 - t3:.6f},{(t1 - t0) + (t5 - t4):.6f},"
                       f"{t6 - t5:.6f}\n")
-        prev_match = match
         prev_comm = comm
 
     ticks = 0
@@ -404,14 +404,24 @@ def _parse_vehicle_type(name: str, section,
             merged.setdefault(module, {}).update(p)
         connected = plain.get("connected")
         return replace(base, params=merged,
-                       connected=(_parse_value(connected) if connected is not None
+                       connected=(_parse_connected(name, connected)
+                                  if connected is not None
                                   else base.connected))
     modules = _names_list(plain["modules"])
     edges = _parse_edges(plain.get("edges", ""))
     entry = _names_list(plain.get("entry", ""))
-    connected = bool(_parse_value(plain.get("connected", "true")))
+    connected = _parse_connected(name, plain.get("connected", "true"))
     return VehicleTypeSpec(name, FlowGraph(modules, edges), entry,
                            connected, params)
+
+
+def _parse_connected(name: str, raw: str) -> bool:
+    """A vehicle type's `connected`, in configparser's boolean words."""
+    value = configparser.ConfigParser.BOOLEAN_STATES.get(raw.strip().lower())
+    if value is None:
+        raise ConfigError(f"vehicle type {name!r}: connected = {raw!r} is "
+                          f"not true/false, yes/no, on/off or 1/0")
+    return value
 
 
 def _number(section, convert, key: str, default):

@@ -1,0 +1,77 @@
+"""Test-side oracles for what the program computes directly.
+
+`MetricsRecord` with `to_json_obj`/`from_json_obj` is the record as a
+plain value, and `finish_record` reads one from a `SandboxContext`: the
+tests compare `metrics.record_json` with `json.dumps` of it.
+`full_scan_locator` resolves a delivery's recipients by scanning an
+explicit station -> position table, against which the run's sweep-based
+delivery is checked.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+
+from cavsim.sandbox import SandboxContext
+
+
+@dataclass(slots=True)
+class MetricsRecord:
+    """One vehicle's counters for one tick."""
+
+    tick: int
+    vehicle_id: str
+    bytes_sent: int = 0
+    local_objects: int = 0
+    received_objects: int = 0
+    all_objects: int = 0
+    ttv_events: dict[int, int] = field(default_factory=dict)
+    errors: int = 0
+    position: tuple[float, float] = (0.0, 0.0)
+
+    def to_json_obj(self) -> dict:
+        return {
+            "id": self.vehicle_id,
+            "bytes_sent": self.bytes_sent,
+            "local_objects": self.local_objects,
+            "received_objects": self.received_objects,
+            "all_objects": self.all_objects,
+            "ttv": {str(k): self.ttv_events[k] for k in sorted(self.ttv_events)},
+            "errors": self.errors,
+            "x": self.position[0],
+            "y": self.position[1],
+        }
+
+    @classmethod
+    def from_json_obj(cls, tick: int, obj: dict) -> "MetricsRecord":
+        return cls(tick, obj["id"], obj["bytes_sent"], obj["local_objects"],
+                   obj["received_objects"], obj["all_objects"],
+                   {int(k): v for k, v in obj["ttv"].items()},
+                   obj.get("errors", 0), (obj["x"], obj["y"]))
+
+
+def finish_record(ctx: SandboxContext) -> MetricsRecord:
+    """The record a vehicle's context holds after its tick."""
+    pos = (ctx.state.x, ctx.state.y) if ctx.state is not None else (0.0, 0.0)
+    return MetricsRecord(ctx.tick, ctx.plate, ctx.bytes_sent,
+                         ctx.local_objects, ctx.received_objects,
+                         ctx.all_objects, ctx.ttv_events, ctx.errors, pos)
+
+
+def full_scan_locator(positions: dict[int, tuple[float, float]],
+                      comm_range: float):
+    """Reference locator over an explicit station -> position table of
+    the send tick: the sender's position is positions[delivery.origin]."""
+    r2 = comm_range * comm_range
+
+    def locate(delivery):
+        ox, oy = positions[delivery.origin]
+        out = []
+        for station, (x, y) in positions.items():
+            dx = x - ox
+            dy = y - oy
+            if dx * dx + dy * dy <= r2:
+                out.append(station)
+        return out
+
+    return locate

@@ -7,16 +7,24 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cavsim.errors import ContractViolation, NotFoundError
-from cavsim.metrics import (WRITE_CHUNK, MetricsRecord, MetricsWriter,
-                            avg_bandwidth, cpr, iter_ticks, load_run,
-                            read_index, record_json, seek_tick,
-                            ttv_distribution, ttv_distribution_total)
+from cavsim.metrics import (WRITE_CHUNK, MetricsWriter, avg_bandwidth, cpr,
+                            iter_ticks, load_run, read_index, record_json,
+                            seek_tick, ttv_distribution,
+                            ttv_distribution_total)
+from cavsim.sandbox import SandboxContext
+from cavsim.trace import VehicleState
+from oracles import MetricsRecord, finish_record
 
 
 def rec(tick, vid, bytes_sent=0, local=0, received=0, total=0, ttv=None,
         pos=(0.0, 0.0)):
-    return MetricsRecord(tick, vid, bytes_sent, local, received, total,
-                         ttv or {}, 0, pos)
+    """A vehicle's context as its tick leaves it, holding these values:
+    what record_json encodes and finish_record reads."""
+    ctx = SandboxContext(tick, vid, None, VehicleState(vid, *pos, 0.0))
+    ctx.bytes_sent = bytes_sent
+    ctx.set_object_counts(local, received, total)
+    ctx.ttv_events = ttv or {}
+    return ctx
 
 
 def write_run(tmp_path, ticks):
@@ -106,7 +114,7 @@ def test_roundtrip_record(tmp_path):
     out = write_run(tmp_path, [(5, [r])])
     line = load_run(out)[0]
     back = MetricsRecord.from_json_obj(line["tick"], line["vehicles"][0])
-    assert back == r
+    assert back == finish_record(r)
 
 
 def test_identical_runs_identical_bytes(tmp_path):
@@ -133,7 +141,7 @@ def test_fast_emitter_matches_json_dumps():
             {rng.randrange(50): rng.randrange(9) + 1 for _ in range(rng.randrange(4))},
             (rng.uniform(-1e5, 1e5), rng.uniform(-1e5, 1e5))))
     for r in records:
-        assert record_json(r) == json.dumps(r.to_json_obj(),
+        assert record_json(r) == json.dumps(finish_record(r).to_json_obj(),
                                             separators=(",", ":"))
 
 
@@ -152,7 +160,8 @@ def test_record_id_encoded_as_json_dumps(vid):
 @given(st.text())
 def test_record_id_encoded_as_json_dumps_any_text(vid):
     r = rec(0, vid, 3, ttv={2: 1})
-    assert record_json(r) == json.dumps(r.to_json_obj(), separators=(",", ":"))
+    assert record_json(r) == json.dumps(finish_record(r).to_json_obj(),
+                                        separators=(",", ":"))
 
 
 # --- chunked tick lines ------------------------------------------------------
@@ -202,7 +211,7 @@ def test_record_tick_peak_is_a_fraction_of_the_line(tmp_path):
 
 def run_data(ticks):
     return [{"tick": t,
-             "vehicles": [r.to_json_obj() for r in records]}
+             "vehicles": [finish_record(r).to_json_obj() for r in records]}
             for t, records in ticks]
 
 
@@ -270,9 +279,9 @@ def test_encoded_records_give_the_json_dumps_line_and_index(tmp_path):
         for tick, records in ticks:
             w.record_tick(tick, [record_json(r) for r in records])
     data, idx = read_files(out)
-    lines = [(json.dumps({"tick": t, "vehicles": [r.to_json_obj() for r in rs]},
-                         separators=(",", ":")) + "\n").encode("ascii")
-             for t, rs in ticks]
+    lines = [(json.dumps({"tick": t, "vehicles": [
+        finish_record(r).to_json_obj() for r in rs]},
+        separators=(",", ":")) + "\n").encode("ascii") for t, rs in ticks]
     assert data == b"".join(lines)
     offsets = [sum(map(len, lines[:i])) for i in range(len(lines))]
     assert idx == "".join(f"{t} {o} {len(line)}\n" for (t, _), o, line

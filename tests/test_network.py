@@ -7,8 +7,8 @@ from cavsim.errors import NotFoundError, ValidationError
 from cavsim.identity import PlateRegistry
 from cavsim.messages import Cpm, PerceivedObject
 from cavsim.network import (HEADER_SIZE, OBJECT_SIZE, NetworkSim,
-                            cpm_wire_size, deserialize_cpm, full_scan_locator,
-                            serialize_cpm)
+                            cpm_wire_size, deserialize_cpm, serialize_cpm)
+from oracles import full_scan_locator
 
 
 def make_cpm(station=1, tick=0, objects=(), ext=None):
@@ -60,20 +60,12 @@ def test_deserialize_unknown_plate_code():
         deserialize_cpm(data, PlateRegistry())
 
 
-def network_with(positions, comm_range=300.0):
-    net = NetworkSim(comm_range, PlateRegistry())
-    net.update_positions(positions)
-    return net
-
-
-def test_unregistered_sender():
-    net = network_with({1: (0.0, 0.0)})
-    with pytest.raises(NotFoundError):
-        net.shb_broadcast(2, make_cpm(station=2), 0)
+def network(comm_range=300.0):
+    return NetworkSim(comm_range, PlateRegistry())
 
 
 def test_empty_cpm_header_only_byte_count():
-    net = network_with({1: (0.0, 0.0), 2: (10.0, 0.0)})
+    net = network()
     size = net.shb_broadcast(1, make_cpm(station=1), 0)
     assert size == 34
     inboxes = net.step(1, full_scan_locator({1: (0.0, 0.0), 2: (10.0, 0.0)},
@@ -83,19 +75,20 @@ def test_empty_cpm_header_only_byte_count():
 
 
 def test_extensions_stripped_before_wire():
-    net = network_with({1: (0.0, 0.0), 2: (10.0, 0.0)})
+    net = network()
     cpm = make_cpm(station=1, ext={"secret": b"xyz"})
     size = net.shb_broadcast(1, cpm, 0)
     assert size == 34  # extensions add nothing to the wire
     net.seal()
     (pd,) = net.pending_deliveries()
     assert len(pd.payload) == 34
-    inboxes = net.step(1, full_scan_locator({2: (10.0, 0.0)}, 300.0))
+    inboxes = net.step(1, full_scan_locator({1: (0.0, 0.0), 2: (10.0, 0.0)},
+                                            300.0))
     assert inboxes[2][0].extensions == {}
 
 
 def test_message_values_have_no_instance_dict():
-    net = network_with({1: (0.0, 0.0)})
+    net = network()
     net.shb_broadcast(1, make_cpm(station=1, objects=[obj("a")]), 0)
     net.seal()
     (pd,) = net.pending_deliveries()
@@ -104,7 +97,7 @@ def test_message_values_have_no_instance_dict():
 
 
 def test_no_station_in_range_still_credits_bytes():
-    net = network_with({1: (0.0, 0.0), 2: (10_000.0, 0.0)})
+    net = network()
     size = net.shb_broadcast(1, make_cpm(station=1), 0)
     assert size > 0
     inboxes = net.step(1, full_scan_locator({1: (0.0, 0.0),
@@ -114,7 +107,7 @@ def test_no_station_in_range_still_credits_bytes():
 
 def test_boundary_distance_inclusive():
     positions = {1: (0.0, 0.0), 2: (300.0, 0.0)}
-    net = network_with(positions)
+    net = network()
     net.shb_broadcast(1, make_cpm(station=1), 0)
     inboxes = net.step(1, full_scan_locator(positions, 300.0))
     assert list(inboxes) == [2]
@@ -122,7 +115,7 @@ def test_boundary_distance_inclusive():
 
 def test_one_tick_latency():
     positions = {1: (0.0, 0.0), 2: (10.0, 0.0)}
-    net = network_with(positions)
+    net = network()
     locator = full_scan_locator(positions, 300.0)
     assert net.step(0, locator) == {}
     net.shb_broadcast(1, make_cpm(station=1, tick=0), 0)
@@ -136,7 +129,7 @@ def test_one_tick_latency():
 
 def test_three_station_cluster():
     positions = {1: (0.0, 0.0), 2: (5.0, 0.0), 3: (0.0, 5.0)}
-    net = network_with(positions)
+    net = network()
     for st in (1, 2, 3):
         net.shb_broadcast(st, make_cpm(station=st, tick=0), 0)
     inboxes = net.step(1, full_scan_locator(positions, 300.0))
@@ -155,7 +148,6 @@ def test_conservation_random():
                      for i in range(1, n + 1)}
         comm = rng.uniform(50, 300)
         net = NetworkSim(comm, PlateRegistry())
-        net.update_positions(positions)
         expected = 0
         senders = rng.sample(sorted(positions), rng.randint(0, n))
         for st in senders:
@@ -171,8 +163,6 @@ def test_conservation_random():
 def test_byte_accounting_reproducible():
     reg = PlateRegistry()
     net = NetworkSim(300.0, reg)
-    positions = {1: (0.0, 0.0), 2: (1.0, 0.0)}
-    net.update_positions(positions)
     credited = 0
     credited += net.shb_broadcast(1, make_cpm(station=1, objects=[obj("a")]), 0)
     credited += net.shb_broadcast(1, make_cpm(station=1,
@@ -184,14 +174,13 @@ def test_byte_accounting_reproducible():
 
 
 def test_send_time_positions_used():
-    # recipient resolution uses the locator (send-time geometry), not the
-    # current position table
-    net = network_with({1: (0.0, 0.0), 2: (10.0, 0.0)})
+    # recipient resolution uses the locator (send-time geometry); the
+    # network keeps no position table of its own
+    net = network()
     net.shb_broadcast(1, make_cpm(station=1), 0)
     # station 2 has "moved away" by delivery time; locator still answers
     # with send-time positions
     send_time = full_scan_locator({1: (0.0, 0.0), 2: (10.0, 0.0)}, 300.0)
-    net.update_positions({1: (0.0, 0.0), 2: (9999.0, 0.0)})
     inboxes = net.step(1, send_time)
     assert list(inboxes) == [2]
 

@@ -6,12 +6,13 @@ import pytest
 from cavsim.errors import SchemaError, SimError
 from cavsim.identity import MatchTable, PlateRegistry
 from cavsim.messages import Cpm, PerceivedObject, local_cpm
-from cavsim.network import NetworkSim, full_scan_locator, serialize_cpm
+from cavsim.network import NetworkSim, serialize_cpm
 from cavsim.sandbox import (MODULES, FlowGraph, SandboxContext,
                             VehicleTypeSpec, build_vehicle,
-                            builtin_vehicle_types, register_module,
-                            tick_vehicle, validate_flow)
+                            builtin_vehicle_types, predecessors,
+                            register_module, tick_vehicle, validate_flow)
 from cavsim.trace import VehicleState
+from oracles import finish_record, full_scan_locator
 
 
 def obj(plate, tick=0):
@@ -23,16 +24,23 @@ def wire_cpm(station, tick, objects):
 
 
 def make_ctx(tick=0, plate="ego", station=1, percept=(), net=None, match=None,
-             inrange=(), seed=0):
+             seed=0):
     if net is None:
-        positions = {station: (0.0, 0.0)} if station else {}
-        for i, st in enumerate(inrange):
-            positions[st] = (1.0 + i, 0.0)
         net = NetworkSim(300.0, PlateRegistry())
-        net.update_positions(positions)
     state = VehicleState(plate, 0.0, 0.0, 0.0)
     return SandboxContext(tick, plate, station, state, percept, net,
                           match or MatchTable({plate: station}), 300.0, seed)
+
+
+def run_vehicle(v, inbox, ctx):
+    """tick_vehicle, then (broadcasts it queued, the record its context
+    holds)."""
+    net = ctx._net
+    net.seal()
+    before = len(net.pending_deliveries())
+    tick_vehicle(v, inbox, ctx)
+    net.seal()
+    return len(net.pending_deliveries()) - before, finish_record(ctx)
 
 
 # --- flow graphs -----------------------------------------------------------
@@ -118,7 +126,7 @@ def test_builtin_types_complete():
 def test_dummy_vehicle_zero_deltas():
     v = build_vehicle(builtin_vehicle_types()["DummyVehicle"], "d", None)
     ctx = make_ctx(plate="d", station=None)
-    n, rec = tick_vehicle(v, (), ctx)
+    n, rec = run_vehicle(v, (), ctx)
     assert n == 0
     assert rec.bytes_sent == 0
     assert rec.local_objects == rec.received_objects == rec.all_objects == 0
@@ -128,7 +136,7 @@ def test_dummy_vehicle_zero_deltas():
 def test_unconnected_vehicle_counts_local_only():
     v = build_vehicle(builtin_vehicle_types()["UnconnectedVehicle"], "u", None)
     ctx = make_ctx(plate="u", station=None, percept=(obj("a"), obj("b")))
-    _, rec = tick_vehicle(v, (), ctx)
+    _, rec = run_vehicle(v, (), ctx)
     assert rec.bytes_sent == 0
     assert rec.local_objects == 2
     assert rec.received_objects == 0
@@ -139,7 +147,6 @@ def test_connected_vehicle_two_peer_end_to_end():
     reg = PlateRegistry()
     net = NetworkSim(300.0, reg)
     positions = {1: (0.0, 0.0), 2: (10.0, 0.0)}
-    net.update_positions(positions)
     match = MatchTable({"a": 1, "b": 2, "c": None})
     types = builtin_vehicle_types()
     va = build_vehicle(types["ConnectedVehicle"], "a", 1)
@@ -147,17 +154,17 @@ def test_connected_vehicle_two_peer_end_to_end():
 
     # tick 0: A perceives c and broadcasts; B sees nothing
     ctx_a = make_ctx(0, "a", 1, percept=(obj("c"),), net=net, match=match)
-    n_a, rec_a = tick_vehicle(va, (), ctx_a)
+    n_a, rec_a = run_vehicle(va, (), ctx_a)
     assert n_a == 1 and rec_a.bytes_sent == 34 + 32
     ctx_b = make_ctx(0, "b", 2, percept=(), net=net, match=match)
-    _, rec_b = tick_vehicle(vb, (), ctx_b)
+    _, rec_b = run_vehicle(vb, (), ctx_b)
     assert rec_b.bytes_sent == 0 and rec_b.all_objects == 0
 
     # tick 1: the broadcast arrives at B
     inboxes = net.step(1, full_scan_locator(positions, 300.0))
     assert [c.sender_station for c in inboxes[2]] == [1]
     ctx_b1 = make_ctx(1, "b", 2, percept=(), net=net, match=match)
-    _, rec_b1 = tick_vehicle(vb, inboxes[2], ctx_b1)
+    _, rec_b1 = run_vehicle(vb, inboxes[2], ctx_b1)
     assert rec_b1.received_objects == 1
     assert rec_b1.all_objects == 1
 
@@ -167,23 +174,22 @@ def test_object_store_union_and_self_exclusion():
     percept = (obj("x"), obj("me"))  # own plate never counts
     inbox = [wire_cpm(9, 0, [obj("x"), obj("y"), obj("me")])]
     ctx = make_ctx(0, "me", 1, percept=percept)
-    _, rec = tick_vehicle(v, inbox, ctx)
+    _, rec = run_vehicle(v, inbox, ctx)
     assert rec.local_objects == 1          # {x}
     assert rec.received_objects == 2       # {x, y}
     assert rec.all_objects == 2            # union {x, y}
     # counts accumulate and stay monotone
     ctx2 = make_ctx(1, "me", 1, percept=(obj("z"),))
-    _, rec2 = tick_vehicle(v, (), ctx2)
+    _, rec2 = run_vehicle(v, (), ctx2)
     assert rec2.local_objects == 2 and rec2.all_objects == 3
 
 
 def test_spam_attacker_emits_k_objects():
     types = builtin_vehicle_types()
     net = NetworkSim(300.0, PlateRegistry())
-    net.update_positions({5: (0.0, 0.0)})
     v = build_vehicle(types["SpamAttacker"], "s", 5)
     ctx = make_ctx(0, "s", 5, net=net)
-    n, rec = tick_vehicle(v, (), ctx)
+    n, rec = run_vehicle(v, (), ctx)
     assert n == 1
     assert rec.bytes_sent == 34 + 5 * 32
     net.seal()
@@ -203,7 +209,6 @@ def test_spam_attacker_deterministic_per_seed():
 
     def one(seed):
         net = NetworkSim(300.0, PlateRegistry())
-        net.update_positions({5: (0.0, 0.0)})
         v = build_vehicle(types["SpamAttacker"], "s", 5)
         ctx = make_ctx(3, "s", 5, net=net, seed=seed)
         tick_vehicle(v, (), ctx)
@@ -217,10 +222,9 @@ def test_spam_attacker_deterministic_per_seed():
 def test_silence_attacker_never_broadcasts():
     v = build_vehicle(builtin_vehicle_types()["SilenceAttacker"], "q", 3)
     for tick in range(5):
-        ctx = make_ctx(tick, "q", 3, percept=(obj("a"),),
-                       inrange=(8,))
+        ctx = make_ctx(tick, "q", 3, percept=(obj("a"),))
         inbox = [wire_cpm(8, tick - 1, [obj("z")])] if tick else ()
-        n, rec = tick_vehicle(v, inbox, ctx)
+        n, rec = run_vehicle(v, inbox, ctx)
         assert n == 0 and rec.bytes_sent == 0
     # but it does listen and perceive
     assert rec.local_objects == 1 and rec.received_objects == 1
@@ -229,13 +233,12 @@ def test_silence_attacker_never_broadcasts():
 def test_replay_attacker_byte_identical():
     reg = PlateRegistry()
     net = NetworkSim(300.0, reg)
-    net.update_positions({7: (0.0, 0.0), 8: (5.0, 0.0)})
     v = build_vehicle(builtin_vehicle_types()["ReplayAttacker"], "r", 7)
 
     seen = wire_cpm(8, 0, [obj("a"), obj("b", 1)])
     original_payload = serialize_cpm(seen, reg)
     ctx = make_ctx(1, "r", 7, percept=(obj("c"),), net=net)
-    n, rec = tick_vehicle(v, [seen], ctx)
+    n, rec = run_vehicle(v, [seen], ctx)
     assert n == 1  # replays = 1 per tick
     net.seal()
     (pd,) = net.pending_deliveries()
@@ -249,10 +252,9 @@ def test_replay_attacker_byte_identical():
 def test_replay_attacker_replays_own_camera_cpm_as_wire_cpm():
     reg = PlateRegistry()
     net = NetworkSim(300.0, reg)
-    net.update_positions({7: (0.0, 0.0), 8: (5.0, 0.0)})
     v = build_vehicle(builtin_vehicle_types()["ReplayAttacker"], "r", 7)
     ctx = make_ctx(1, "r", 7, percept=(obj("c"),), net=net)
-    n, _ = tick_vehicle(v, (), ctx)  # the camera CPM is the only candidate
+    n, _ = run_vehicle(v, (), ctx)  # the camera CPM is the only candidate
     assert n == 1
     (stored,) = v.modules["replay_tx"].buffer
     assert stored.local is False and stored.extensions == {}
@@ -261,7 +263,8 @@ def test_replay_attacker_replays_own_camera_cpm_as_wire_cpm():
     assert pd.cpm.local is False
     assert pd.payload == serialize_cpm(
         wire_cpm(7, 1, [obj("c")]), reg)
-    inboxes = net.step(2, full_scan_locator({8: (5.0, 0.0)}, 300.0))
+    inboxes = net.step(2, full_scan_locator({7: (0.0, 0.0), 8: (5.0, 0.0)},
+                                            300.0))
     assert inboxes[8][0].local is False
 
 
@@ -272,11 +275,10 @@ def test_replay_attacker_history_and_rate_params():
         "Replay3", spec.graph, spec.entry, True,
         {"replay_tx": {"history": 2, "replays": 3}})
     net = NetworkSim(300.0, PlateRegistry())
-    net.update_positions({7: (0.0, 0.0)})
     v = build_vehicle(custom, "r", 7)
     inbox = [wire_cpm(8, 0, [obj(f"p{i}")]) for i in range(5)]
     ctx = make_ctx(1, "r", 7, net=net)
-    n, _ = tick_vehicle(v, inbox, ctx)
+    n, _ = run_vehicle(v, inbox, ctx)
     assert n == 2  # history caps the buffer below the replay rate
     assert len(v.modules["replay_tx"].buffer) == 2
 
@@ -286,20 +288,20 @@ def test_pot_vehicle_ttv_two_provers():
     v = build_vehicle(types["PoTVehicle"], "me", 1)
     # tick 0: sees target locally, first_seen = 0
     ctx0 = make_ctx(0, "me", 1, percept=(obj("tgt"),))
-    _, rec0 = tick_vehicle(v, (), ctx0)
+    _, rec0 = run_vehicle(v, (), ctx0)
     assert rec0.ttv_events == {}
     assert rec0.bytes_sent > 0  # broadcasts its perception
     # tick 1: first prover
     ctx1 = make_ctx(1, "me", 1, percept=())
-    _, rec1 = tick_vehicle(v, [wire_cpm(7, 0, [obj("tgt")])], ctx1)
+    _, rec1 = run_vehicle(v, [wire_cpm(7, 0, [obj("tgt")])], ctx1)
     assert rec1.ttv_events == {}
     # tick 2: second, distinct prover -> verified, delay 2 - 0
     ctx2 = make_ctx(2, "me", 1, percept=())
-    _, rec2 = tick_vehicle(v, [wire_cpm(8, 1, [obj("tgt")])], ctx2)
+    _, rec2 = run_vehicle(v, [wire_cpm(8, 1, [obj("tgt")])], ctx2)
     assert rec2.ttv_events == {2: 1}
     # repeat proofs change nothing
     ctx3 = make_ctx(3, "me", 1, percept=())
-    _, rec3 = tick_vehicle(v, [wire_cpm(9, 2, [obj("tgt")])], ctx3)
+    _, rec3 = run_vehicle(v, [wire_cpm(9, 2, [obj("tgt")])], ctx3)
     assert rec3.ttv_events == {}
 
 
@@ -307,14 +309,14 @@ def test_pot_same_prover_twice_insufficient():
     v = build_vehicle(builtin_vehicle_types()["PoTVehicle"], "me", 1)
     for tick in range(4):
         ctx = make_ctx(tick, "me", 1)
-        _, rec = tick_vehicle(v, [wire_cpm(7, tick, [obj("tgt")])], ctx)
+        _, rec = run_vehicle(v, [wire_cpm(7, tick, [obj("tgt")])], ctx)
         assert rec.ttv_events == {}
 
 
 def test_pot_proofs_about_self_ignored():
     v = build_vehicle(builtin_vehicle_types()["PoTVehicle"], "me", 1)
-    _, rec0 = tick_vehicle(v, [wire_cpm(7, 0, [obj("me")])], make_ctx(0, "me", 1))
-    _, rec1 = tick_vehicle(v, [wire_cpm(8, 1, [obj("me")])], make_ctx(1, "me", 1))
+    _, rec0 = run_vehicle(v, [wire_cpm(7, 0, [obj("me")])], make_ctx(0, "me", 1))
+    _, rec1 = run_vehicle(v, [wire_cpm(8, 1, [obj("me")])], make_ctx(1, "me", 1))
     assert rec0.ttv_events == {} and rec1.ttv_events == {}
 
 
@@ -322,8 +324,8 @@ def test_pot_first_seen_via_network():
     v = build_vehicle(builtin_vehicle_types()["PoTVehicle"], "me", 1)
     # never seen locally; two proofs arrive at the same tick
     ctx = make_ctx(5, "me", 1)
-    _, rec = tick_vehicle(v, [wire_cpm(7, 4, [obj("t")]),
-                              wire_cpm(8, 4, [obj("t")])], ctx)
+    _, rec = run_vehicle(v, [wire_cpm(7, 4, [obj("t")]),
+                             wire_cpm(8, 4, [obj("t")])], ctx)
     assert rec.ttv_events == {0: 1}
 
 
@@ -363,13 +365,13 @@ def test_proof_gen_keeps_local_flag():
 
 def test_local_cpm_broadcast_arrives_plain():
     net = NetworkSim(300.0, PlateRegistry())
-    net.update_positions({1: (0.0, 0.0), 2: (5.0, 0.0)})
     ctx = make_ctx(0, "ego", 1, net=net)
     cpm = replace(local_cpm(1, 0, (0.0, 0.0, 0.0), (obj("a"),)),
                   extensions={"proof/a": b"token"})
     assert cpm.local is True
     assert ctx.broadcast(cpm) == 34 + 32
-    inboxes = net.step(1, full_scan_locator({2: (5.0, 0.0)}, 300.0))
+    inboxes = net.step(1, full_scan_locator({1: (0.0, 0.0), 2: (5.0, 0.0)},
+                                            300.0))
     (got,) = inboxes[2]
     assert got.local is False and got.extensions == {}
     assert got == wire_cpm(1, 0, [obj("a")])
@@ -392,7 +394,7 @@ def test_module_failure_contained():
                                    "boom": ("object_store",)}))
         v = build_vehicle(spec, "x", 1)
         ctx = make_ctx(0, "x", 1, percept=(obj("a"),))
-        n, rec = tick_vehicle(v, (), ctx)
+        n, rec = run_vehicle(v, (), ctx)
         assert rec.errors == 1
         # downstream module never ran this tick
         assert rec.all_objects == 0
@@ -413,10 +415,9 @@ def test_module_failure_keeps_earlier_broadcasts():
         v = build_vehicle(spec, "a", 1)
         net = NetworkSim(300.0, PlateRegistry())
         positions = {1: (0.0, 0.0), 2: (10.0, 0.0)}
-        net.update_positions(positions)
         ctx = make_ctx(0, "a", 1, percept=(obj("c"),), net=net,
                        match=MatchTable({"a": 1, "b": 2, "c": None}))
-        n, rec = tick_vehicle(v, (), ctx)
+        n, rec = run_vehicle(v, (), ctx)
         assert rec.errors == 1
         assert n == 1 and rec.bytes_sent == 34 + 32
         assert rec.all_objects == 0
@@ -471,8 +472,8 @@ def test_vehicles_of_one_type_share_routing_tables():
     spec = builtin_vehicle_types()["ConnectedVehicle"]
     a = build_vehicle(spec, "a", 1)
     b = build_vehicle(spec, "b", 2)
-    assert a.entry is b.entry and a.entry == frozenset({"rx"})
-    assert a.order is b.order and a.preds is b.preds
+    assert a.steps is b.steps
+    assert [name for name, is_entry, _ in a.steps if is_entry] == ["rx"]
 
 
 @pytest.mark.parametrize("name", ["camera", "object_store", "cpm_tx", "rx",
@@ -488,6 +489,9 @@ def test_step_table_is_the_types_and_in_topological_order():
     a = build_vehicle(spec, "a", 1)
     b = build_vehicle(spec, "b", 2)
     assert a.steps is b.steps
-    assert [name for name, _, _ in a.steps] == validate_flow(spec.graph)
-    assert list(a.steps) == [(name, name in a.entry, a.preds[name])
-                             for name in a.order]
+    order = validate_flow(spec.graph)
+    assert [name for name, _, _ in a.steps] == order
+    preds = predecessors(spec.graph)
+    assert list(a.steps) == [(name, name in spec.entry,
+                              tuple(order.index(p) for p in preds[name]))
+                             for name in order]

@@ -440,6 +440,79 @@ def test_bad_module_parameter_fails_before_output(tmp_path, param):
     assert not os.path.exists(cfg.out_dir)
 
 
+@pytest.mark.parametrize("vtype,param", [
+    ("ReplayAttacker", "replay_tx.replays = -1"),
+    ("ReplayAttacker", "replay_tx.replays = 1.5"),
+    ("SpamAttacker", "spam_tx.k = -2"),
+    ("SpamAttacker", "spam_tx.k = 2.5"),
+    ("SpamAttacker", "spam_tx.k = inf"),
+    ("ReplayAttacker", "replay_tx.history = 0"),
+    ("PoTVehicle", "proof_verify.provers_required = 0"),
+], ids=["replays-negative", "replays-fraction", "k-negative", "k-fraction",
+        "k-inf", "history-0", "provers-required-0"])
+def test_out_of_range_module_parameter_fails_validate(tmp_path, vtype, param):
+    cfg = parse_config(io.StringIO(
+        f"[vehicle_type.{vtype}]\n{param}\n[mix]\n{vtype} = 1\n"))
+    key = param.split(".")[1].split()[0]
+    with pytest.raises(ConfigError, match=f"{vtype}.*{key}"):
+        cfg.validate()
+    cfg.out_dir = str(tmp_path / "out")
+    with pytest.raises(ConfigError):
+        run(cfg, trace=synth_traffic(1, 4, 2, 100.0))
+    assert not os.path.exists(cfg.out_dir)
+
+
+def test_module_parameter_lower_bounds_pass_validate():
+    parse_config(io.StringIO(
+        "[vehicle_type.ReplayAttacker]\nreplay_tx.replays = 0\n"
+        "replay_tx.history = 1\n"
+        "[vehicle_type.SpamAttacker]\nspam_tx.k = 0\n"
+        "[vehicle_type.PoTVehicle]\nproof_verify.provers_required = 1\n"
+        "[mix]\nReplayAttacker = 1\nSpamAttacker = 1\nPoTVehicle = 1\n"
+    )).validate()
+
+
+# --- vehicle type booleans ---------------------------------------------------
+
+LURKER = ("[vehicle_type.Lurker]\nmodules = camera, object_store\n"
+          "edges = camera -> object_store\n")
+
+
+@pytest.mark.parametrize("raw,want", [
+    ("true", True), ("yes", True), ("on", True), ("1", True), ("YES", True),
+    ("false", False), ("no", False), ("off", False), ("0", False),
+    ("Off", False),
+])
+def test_connected_takes_the_configparser_boolean_words(raw, want):
+    cfg = parse_config(io.StringIO(
+        f"{LURKER}connected = {raw}\n"
+        f"[vehicle_type.ConnectedVehicle]\nconnected = {raw}\n"))
+    assert cfg.extra_types["Lurker"].connected is want
+    assert cfg.extra_types["ConnectedVehicle"].connected is want
+
+
+@pytest.mark.parametrize("section,vtype", [
+    (LURKER, "Lurker"),
+    ("[vehicle_type.ConnectedVehicle]\n", "ConnectedVehicle"),
+], ids=["custom", "builtin"])
+@pytest.mark.parametrize("raw", ["maybe", "2", "nope"])
+def test_cli_connected_not_a_boolean(tmp_path, capsys, section, vtype, raw):
+    from cavsim.cli import main
+
+    trace_path = tmp_path / "t.csv"
+    with open(trace_path, "w") as f:
+        write_csv(synth_traffic(1, 2, 2, 100.0), f)
+    config_path = tmp_path / "c.ini"
+    config_path.write_text(f"{section}connected = {raw}\n")
+    rc = main(["run", "--config", str(config_path), "--trace", str(trace_path),
+               "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert vtype in err[0] and "connected" in err[0] and raw in err[0]
+    assert sorted(os.listdir(tmp_path)) == ["c.ini", "t.csv"]
+
+
 # --- perception radius rules -------------------------------------------------
 
 @pytest.mark.parametrize("cfg", [

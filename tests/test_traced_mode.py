@@ -12,10 +12,12 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 SCRIPT = r"""
-import hashlib, json, os, sys
+import hashlib, json, math, os, sys
 root, out = sys.argv[1], sys.argv[2]
 sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "perfbench")]
 import cavsim
@@ -46,15 +48,25 @@ print(json.dumps({"plain": plain, "traced": traced, "wrapped": wrapped,
                                   for n in wrapped),
                   "spans": sorted({s[0] for spans in t.threads
                                    for s in spans}),
-                  "metrics": len(metrics)}))
+                  "metrics": len(metrics), "names": sorted(metrics),
+                  "not_finite": sorted(
+                      n for n, v in metrics.items()
+                      if type(v) not in (int, float) or not math.isfinite(v))}))
 """
 
 
-def test_tracer_install_keeps_names_and_output(tmp_path):
-    proc = subprocess.run([sys.executable, "-c", SCRIPT, ROOT, str(tmp_path)],
+@pytest.fixture(scope="module")
+def traced(tmp_path_factory):
+    """What SCRIPT prints: a plain and a traced run of the same inputs."""
+    out = tmp_path_factory.mktemp("traced")
+    proc = subprocess.run([sys.executable, "-c", SCRIPT, ROOT, str(out)],
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    got = json.loads(proc.stdout.splitlines()[-1])
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_tracer_install_keeps_names_and_output(traced):
+    got = traced
     assert got["traced"] == got["plain"]
     assert {"rebuild", "get_nearby_vehicles", "query_radius", "perceive",
             "tick_vehicle", "build_vehicle", "MatchTable",
@@ -63,6 +75,20 @@ def test_tracer_install_keeps_names_and_output(tmp_path):
     assert {"spatial.rebuild", "perception.perceive", "identity.MatchTable",
             "network.step", "sandbox.tick_vehicle"} <= set(got["spans"])
     assert got["metrics"] > 0
+
+
+def test_layer_metrics_are_the_declared_ones(traced):
+    # the traced result carries what layer_metrics returns; a name that
+    # BENCHMARK.json does not declare, a declared module name the run no
+    # longer reports, or a value that is not a finite number breaks the
+    # benchmark's result line
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as f:
+        declared = {m["name"] for m in json.load(f)["per_layer"]}
+    names = set(traced["names"])
+    assert names <= declared, sorted(names - declared)
+    modules = {n for n in declared if n.startswith("sandbox.module_us.")}
+    assert modules and modules <= names, sorted(modules - names)
+    assert traced["not_finite"] == []
 
 
 REPORT_SCRIPT = r"""
