@@ -190,12 +190,7 @@ def ttv_distribution(run: list[dict], tick: int) -> dict[int, int]:
     """Element-wise sum of the vehicles' TTV histograms at one tick."""
     for entry in run:
         if entry["tick"] == tick:
-            total: dict[int, int] = {}
-            for v in entry["vehicles"]:
-                for delay, count in v["ttv"].items():
-                    d = int(delay)
-                    total[d] = total.get(d, 0) + count
-            return total
+            return ttv_distribution_total((entry,))
     raise NotFoundError(f"tick {tick} not in run data")
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 
-from .errors import ConfigError, ValidationError
+from .errors import ValidationError
 from .identity import PlateRegistry
 from .messages import Cpm, PerceivedObject
 
@@ -105,10 +105,7 @@ class NetworkSim:
     step() resolves recipients and hands out inboxes.
     """
 
-    def __init__(self, comm_range: float, registry: PlateRegistry):
-        if comm_range <= 0:
-            raise ConfigError("comm_range must be positive")
-        self.comm_range = comm_range
+    def __init__(self, registry: PlateRegistry):
         self.registry = registry
         self._buffer: list[tuple[int, int, int, Cpm]] = []
         self._seq: dict[int, int] = {}

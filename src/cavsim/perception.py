@@ -16,8 +16,11 @@ line, and finally filter by plate rotation.  The public stage functions
 (reconstruct_box, box_to_camera, fov_relevant, normalize_heading,
 projection_angles, get_visible_lines, heading_visible) spell it out step
 by step and are the reference.  perceive runs it as one fused kernel over
-plain floats, bit-equal to the stages composed; it does not project a
-plate that is rotated past readability, whose box still occludes.
+plain floats, bit-equal to the stages composed.  It keeps each candidate's
+camera-frame corners and plate ends and computes their angular spans only
+where the occlusion filter reads them; that one filter also serves
+get_visible_lines, which hands it the spans its views carry.  A plate
+rotated past readability is never projected, but its box still occludes.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import groupby
 from operator import itemgetter
 
 from .errors import ConfigError, ContractViolation, GeometryError
@@ -271,13 +273,41 @@ def _spans(args) -> tuple[Span, ...]:
     return ((lo + TAU, pi), (-pi, hi))
 
 
-def _angular_spans(points) -> tuple[tuple[Span, ...], float, float]:
-    """Angular extent of a point set as seen from the origin.
+def _box_spans(box) -> tuple[Span, ...]:
+    """_spans of the arguments of camera-frame corners (ax, ay, ..., dy).
 
-    Returns (spans, principal_min, principal_max).
+    When the arguments lie within pi of each other, every difference
+    _spans tests for unwrapping is at most fl(hi - lo) <= pi (rounding is
+    monotone), so it unwraps nothing and returns ((lo, hi),), found by its
+    own strict comparisons (the first of equal values wins).
     """
-    args = [math.atan2(p[1], p[0]) for p in points]
-    return _spans(args), min(args), max(args)
+    ax, ay, bx, by, cx, cy, dx, dy = box
+    atan2 = math.atan2
+    lo = hi = a = atan2(ay, ax)
+    b = atan2(by, bx)
+    c = atan2(cy, cx)
+    d = atan2(dy, dx)
+    lo = b if b < lo else lo
+    hi = b if b > hi else hi
+    lo = c if c < lo else lo
+    hi = c if c > hi else hi
+    lo = d if d < lo else lo
+    hi = d if d > hi else hi
+    if hi - lo <= math.pi:
+        return ((lo, hi),)
+    return _spans((a, b, c, d))
+
+
+def _plate_spans(plate) -> tuple[Span, ...]:
+    """_spans of the arguments of camera-frame plate ends (mx, my, nx, ny),
+    by the shortcut of _box_spans."""
+    lo = hi = a = math.atan2(plate[1], plate[0])
+    b = math.atan2(plate[3], plate[2])
+    lo = b if b < lo else lo
+    hi = b if b > hi else hi
+    if hi - lo <= math.pi:
+        return ((lo, hi),)
+    return _spans((a, b))
 
 
 def projection_angles(box: BoundingBox, vehicle_id: str = "") -> ProjectionView:
@@ -289,11 +319,12 @@ def projection_angles(box: BoundingBox, vehicle_id: str = "") -> ProjectionView:
     corners = (box.a, box.b, box.c, box.d)
     if _contains_origin(corners):
         raise GeometryError("box contains the camera origin")
-    box_spans, d1, d2 = _angular_spans(corners)
-    plate_spans, r1, r2 = _angular_spans((box.m, box.n))
-    return ProjectionView(vehicle_id, d1, d2, r1, r2,
+    box_args = [math.atan2(y, x) for x, y in corners]
+    plate_args = [math.atan2(y, x) for x, y in (box.m, box.n)]
+    return ProjectionView(vehicle_id, min(box_args), max(box_args),
+                          min(plate_args), max(plate_args),
                           math.hypot(box.g[0], box.g[1]), box.heading,
-                          box_spans, plate_spans)
+                          _spans(box_args), _spans(plate_args))
 
 
 def heading_visible(heading: float, cfg: PerceptionConfig) -> bool:
@@ -343,27 +374,51 @@ def get_visible_lines_naive(candidates) -> list[ProjectionView]:
     return visible
 
 
-def _unoccluded(candidates) -> list:
-    """Occlusion filter over (dist_g, id, box_spans, plate_spans, item)
-    tuples sorted ascending by dist_g.
+def _unoccluded(candidates, box_spans, plate_spans) -> list:
+    """Occlusion filter over (dist_g, id, box, plate, item) tuples sorted
+    ascending by dist_g; box_spans(box) and plate_spans(plate) give their
+    angular intervals.
 
     A candidate is visible iff its (open) plate intervals avoid the union
     of (closed) box intervals of all strictly nearer candidates; one whose
-    plate_spans is None is never visible but still occludes.  The union is
-    kept as disjoint closed intervals in two sorted lists, starts and ends,
-    so a query is one bisect and a merge one bisect pair plus a slice
-    assignment.  Merging only compares endpoints, never computes new
-    ones, so the result is exact.  Output preserves input order.
+    plate is None is never visible but still occludes.  Spans are read
+    only where the answer needs them: no box at or after the last
+    readable plate, nothing after it, and no plate while the union is
+    empty.  Boxes wait until the distance grows, so a box never hides a
+    plate at its own distance.  The union is kept as disjoint closed
+    intervals in two sorted lists, starts and ends, so a query is one
+    bisect and a merge one bisect pair plus a slice assignment.  Merging
+    only compares endpoints, never computes new ones, so the result is
+    exact.  Output preserves input order.
     """
+    n = len(candidates)
+    while n and candidates[n - 1][3] is None:
+        n -= 1
     starts: list[float] = []
     ends: list[float] = []
+    held = []  # the boxes at distance d, merged once the distance grows
+    d = None
     visible = []
-    for _, group in groupby(candidates, itemgetter(0)):
-        group = tuple(group)
-        for c in group:
-            if c[3] is None:
-                continue
-            for a, b in c[3]:
+    for c in candidates[:n]:
+        if c[0] != d:
+            for box in held:
+                for a, b in box_spans(box):
+                    lo = bisect_left(ends, a)
+                    hi = bisect_right(starts, b)
+                    if lo < hi:  # [a, b] meets stored intervals lo .. hi-1
+                        if starts[lo] < a:
+                            a = starts[lo]
+                        if ends[hi - 1] > b:
+                            b = ends[hi - 1]
+                    starts[lo:hi] = (a,)
+                    ends[lo:hi] = (b,)
+            held = []
+            d = c[0]
+        held.append(c[2])
+        if c[3] is None:
+            continue
+        if starts:
+            for a, b in plate_spans(c[3]):
                 if a == b:
                     continue
                 # intervals before k end at or before a; those after k
@@ -373,17 +428,8 @@ def _unoccluded(candidates) -> list:
                     break
             else:
                 visible.append(c)
-        for c in group:
-            for a, b in c[2]:
-                lo = bisect_left(ends, a)
-                hi = bisect_right(starts, b)
-                if lo < hi:  # [a, b] meets stored intervals lo .. hi-1
-                    if starts[lo] < a:
-                        a = starts[lo]
-                    if ends[hi - 1] > b:
-                        b = ends[hi - 1]
-                starts[lo:hi] = (a,)
-                ends[lo:hi] = (b,)
+        else:  # nothing nearer yet: no spans needed
+            visible.append(c)
     return visible
 
 
@@ -393,14 +439,15 @@ def get_visible_lines(candidates) -> list[ProjectionView]:
     The nearest candidate is always visible; each further candidate is
     visible iff its plate intervals avoid the box intervals of all
     strictly nearer candidates.  The views are run through the filter
-    that perceive uses.
+    that perceive uses, with the spans they carry.
     """
     _check_sorted(candidates)
     if len(candidates) <= 1:
         return list(candidates)
+    # the views carry their spans, and tuple() hands a tuple back as is
     return [c[4] for c in _unoccluded(
         [(v.dist_g, v.vehicle_id, v.box_spans, v.plate_spans, v)
-         for v in candidates])]
+         for v in candidates], tuple, tuple)]
 
 
 _ORDER = itemgetter(0, 1)  # candidates by (dist_g, id)
@@ -421,8 +468,12 @@ def perceive(ego: VehicleState, neighbors, cfg: PerceptionConfig,
     (reconstruct_box, box_to_camera, fov_relevant, normalize_heading,
     projection_angles, get_visible_lines, heading_visible) with the same
     operations in the same order, so the result is bit-equal to theirs.
-    A plate rotated past readability is never projected: its box still
-    occludes, but the plate itself can never be output.
+    Each candidate keeps its camera-frame corners and plate ends; the
+    plate is None when rotated past readability (its box still occludes,
+    but it can never be output).  Their angular spans are computed only
+    where the occlusion filter, the one get_visible_lines also uses,
+    reads them: no box at or after the last readable plate, no plate
+    while nothing nearer occludes, nothing for a lone candidate.
     """
     if not neighbors:
         return ()
@@ -435,12 +486,7 @@ def perceive(ego: VehicleState, neighbors, cfg: PerceptionConfig,
     wy, wx, sf, cf, r2, hp = cfg._kernel
     max_plate = cfg.max_plate_angle
     pi = math.pi
-    atan2 = math.atan2
     cands = []
-    # the farthest candidate so far, kept raw: its state, dist_g, box
-    # corners and plate ends (None when unreadable)
-    far = None
-    far_d = -1.0
     for s in neighbors:
         if s.id == ego_id:
             continue
@@ -534,48 +580,14 @@ def perceive(ego: VehicleState, neighbors, cfg: PerceptionConfig,
                 my = ty - my
                 nx = tx - nx
                 ny = ty - ny
-        # The farthest candidate so far is kept raw: its box spans are
-        # never read, and with no other candidate neither are its plate's.
-        if dist_g > far_d:
-            if far is not None:
-                cands.append(_view(far_d, far, far_box, far_plate))
-            far = s
-            far_d = dist_g
-            far_box = ((cx, cy, dx, dy, ax, ay, bx, by) if flip
-                       else (ax, ay, bx, by, cx, cy, dx, dy))
-            far_plate = (mx, my, nx, ny) if readable else None
-            continue
-        # inline rather than through _view: a call per candidate cost
-        # dense about 3 % of perceive
-        if flip:
-            box_spans = _spans((atan2(cy, cx), atan2(dy, dx),
-                                atan2(ay, ax), atan2(by, bx)))
-        else:
-            box_spans = _spans((atan2(ay, ax), atan2(by, bx),
-                                atan2(cy, cx), atan2(dy, dx)))
-        cands.append((dist_g, s.id, box_spans, _spans(
-            (atan2(my, mx), atan2(ny, nx))) if readable else None, s))
-    if far is None:
-        return ()
-    if cands:
-        cands.append((far_d, far.id, (), None if far_plate is None else _spans(
-            (atan2(far_plate[1], far_plate[0]),
-             atan2(far_plate[3], far_plate[2]))), far))
+        cands.append((dist_g, s.id, (cx, cy, dx, dy, ax, ay, bx, by) if flip
+                      else (ax, ay, bx, by, cx, cy, dx, dy),
+                      (mx, my, nx, ny) if readable else None, s))
+    if len(cands) > 1:
         cands.sort(key=_ORDER)
-        cands = _unoccluded(cands)
-    else:  # a lone candidate is seen when its plate is readable
-        cands = ((far_d, far.id, (), far_plate, far),)
+        cands = _unoccluded(cands, _box_spans, _plate_spans)
+    elif not cands or cands[0][3] is None:  # a lone candidate: no spans
+        return ()
     return tuple([PerceivedObject(s.id, s.x, s.y, s.heading, tick)
-                  for _, _, _, plate, s in cands if plate is not None])
+                  for _, _, _, _, s in cands])
 
-
-def _view(dist_g, s, box, plate):
-    """A candidate as the occlusion filter reads it: the angular spans of
-    its camera-frame box corners (a, b, c, d in label order) and plate
-    ends (m, n, or None when unreadable)."""
-    atan2 = math.atan2
-    ax, ay, bx, by, cx, cy, dx, dy = box
-    return (dist_g, s.id, _spans((atan2(ay, ax), atan2(by, bx),
-                                  atan2(cy, cx), atan2(dy, dx))),
-            None if plate is None else _spans(
-                (atan2(plate[1], plate[0]), atan2(plate[3], plate[2]))), s)

@@ -37,7 +37,7 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import IO, Iterable, Iterator
 
-from .errors import ConfigError, NotFoundError
+from .errors import ConfigError, NotFoundError, ValidationError
 from .identity import MatchTable, PlateRegistry
 from .metrics import (INDEX_FILE, METRICS_FILE, MetricsWriter, avg_bandwidth,
                       check_cell_size, cpr, iter_ticks, load_run,
@@ -209,7 +209,7 @@ def _run_ticks(config: ScenarioConfig, trace: Iterable[TraceTick],
     returns (ticks executed, vehicles seen)."""
     types = config.vehicle_types()
     registry = PlateRegistry()
-    net = NetworkSim(config.comm_range, registry)
+    net = NetworkSim(registry)
     pcfg = config.perception
     seed, comm_range = config.seed, config.comm_range
     vehicles: dict[str, Vehicle] = {}
@@ -318,32 +318,40 @@ def report(run_dir: str, kind: str, out: IO[str], tick: int | None = None,
         with open_run_file(run_dir, TIMINGS_FILE) as f:
             for line in f:
                 out.write(line)
-    elif kind == "bandwidth":
+        return
+    try:
+        header, rows = _aggregate(run_dir, kind, tick, cell_size)
+    except (AttributeError, ArithmeticError, KeyError, TypeError,
+            ValueError) as exc:
+        raise ValidationError(
+            f"{METRICS_FILE}: a tick line is not a metrics record "
+            f"({type(exc).__name__}: {exc})") from None
+    out.write(header)
+    for row in rows:
+        out.write(",".join(map(str, row)) + "\n")
+
+
+def _aggregate(run_dir: str, kind: str, tick: int | None,
+               cell_size: float) -> tuple[str, list[tuple]]:
+    """The CSV header and rows of a report read from metrics.jsonl."""
+    if kind == "bandwidth":
         with open_run_file(run_dir, METRICS_FILE) as f:
-            rows = avg_bandwidth(iter_ticks(f))
-        out.write("tick,avg_bytes_sent\n")
-        for t, mean in rows:
-            out.write(f"{t},{mean!r}\n")
-    elif kind == "ttv":
+            return "tick,avg_bytes_sent\n", avg_bandwidth(iter_ticks(f))
+    if kind == "ttv":
         if tick is not None:
             hist = ttv_distribution(load_run(run_dir, tick), tick)
         else:
             with open_run_file(run_dir, METRICS_FILE) as f:
                 hist = ttv_distribution_total(iter_ticks(f))
-        out.write("delay,count\n")
-        for delay in sorted(hist):
-            out.write(f"{delay},{hist[delay]}\n")
-    else:  # cpr
-        check_cell_size(cell_size)
-        if tick is None:
-            index = run_index(run_dir)
-            if not index:
-                raise NotFoundError("run has no ticks")
-            tick = index[-1][0]
-        heat = cpr(load_run(run_dir, tick), tick, cell_size)
-        out.write("cell_x,cell_y,ratio\n")
-        for key in sorted(heat):
-            out.write(f"{key[0]},{key[1]},{heat[key]!r}\n")
+        return "delay,count\n", sorted(hist.items())
+    check_cell_size(cell_size)  # cpr
+    if tick is None:
+        index = run_index(run_dir)
+        if not index:
+            raise NotFoundError("run has no ticks")
+        tick = index[-1][0]
+    heat = cpr(load_run(run_dir, tick), tick, cell_size)
+    return "cell_x,cell_y,ratio\n", [(*k, heat[k]) for k in sorted(heat)]
 
 
 # ---------------------------------------------------------------------------

@@ -60,8 +60,8 @@ def test_deserialize_unknown_plate_code():
         deserialize_cpm(data, PlateRegistry())
 
 
-def network(comm_range=300.0):
-    return NetworkSim(comm_range, PlateRegistry())
+def network():
+    return NetworkSim(PlateRegistry())
 
 
 def test_empty_cpm_header_only_byte_count():
@@ -147,7 +147,7 @@ def test_conservation_random():
         positions = {i: (rng.uniform(0, 600), rng.uniform(0, 600))
                      for i in range(1, n + 1)}
         comm = rng.uniform(50, 300)
-        net = NetworkSim(comm, PlateRegistry())
+        net = NetworkSim(PlateRegistry())
         expected = 0
         senders = rng.sample(sorted(positions), rng.randint(0, n))
         for st in senders:
@@ -162,7 +162,7 @@ def test_conservation_random():
 
 def test_byte_accounting_reproducible():
     reg = PlateRegistry()
-    net = NetworkSim(300.0, reg)
+    net = NetworkSim(reg)
     credited = 0
     credited += net.shb_broadcast(1, make_cpm(station=1, objects=[obj("a")]), 0)
     credited += net.shb_broadcast(1, make_cpm(station=1,

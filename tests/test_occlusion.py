@@ -5,9 +5,10 @@ import pytest
 
 from cavsim.errors import ContractViolation, GeometryError
 from cavsim.perception import (CameraPose, PerceptionConfig, ProjectionView,
-                               box_to_camera, fov_relevant, get_visible_lines,
-                               get_visible_lines_naive, normalize_heading,
-                               projection_angles, reconstruct_box)
+                               _unoccluded, box_to_camera, fov_relevant,
+                               get_visible_lines, get_visible_lines_naive,
+                               normalize_heading, projection_angles,
+                               reconstruct_box)
 from conftest import random_scene
 
 
@@ -235,3 +236,48 @@ def test_equal_distance_group_tested_before_merge():
     check_filter([near, a, b, c], ["near", "a", "b", "c"])
     check_filter([near, a, b, c, behind_a, behind_c], ["near", "a", "b", "c"])
     check_filter([a, b, c, behind_c], ["a", "b", "c"])
+
+
+# --- the lazy filter: which spans it reads ------------------------------------
+
+def counting_reader(spans, log):
+    """A span reader over named spans that logs each name it is asked for."""
+    def read(name):
+        log.append(name)
+        return spans[name]
+    return read
+
+
+def run_lazy(candidates, boxes, plates):
+    box_log, plate_log = [], []
+    got = _unoccluded(candidates, counting_reader(boxes, box_log),
+                      counting_reader(plates, plate_log))
+    return [c[1] for c in got], box_log, plate_log
+
+
+def test_filter_reads_only_the_spans_it_needs():
+    # (dist_g, id, box, plate, item); the plate is None when unreadable
+    boxes = {"a": ((-0.1, 0.1),), "b": ((0.05, 0.3),), "c": ((0.5, 0.7),),
+             "e": ((-1.0, 1.0),), "f": ((-1.0, 1.0),), "g": ((-1.0, 1.0),),
+             "h": ((-1.0, 1.0),)}
+    plates = {"a": ((-0.05, 0.05),), "b": ((0.1, 0.2),),
+              "e": ((0.55, 0.6),), "f": ((0.35, 0.45),)}
+    candidates = [(1.0, "a", "a", "a", "A"),
+                  (1.0, "b", "b", "b", "B"),   # ties with a: not hidden
+                  (2.0, "c", "c", None, "C"),  # unreadable, still occludes
+                  (3.0, "e", "e", "e", "E"),   # behind c's box
+                  (3.0, "f", "f", "f", "F"),   # the last readable plate
+                  (4.0, "g", "g", None, "G"),
+                  (5.0, "h", "h", None, "H")]
+    visible, box_log, plate_log = run_lazy(candidates, boxes, plates)
+    assert visible == ["a", "b", "f"]
+    # a and b are seen while the union is empty, so their plates are not
+    # read; no box from f's distance on is read, and nothing after f
+    assert box_log == ["a", "b", "c"]
+    assert plate_log == ["e", "f"]
+
+
+def test_filter_reads_nothing_without_a_readable_plate():
+    candidates = [(1.0, "a", "a", None, "A"), (2.0, "b", "b", None, "B")]
+    assert run_lazy(candidates, {}, {}) == ([], [], [])
+

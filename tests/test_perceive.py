@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import pytest
 
+from cavsim import perception
 from cavsim.errors import GeometryError
 from cavsim.perception import (HALF_PI, CameraPose, PerceptionConfig,
                                box_to_camera, fov_relevant,
@@ -240,9 +241,9 @@ def test_unreadable_plate_still_occludes():
     assert [o.plate for o in perceive(ego, scene, relaxed)] == ["side"]
 
 
-# perceive keeps the farthest candidate raw (its box occludes nothing) and
-# builds no spans at all for a lone candidate; each case runs every order
-# of the neighbour list, so each vehicle is met first, last and between
+# perceive reads no box at or after the last readable plate and builds no
+# spans at all for a lone candidate; each case runs every order of the
+# neighbour list, so each vehicle is met first, last and between
 
 def check_all_orders(ego, scene, expected):
     for order in itertools.permutations(scene):
@@ -286,3 +287,44 @@ def test_single_candidate_among_neighbours(heading, expected):
              VehicleState("behind", -20.0, 0.0, 0.0),
              VehicleState("side", 5.0, 40.0, 0.0)]
     check_all_orders(ego, scene, expected)
+
+
+def test_two_nearest_candidates_tie_on_dist_g_and_overlap_in_angle():
+    # a and b sit symmetric about the camera axis, so their dist_g is the
+    # same float, and each box covers the other's plate in angle: neither
+    # hides the other, and together they hide f
+    ego = VehicleState("ego", 0.0, 0.0, 0.0)
+    a = VehicleState("a", 10.0, 0.2, 0.0)
+    b = VehicleState("b", 10.0, -0.2, 0.0)
+    f = VehicleState("f", 30.0, 0.0, 0.0)
+    g = VehicleState("g", 30.0, 10.0, 0.0)
+    check_all_orders(ego, [a, b, f, g], ["a", "b", "g"])
+
+
+def test_boxes_across_the_seam_behind_the_camera(monkeypatch):
+    # At a 90 degree half-angle a box with a corner just in front of the
+    # camera can reach behind it across the -x axis, where its corner
+    # arguments straddle +-pi: _box_spans falls back to _spans.
+    cfg = PerceptionConfig(fov_half_angle=HALF_PI)
+    calls = []
+    spans = perception._spans
+
+    def spy(args):
+        calls.append(len(args))
+        return spans(args)
+
+    monkeypatch.setattr(perception, "_spans", spy)
+    rng = random.Random(180)
+    box_fallbacks = 0
+    for _ in range(300):
+        ego = VehicleState("ego", 0.0, 0.0, 0.0)
+        scene = [VehicleState(f"s{i}", rng.uniform(-2.0, 12.0),
+                              rng.uniform(-8.0, 8.0),
+                              rng.uniform(-math.pi, math.pi),
+                              rng.uniform(4.0, 18.0), rng.uniform(1.5, 2.6))
+                 for i in range(rng.randint(2, 8))]
+        want = perceive_naive(ego, scene, cfg, 1)
+        del calls[:]
+        assert perceive(ego, scene, cfg, 1) == want
+        box_fallbacks += calls.count(4)
+    assert box_fallbacks >= 20

@@ -1,10 +1,12 @@
+import itertools
 import math
 
 import pytest
 
 from cavsim.errors import GeometryError
 from cavsim.perception import (BoundingBox, CameraPose, PerceptionConfig,
-                               box_to_camera, fov_relevant, from_camera_frame,
+                               _box_spans, _plate_spans, _spans, box_to_camera,
+                               fov_relevant, from_camera_frame,
                                heading_visible, normalize_heading, perceive,
                                projection_angles, reconstruct_box,
                                to_camera_frame)
@@ -311,6 +313,41 @@ def test_projection_invariant_random(rng):
                        for ba, bb in view.box_spans)
         for a, b in view.box_spans + view.plate_spans:
             assert -math.pi <= a <= b <= math.pi
+
+
+# --- the span shortcuts perceive uses -------------------------------------
+
+def bits(spans):
+    """Spans with each endpoint as float.hex, which tells -0.0 from 0.0."""
+    return [[x.hex() for x in span] for span in spans]
+
+
+# points whose arguments are exactly +-pi, +-0.0 and +-pi/2, and neighbours
+# of the seam on either side
+SPECIAL_POINTS = [(-1.0, 0.0), (-1.0, -0.0), (-0.0, 0.0), (-0.0, -0.0),
+                  (0.0, 0.0), (0.0, -0.0), (1.0, 0.0), (1.0, -0.0),
+                  (0.0, 1.0), (0.0, -1.0), (-1.0, 1e-300), (-1.0, -1e-300),
+                  (-1.0, 0.5), (-1.0, -0.5), (1.0, 1e-300), (1.0, -1e-300)]
+
+
+def test_span_shortcuts_equal_spans_of_the_arguments(rng):
+    points = list(SPECIAL_POINTS)
+    points += [(rng.uniform(-50.0, 50.0), rng.uniform(-50.0, 50.0))
+               for _ in range(40)]
+    cases = 0
+    for _ in range(4000):
+        corners = [rng.choice(points) for _ in range(4)]
+        args = [math.atan2(y, x) for x, y in corners]
+        box = tuple(v for point in corners for v in point)
+        assert bits(_box_spans(box)) == bits(_spans(args))
+        assert bits(_plate_spans(box[:4])) == bits(_spans(args[:2]))
+        cases += max(args) - min(args) > math.pi  # the fallback
+    assert cases > 500
+    for p, q in itertools.product(SPECIAL_POINTS, repeat=2):
+        args = [math.atan2(p[1], p[0]), math.atan2(q[1], q[0])]
+        assert bits(_plate_spans((*p, *q))) == bits(_spans(args))
+        assert bits(_box_spans((*p, *q, *q, *p))) == bits(
+            _spans(args + args[::-1]))
 
 
 # --- heading_visible ------------------------------------------------------

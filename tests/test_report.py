@@ -221,3 +221,32 @@ def test_cli_truncated_metrics(small_run, capsys):
                                                       "--kind", kind)
     assert "metrics.jsonl: the line of tick 3 " in cli_error(
         capsys, "--run", small_run, "--kind", "cpr")
+
+
+def record_line(x="0.0", ttv='{"z":1}'):
+    return ('{"tick":0,"vehicles":[{"id":"v","x":%s,"y":0.0,"bytes_sent":0,'
+            '"local_objects":1,"all_objects":1,"ttv":%s}]}' % (x, ttv))
+
+
+@pytest.mark.parametrize("line,kinds", [
+    ('{"tick":0}', [["bandwidth"], ["ttv"], ["ttv", "0"], ["cpr"]]),
+    ("[1,2]", [["bandwidth"], ["ttv"], ["ttv", "0"], ["cpr", "0"]]),
+    (record_line(), [["ttv"], ["ttv", "0"]]),
+    (record_line(ttv="[1]"), [["ttv"], ["ttv", "0"]]),
+    (record_line(x="Infinity", ttv="{}"), [["cpr"], ["cpr", "0"]]),
+], ids=["no_vehicles", "not_an_object", "ttv_delay_not_a_number",
+        "ttv_not_an_object", "position_not_finite"])
+def test_cli_metrics_line_of_the_wrong_shape(small_run, capsys, line, kinds):
+    # a line that json.loads reads, indexed as tick 0, that is not a
+    # metrics record
+    with open(os.path.join(small_run, "metrics.jsonl"), "w") as f:
+        f.write(line + "\n")
+    with open(os.path.join(small_run, "metrics.idx"), "w") as f:
+        f.write(f"0 0 {len(line) + 1}\n")
+    for kind in kinds:
+        argv = ["--run", small_run, "--kind", kind[0]]
+        if len(kind) > 1:
+            argv += ["--tick", kind[1]]
+        err = cli_error(capsys, *argv)
+        assert err.startswith("error: metrics.jsonl: ")
+        assert len(err.splitlines()) == 1

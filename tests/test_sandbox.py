@@ -26,7 +26,7 @@ def wire_cpm(station, tick, objects):
 def make_ctx(tick=0, plate="ego", station=1, percept=(), net=None, match=None,
              seed=0):
     if net is None:
-        net = NetworkSim(300.0, PlateRegistry())
+        net = NetworkSim(PlateRegistry())
     state = VehicleState(plate, 0.0, 0.0, 0.0)
     return SandboxContext(tick, plate, station, state, percept, net,
                           match or MatchTable({plate: station}), 300.0, seed)
@@ -145,7 +145,7 @@ def test_unconnected_vehicle_counts_local_only():
 
 def test_connected_vehicle_two_peer_end_to_end():
     reg = PlateRegistry()
-    net = NetworkSim(300.0, reg)
+    net = NetworkSim(reg)
     positions = {1: (0.0, 0.0), 2: (10.0, 0.0)}
     match = MatchTable({"a": 1, "b": 2, "c": None})
     types = builtin_vehicle_types()
@@ -186,7 +186,7 @@ def test_object_store_union_and_self_exclusion():
 
 def test_spam_attacker_emits_k_objects():
     types = builtin_vehicle_types()
-    net = NetworkSim(300.0, PlateRegistry())
+    net = NetworkSim(PlateRegistry())
     v = build_vehicle(types["SpamAttacker"], "s", 5)
     ctx = make_ctx(0, "s", 5, net=net)
     n, rec = run_vehicle(v, (), ctx)
@@ -208,7 +208,7 @@ def test_spam_attacker_deterministic_per_seed():
     types = builtin_vehicle_types()
 
     def one(seed):
-        net = NetworkSim(300.0, PlateRegistry())
+        net = NetworkSim(PlateRegistry())
         v = build_vehicle(types["SpamAttacker"], "s", 5)
         ctx = make_ctx(3, "s", 5, net=net, seed=seed)
         tick_vehicle(v, (), ctx)
@@ -232,7 +232,7 @@ def test_silence_attacker_never_broadcasts():
 
 def test_replay_attacker_byte_identical():
     reg = PlateRegistry()
-    net = NetworkSim(300.0, reg)
+    net = NetworkSim(reg)
     v = build_vehicle(builtin_vehicle_types()["ReplayAttacker"], "r", 7)
 
     seen = wire_cpm(8, 0, [obj("a"), obj("b", 1)])
@@ -251,7 +251,7 @@ def test_replay_attacker_byte_identical():
 
 def test_replay_attacker_replays_own_camera_cpm_as_wire_cpm():
     reg = PlateRegistry()
-    net = NetworkSim(300.0, reg)
+    net = NetworkSim(reg)
     v = build_vehicle(builtin_vehicle_types()["ReplayAttacker"], "r", 7)
     ctx = make_ctx(1, "r", 7, percept=(obj("c"),), net=net)
     n, _ = run_vehicle(v, (), ctx)  # the camera CPM is the only candidate
@@ -274,7 +274,7 @@ def test_replay_attacker_history_and_rate_params():
     custom = VehicleTypeSpec(
         "Replay3", spec.graph, spec.entry, True,
         {"replay_tx": {"history": 2, "replays": 3}})
-    net = NetworkSim(300.0, PlateRegistry())
+    net = NetworkSim(PlateRegistry())
     v = build_vehicle(custom, "r", 7)
     inbox = [wire_cpm(8, 0, [obj(f"p{i}")]) for i in range(5)]
     ctx = make_ctx(1, "r", 7, net=net)
@@ -364,7 +364,7 @@ def test_proof_gen_keeps_local_flag():
 
 
 def test_local_cpm_broadcast_arrives_plain():
-    net = NetworkSim(300.0, PlateRegistry())
+    net = NetworkSim(PlateRegistry())
     ctx = make_ctx(0, "ego", 1, net=net)
     cpm = replace(local_cpm(1, 0, (0.0, 0.0, 0.0), (obj("a"),)),
                   extensions={"proof/a": b"token"})
@@ -413,7 +413,7 @@ def test_module_failure_keeps_earlier_broadcasts():
                       {"camera": ("cpm_tx", "boom"),
                        "boom": ("object_store",)}))
         v = build_vehicle(spec, "a", 1)
-        net = NetworkSim(300.0, PlateRegistry())
+        net = NetworkSim(PlateRegistry())
         positions = {1: (0.0, 0.0), 2: (10.0, 0.0)}
         ctx = make_ctx(0, "a", 1, percept=(obj("c"),), net=net,
                        match=MatchTable({"a": 1, "b": 2, "c": None}))
