@@ -100,16 +100,15 @@ class PendingDelivery:
 class NetworkSim:
     """Collects broadcasts during a tick and delivers them the next tick.
 
-    Broadcast calls only append to a buffer.  seal() orders the buffer
-    deterministically (sender station, then that sender's send order);
-    step() resolves recipients and hands out inboxes.
+    Broadcast calls only append to a buffer.  seal() queues it for
+    delivery in send order; step() resolves recipients and hands out
+    inboxes.
     """
 
     def __init__(self, registry: PlateRegistry):
         self.registry = registry
-        self._buffer: list[tuple[int, int, int, Cpm]] = []
-        self._seq: dict[int, int] = {}
-        self._pending: list[tuple[PendingDelivery, int]] = []
+        self._buffer: list[tuple[int, int, Cpm]] = []
+        self._pending: list[PendingDelivery] = []
 
     def shb_broadcast(self, sender: int, cpm: Cpm, tick: int) -> int:
         """Queue a single-hop broadcast; returns the wire byte length.
@@ -118,27 +117,22 @@ class NetworkSim:
         resolved at delivery, by the locator, against send-time geometry.
         """
         cpm = cpm.without_extensions()
-        size = cpm_wire_size(cpm)
-        seq = self._seq.get(sender, 0)
-        self._seq[sender] = seq + 1
-        self._buffer.append((sender, seq, tick, cpm))
-        return size
+        self._buffer.append((sender, tick, cpm))
+        return cpm_wire_size(cpm)
 
     def seal(self) -> None:
-        """Queue the buffered broadcasts for delivery in deterministic
-        order; a CPM with more objects than the wire can count fails here."""
+        """Queue the buffered broadcasts for delivery in send order; a
+        CPM with more objects than the wire can count fails here."""
         buffered = self._buffer
         self._buffer = []
-        self._seq = {}
-        buffered.sort(key=lambda e: (e[0], e[1]))
-        for sender, seq, tick, cpm in buffered:
+        for sender, tick, cpm in buffered:
             _check_object_count(cpm)
             self._pending.append(
-                (PendingDelivery(cpm, sender, tick, self.registry), seq))
+                PendingDelivery(cpm, sender, tick, self.registry))
 
     def pending_deliveries(self) -> list[PendingDelivery]:
         """Sealed, not yet delivered broadcasts (for inspection/tests)."""
-        return [entry[0] for entry in self._pending]
+        return list(self._pending)
 
     def step(self, tick: int, locator) -> dict[int, list[Cpm]]:
         """Deliver everything sent before `tick` and return the inboxes.
@@ -147,20 +141,21 @@ class NetworkSim:
         yield the stations within comm_range of the sender (station
         delivery.origin), evaluated against send-time positions; the
         sender itself is always excluded.  Inboxes are ordered by (send
-        tick, sender station, send order).
+        tick, sender station, send order), whatever seals fell between.
         """
         self.seal()
         due = []
         later = []
-        for entry in self._pending:
-            if entry[0].send_tick < tick:
-                due.append(entry)
+        for delivery in self._pending:
+            if delivery.send_tick < tick:
+                due.append(delivery)
             else:
-                later.append(entry)
+                later.append(delivery)
         self._pending = later
-        due.sort(key=lambda e: (e[0].send_tick, e[0].origin, e[1]))
+        # stable: one sender's broadcasts of one tick keep their send order
+        due.sort(key=lambda d: (d.send_tick, d.origin))
         inboxes: dict[int, list[Cpm]] = {}
-        for delivery, _seq in due:
+        for delivery in due:
             cpm = delivery.cpm
             origin = delivery.origin
             for station in locator(delivery):

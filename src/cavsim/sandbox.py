@@ -19,6 +19,7 @@ from typing import Any, Callable
 
 from .errors import SchemaError, SimError
 from .messages import Cpm, PerceivedObject, ProofToken, local_cpm
+from .network import MAX_OBJECTS
 from .trace import normalize_angle
 
 
@@ -356,12 +357,16 @@ class ProofVerifyModule:
 
 
 class SpamTxModule:
-    """Broadcasts k fabricated objects per tick at random nearby positions."""
+    """Broadcasts k fabricated objects per tick at random nearby positions;
+    k is at most the wire's object count limit."""
 
     __slots__ = ("k",)
 
     def __init__(self, k: int = 5):
         self.k = _whole("k", k, 0)
+        if self.k > MAX_OBJECTS:
+            raise ValueError(f"k must be at most {MAX_OBJECTS}, the wire's "
+                             f"object limit, not {k!r}")
 
     def process(self, inbox, ctx):
         rng = ctx.rng

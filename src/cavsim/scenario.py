@@ -3,10 +3,11 @@
 Each tick runs fixed phases: (1) deliver the network inboxes queued last
 tick (recipients are the sender's neighbors within comm range in last
 tick's sweep, which is then dropped); (2) rebuild the spatial index from
-the trace, despawning vehicles absent from it and spawning new ones with
-a seed-hashed type draw (the run's one match table follows both), and
-sweep the index once for every vehicle's neighbors within perception
-and communication range; (3) compute
+the trace, with cells as wide as the larger of the perception radius and
+the communication range, despawning vehicles absent from it and spawning
+new ones with a seed-hashed type draw (the run's one match table follows
+both), and sweep the index once for every vehicle's neighbors within
+perception and communication range; (3) compute
 perception, then run every vehicle's module DAG and encode its metrics
 record; (4) seal the tick's broadcasts; (5) write metrics and phase
 timings.  Every phase runs in
@@ -67,7 +68,6 @@ class ScenarioConfig:
     trace_path: str | None = None
     trace_format: str | None = None
     out_dir: str = "run"
-    cell_size: float = 300.0
     perception_radius: float = 100.0
     comm_range: float = 300.0
     workers: int = 1
@@ -78,20 +78,14 @@ class ScenarioConfig:
     extra_types: dict[str, VehicleTypeSpec] = field(default_factory=dict)
 
     def validate(self) -> None:
-        if self.cell_size <= 0:
-            raise ConfigError("cell_size must be positive")
         if not self.perception_radius >= 0.0:
             raise ConfigError("perception_radius must be >= 0")
-        if self.perception_radius > self.cell_size:
-            raise ConfigError("perception_radius must not exceed cell_size")
         if self.perception.max_range > self.perception_radius:
             raise ConfigError("perception max_range must not exceed "
                               "perception_radius")
         for key in ("comm_range", "default_length", "default_width"):
             if not getattr(self, key) > 0.0:
                 raise ConfigError(f"{key} must be positive")
-        if self.comm_range > self.cell_size:
-            raise ConfigError("comm_range must not exceed cell_size")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
         if self.tick_range is not None and self.tick_range[0] >= self.tick_range[1]:
@@ -212,6 +206,9 @@ def _run_ticks(config: ScenarioConfig, trace: Iterable[TraceTick],
     net = NetworkSim(registry)
     pcfg = config.perception
     seed, comm_range = config.seed, config.comm_range
+    # the sweep is exact for any cell at least as wide as both radii, and
+    # wider cells only pair more vehicles
+    cell = max(config.perception_radius, comm_range)
     vehicles: dict[str, Vehicle] = {}
     stations = itertools.count(1)
     # the run's one match table, kept up to date at spawn and despawn
@@ -241,7 +238,7 @@ def _run_ticks(config: ScenarioConfig, trace: Iterable[TraceTick],
         prev_comm = None  # delivered: done with last tick's
         t1 = perf()
 
-        grid = rebuild(tt.states, config.cell_size)
+        grid = rebuild(tt.states, cell)
         states = grid.states
         for plate in [p for p in vehicles if p not in states]:
             del vehicles[plate]
@@ -468,7 +465,6 @@ def parse_config(stream: IO[str]) -> ScenarioConfig:
         cfg.out_dir = s.get("out", cfg.out_dir)
         cfg.trace_path = s.get("trace", cfg.trace_path)
         cfg.trace_format = s.get("trace_format", cfg.trace_format)
-        cfg.cell_size = _number(s, float, "cell_size", cfg.cell_size)
         cfg.perception_radius = _number(s, float, "perception_radius",
                                         cfg.perception_radius)
         cfg.comm_range = _number(s, float, "comm_range", cfg.comm_range)

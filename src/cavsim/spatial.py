@@ -1,33 +1,29 @@
 """Per-tick grid index over vehicle positions.
 
-The world is divided into square cells of a configured size; each vehicle
-is filed under the cell containing its front-bumper position.  A radius
+The world is divided into square cells of a given size; each vehicle is
+filed under the cell containing its front-bumper position.  A radius
 query only inspects the query cell and its eight neighbors, and the
 per-tick neighbor sweep pairs each occupied cell with itself and four of
 those neighbors; both are exact as long as the radius does not exceed the
-cell size.  Cells are kept in a sparse mapping, so every integer cell
-coordinate is addressable and the required two-cell margin ring beyond
-the occupied bounding box (and anything further out, including negative
-coordinates) resolves to an empty cell instead of an out-of-range failure.
+cell size, so a run sizes its cells at the larger of its two radii.
+Cells are kept in a sparse mapping, so every integer cell coordinate,
+negative ones included, is addressable, and a cell nothing is filed
+under reads as empty.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .errors import ConfigError, NotFoundError, ValidationError
 from .trace import VehicleState
-
-MARGIN_CELLS = 2
 
 
 # packed-key stride: cell (cx, cy) -> cx * _STRIDE + cy; int keys hash much
 # faster than tuples in the query hot path
 _STRIDE = 1 << 33
-_HALF = _STRIDE >> 1
 
 
 @dataclass(slots=True)
@@ -35,56 +31,21 @@ class GridIndex:
     """Immutable-after-build spatial index for one tick."""
 
     cell_size: float
-    origin: tuple[float, float]
     states: dict[str, VehicleState]
     _packed: dict[int, list[VehicleState]]
 
-    @property
-    def cells(self) -> Mapping[tuple[int, int], list[str]]:
-        """Read-only view cell -> vehicle ids, built on access."""
-        cells = {}
-        for key, bucket in self._packed.items():
-            cx, cy = divmod(key + _HALF, _STRIDE)
-            cells[(cx, cy - _HALF)] = [s.id for s in bucket]
-        return MappingProxyType(cells)
 
-    def _corner(self, pick) -> tuple[int, int] | None:
-        if not self._packed:
-            return None
-        xs, ys = zip(*self.cells)
-        return (pick(xs), pick(ys))
-
-    @property
-    def lo_cell(self) -> tuple[int, int] | None:
-        """The lowest occupied cell coordinate on each axis (None when
-        empty), computed on access."""
-        return self._corner(min)
-
-    @property
-    def hi_cell(self) -> tuple[int, int] | None:
-        """The highest occupied cell coordinate on each axis (None when
-        empty), computed on access."""
-        return self._corner(max)
-
-    def cell_of(self, x: float, y: float) -> tuple[int, int]:
-        ox, oy = self.origin
-        inv = 1.0 / self.cell_size
-        return (math.floor((x - ox) * inv), math.floor((y - oy) * inv))
-
-
-def rebuild(states: Iterable[VehicleState], cell_size: float,
-            origin: tuple[float, float] = (0.0, 0.0)) -> GridIndex:
+def rebuild(states: Iterable[VehicleState], cell_size: float) -> GridIndex:
     """Build the index in a single pass over the states."""
     if cell_size <= 0:
         raise ConfigError("cell_size must be positive")
-    ox, oy = origin
     inv = 1.0 / cell_size
     packed: dict[int, list[VehicleState]] = {}
     state_map: dict[str, VehicleState] = {}
     floor = math.floor
     n = 0
     for s in states:
-        key = floor((s.x - ox) * inv) * _STRIDE + floor((s.y - oy) * inv)
+        key = floor(s.x * inv) * _STRIDE + floor(s.y * inv)
         bucket = packed.get(key)
         if bucket is None:
             packed[key] = [s]
@@ -94,13 +55,7 @@ def rebuild(states: Iterable[VehicleState], cell_size: float,
         n += 1
     if len(state_map) != n:
         raise ValidationError("duplicate vehicle id in grid rebuild")
-    return GridIndex(cell_size, (ox, oy), state_map, packed)
-
-
-def _query_cells(index: GridIndex, x: float, y: float) -> list[tuple[int, int]]:
-    """The at-most-nine cells a radius query inspects."""
-    cx, cy = index.cell_of(x, y)
-    return [(cx + dx, cy + dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)]
+    return GridIndex(cell_size, state_map, packed)
 
 
 def _check_radius(index: GridIndex, radius: float) -> None:
@@ -118,10 +73,9 @@ def query_radius(index: GridIndex, pos: tuple[float, float],
     _check_radius(index, radius)
     x, y = pos
     r2 = radius * radius
-    ox, oy = index.origin
     inv = 1.0 / index.cell_size
-    cx = math.floor((x - ox) * inv)
-    cy = math.floor((y - oy) * inv)
+    cx = math.floor(x * inv)
+    cy = math.floor(y * inv)
     out = []
     get = index._packed.get
     for kx in (cx - 1, cx, cx + 1):

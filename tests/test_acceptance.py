@@ -128,8 +128,8 @@ def test_criterion_04_byte_identical_determinism(tmp_path):
     outputs = []
     for name, workers in (("r1", 1), ("r2", 1), ("r8", 8)):
         cfg = ScenarioConfig(seed=44, out_dir=str(tmp_path / name),
-                             cell_size=150.0, perception_radius=100.0,
-                             comm_range=150.0, workers=workers, mix=mix)
+                             perception_radius=100.0, comm_range=150.0,
+                             workers=workers, mix=mix)
         summary = run(cfg, trace=trace)
         assert summary.ticks_executed == 100
         outputs.append((_read(summary.metrics_path),
@@ -251,8 +251,8 @@ def test_criterion_07_pot_time_to_verify_hand_stepped(tmp_path):
 def test_criterion_08_performance_8000_vehicles(tmp_path):
     trace = synth_traffic(88, 8000, 60, 12000.0)
     cfg = ScenarioConfig(seed=88, out_dir=str(tmp_path / "perf"),
-                         cell_size=100.0, perception_radius=100.0,
-                         comm_range=100.0, workers=1,
+                         perception_radius=100.0, comm_range=100.0,
+                         workers=1,
                          mix=(("ConnectedVehicle", 1.0),))
     start = time.perf_counter()
     summary = run(cfg, trace=trace)

@@ -113,7 +113,7 @@ def sha256_of(path):
 @pytest.mark.parametrize("name", sorted(FIXTURES))
 def test_golden_digest(name, tmp_path):
     make_trace, options = FIXTURES[name]
-    cfg = ScenarioConfig(out_dir=str(tmp_path / name), cell_size=100.0,
+    cfg = ScenarioConfig(out_dir=str(tmp_path / name),
                          perception_radius=100.0, comm_range=100.0,
                          **options)
     summary = run(cfg, trace=make_trace())
@@ -125,8 +125,7 @@ def test_golden_digest(name, tmp_path):
 def test_golden_digest_default_radii(name, tmp_path):
     make_trace, options = DEFAULT_RADII[name]
     cfg = ScenarioConfig(out_dir=str(tmp_path / name), **options)
-    assert (cfg.cell_size, cfg.perception_radius, cfg.comm_range) == (
-        300.0, 100.0, 300.0)
+    assert (cfg.perception_radius, cfg.comm_range) == (100.0, 300.0)
     summary = run(cfg, trace=make_trace())
     got = (sha256_of(summary.metrics_path), sha256_of(summary.index_path))
     assert got == GOLDEN_DEFAULT_RADII[name]
@@ -137,7 +136,7 @@ def test_golden_digest_wide_camera(name, tmp_path):
     make_trace, options = WIDE_CAMERA[name]
     camera = PerceptionConfig(fov_half_angle=math.radians(90.0),
                               max_plate_angle=math.radians(20.0))
-    cfg = ScenarioConfig(out_dir=str(tmp_path / name), cell_size=100.0,
+    cfg = ScenarioConfig(out_dir=str(tmp_path / name),
                          perception_radius=100.0, comm_range=100.0,
                          perception=camera, **options)
     summary = run(cfg, trace=make_trace())

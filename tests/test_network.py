@@ -140,6 +140,19 @@ def test_three_station_cluster():
         assert senders == sorted(senders)
 
 
+def test_send_order_kept_across_seals():
+    # a sender's broadcasts of one tick arrive in send order, also when a
+    # seal falls between them; other senders still come by station number
+    positions = {1: (0.0, 0.0), 2: (10.0, 0.0), 3: (0.0, 10.0)}
+    net = network()
+    for st, plate in ((3, "x"), (1, "a"), (1, "b")):
+        net.shb_broadcast(st, make_cpm(station=st, objects=[obj(plate)]), 0)
+    net.seal()
+    net.shb_broadcast(1, make_cpm(station=1, objects=[obj("c")]), 0)
+    inboxes = net.step(1, full_scan_locator(positions, 300.0))
+    assert [c.objects[0].plate for c in inboxes[2]] == ["a", "b", "c", "x"]
+
+
 def test_conservation_random():
     rng = random.Random(42)
     for _ in range(20):

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import io
 import math
 import os
@@ -64,12 +65,6 @@ def test_assign_type_depends_on_seed():
 # --- config ----------------------------------------------------------------
 
 def test_config_validation():
-    cfg = ScenarioConfig(comm_range=400.0, cell_size=300.0)
-    with pytest.raises(ConfigError):
-        cfg.validate()
-    cfg = ScenarioConfig(perception_radius=301.0)
-    with pytest.raises(ConfigError):
-        cfg.validate()
     cfg = ScenarioConfig(mix=(("Ghost", 1.0),))
     with pytest.raises(ConfigError):
         cfg.validate()
@@ -123,7 +118,7 @@ spam_tx.k = 9
     cfg = parse_config(io.StringIO(text))
     assert cfg.seed == 11
     assert cfg.tick_range == (2, 9)
-    assert cfg.cell_size == 250.0
+    assert not hasattr(cfg, "cell_size")  # an old key, now ignored
     assert cfg.workers == 4
     assert cfg.default_length == 4.5
     assert cfg.perception == PerceptionConfig(
@@ -148,8 +143,6 @@ def test_parse_config_bad_edge_and_range():
 
 @pytest.mark.parametrize("line", ["[scenario]\nseed = abc",
                                   "[scenario]\nworkers = x",
-                                  "[scenario]\ncell_size = y",
-                                  "[scenario]\ncell_size = nan",
                                   "[perception]\nmax_range = far",
                                   "[perception]\nmax_range = inf"])
 def test_parse_config_non_numeric_value(line):
@@ -176,7 +169,7 @@ def test_empty_trace_clean_run(tmp_path):
 def test_alive_count_matches_trace(tmp_path):
     trace = synth_traffic(5, 30, 10, 800.0)
     cfg = ScenarioConfig(seed=5, out_dir=str(tmp_path / "out"),
-                         cell_size=300.0, comm_range=300.0,
+                         comm_range=300.0,
                          mix=MIX_CU)
     run(cfg, trace=trace)
     data = load_run(cfg.out_dir)
@@ -446,10 +439,11 @@ def test_bad_module_parameter_fails_before_output(tmp_path, param):
     ("SpamAttacker", "spam_tx.k = -2"),
     ("SpamAttacker", "spam_tx.k = 2.5"),
     ("SpamAttacker", "spam_tx.k = inf"),
+    ("SpamAttacker", "spam_tx.k = 65536"),
     ("ReplayAttacker", "replay_tx.history = 0"),
     ("PoTVehicle", "proof_verify.provers_required = 0"),
 ], ids=["replays-negative", "replays-fraction", "k-negative", "k-fraction",
-        "k-inf", "history-0", "provers-required-0"])
+        "k-inf", "k-above-wire-limit", "history-0", "provers-required-0"])
 def test_out_of_range_module_parameter_fails_validate(tmp_path, vtype, param):
     cfg = parse_config(io.StringIO(
         f"[vehicle_type.{vtype}]\n{param}\n[mix]\n{vtype} = 1\n"))
@@ -470,6 +464,12 @@ def test_module_parameter_lower_bounds_pass_validate():
         "[vehicle_type.PoTVehicle]\nproof_verify.provers_required = 1\n"
         "[mix]\nReplayAttacker = 1\nSpamAttacker = 1\nPoTVehicle = 1\n"
     )).validate()
+
+
+def test_spam_k_at_the_wire_limit_passes_validate():
+    parse_config(io.StringIO(
+        "[vehicle_type.SpamAttacker]\nspam_tx.k = 65535\n"
+        "[mix]\nSpamAttacker = 1\n")).validate()
 
 
 # --- vehicle type booleans ---------------------------------------------------
@@ -593,6 +593,27 @@ def test_bad_row_at_last_tick_leaves_no_output(tmp_path):
     with pytest.raises(ValidationError, match="row 32"):
         run(cfg)
     assert sorted(os.listdir(tmp_path)) == ["t.csv"]
+
+
+def test_old_cell_size_key_changes_nothing(tmp_path):
+    # the grid cell follows the two radii; a cell_size key of an old config
+    # file, below, at or above them, is ignored
+    trace = write_trace(tmp_path / "t.csv", synth_traffic(4, 80, 4, 500.0))
+    digests = set()
+    for i, line in enumerate(("", "cell_size = 50", "cell_size = 150",
+                              "cell_size = 1000")):
+        cfg = parse_config(io.StringIO(
+            f"[scenario]\nseed = 4\ntrace = {trace}\nout = {tmp_path / str(i)}"
+            f"\nperception_radius = 100\ncomm_range = 150\n{line}\n"
+            "[mix]\nConnectedVehicle = 3\nSpamAttacker = 1\n"))
+        cfg.validate()
+        digests.add(hashlib.sha256(
+            read_bytes(run(cfg).metrics_path)).hexdigest())
+    assert len(digests) == 1
+    # the runs perceived and delivered something
+    last = load_run(cfg.out_dir)[-1]["vehicles"]
+    assert any(v["local_objects"] for v in last)
+    assert any(v["received_objects"] for v in last)
 
 
 class InterruptModule:

@@ -3,8 +3,8 @@ import math
 import pytest
 
 from cavsim.errors import ConfigError, NotFoundError
-from cavsim.spatial import (_query_cells, get_nearby_vehicles, query_radius,
-                            rebuild)
+from cavsim.spatial import (get_nearby_vehicles, query_radius, rebuild,
+                            sweep_neighbors)
 from cavsim.trace import VehicleState
 
 
@@ -25,30 +25,38 @@ def make_states(rng, n, span=1000.0):
 
 def test_rebuild_empty():
     idx = rebuild([], 300.0)
-    assert idx.cells == {}
     assert idx.states == {}
-    assert idx.lo_cell is None and idx.hi_cell is None
+    assert query_radius(idx, (0.0, 0.0), 300.0) == []
+    assert sweep_neighbors(idx, 100.0, 300.0) == ({}, {})
 
 
 def test_rebuild_negative_coordinates():
-    # coordinates slightly below zero land in a valid negative cell
+    # a vehicle slightly below zero is filed in cell -1: queries from cell
+    # -2 (x = -301) up to cell 0 find it
     idx = rebuild([VehicleState("a", -1.6, 0.0, 0.0)], 300.0)
-    assert idx.cell_of(-1.6, 0.0) == (-1, 0)
-    assert idx.cells == {(-1, 0): ["a"]}
-    # the margin ring around the occupied box is addressable: empty lookups
+    for x in (-301.0, -1.6, 0.0, 298.4):
+        assert [s.id for s in query_radius(idx, (x, 0.0), 300.0)] == ["a"]
+    assert query_radius(idx, (298.5, 0.0), 300.0) == []
+    # any cell around it, at any distance, reads as empty
     for dx in range(-3, 4):
         for dy in range(-3, 4):
-            assert isinstance(idx.cells.get((dx, dy), []), list)
+            if dx or dy:
+                assert query_radius(idx, (-1.6 + 600.0 * dx,
+                                          600.0 * dy), 300.0) == []
 
 
 def test_rebuild_counts(rng):
+    # every vehicle is filed exactly once, where queries and the sweep
+    # find it
     states = make_states(rng, 1000)
     idx = rebuild(states, 250.0)
-    assert sum(len(b) for b in idx.cells.values()) == 1000
-    for key, bucket in idx.cells.items():
-        for vid in bucket:
-            s = idx.states[vid]
-            assert idx.cell_of(s.x, s.y) == key
+    assert len(idx.states) == 1000
+    for s in states:
+        assert query_radius(idx, (s.x, s.y), 0.0).count(s) == 1
+    near, _ = sweep_neighbors(idx, 250.0, 250.0)
+    for s in states:
+        assert (sorted(n.id for n in near[s.id])
+                == [n.id for n in naive_nearby(states, s.id, 250.0)])
 
 
 def test_rebuild_bad_cell_size():
@@ -82,13 +90,6 @@ def test_query_radius_larger_than_cell_rejected():
         get_nearby_vehicles(idx, "a", 100.01)
 
 
-def test_query_touches_at_most_nine_cells(rng):
-    idx = rebuild(make_states(rng, 50), 200.0)
-    cells = _query_cells(idx, 123.0, -456.0)
-    assert len(cells) == 9
-    assert len(set(cells)) == 9
-
-
 def test_matches_full_scan_oracle(rng):
     states = make_states(rng, 500)
     cell = 150.0
@@ -115,17 +116,3 @@ def test_query_radius_by_position():
     idx = rebuild(states, 50.0)
     got = {s.id for s in query_radius(idx, (1.0, 0.0), 10.0)}
     assert got == {"a", "b"}
-
-
-@pytest.mark.parametrize("origin", [(0.0, 0.0), (-130.5, 77.25)])
-def test_lo_hi_cell_are_bounds_of_cell_of(rng, origin):
-    for n in (1, 2, 50, 400):
-        states = [VehicleState(f"v{i}", rng.uniform(-5000.0, 800.0),
-                               rng.uniform(-900.0, 3000.0), 0.0)
-                  for i in range(n)]
-        idx = rebuild(states, 75.0, origin)
-        cells = [idx.cell_of(s.x, s.y) for s in states]
-        assert idx.lo_cell == (min(c[0] for c in cells),
-                               min(c[1] for c in cells))
-        assert idx.hi_cell == (max(c[0] for c in cells),
-                               max(c[1] for c in cells))

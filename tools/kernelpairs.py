@@ -63,7 +63,8 @@ def build_inputs(cavsim, checkout: str, workload: str, directory: str):
     for tt in cavsim.iter_trace(config.trace_path, config.trace_format,
                                 default_length=config.default_length,
                                 default_width=config.default_width):
-        grid = cavsim.rebuild(tt.states, config.cell_size)
+        grid = cavsim.rebuild(tt.states, max(config.perception_radius,
+                                             config.comm_range))
         near, _ = cavsim.sweep_neighbors(grid, config.perception_radius,
                                          config.comm_range)
         ticks.append((tt.tick, [(s, near[s.id]) for s in tt.states]))
