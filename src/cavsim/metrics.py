@@ -43,28 +43,40 @@ def record_json(ctx) -> str:
     """One vehicle's record for a tick, encoded from the SandboxContext
     its modules have just run in: its plate, counters and TTV events, and
     the position of its state.  The line is the one json.dumps gives for
-    the record keys above with separators=(",", ":"); the id goes through
-    the encoder json.dumps uses for a str."""
+    the record keys above with separators=(",", ":")."""
+    return record_at(ctx.plate, record_counters(ctx), ctx.state)
+
+
+def record_counters(ctx) -> str:
+    """The part of ctx's record between the id and the position: the keys
+    bytes_sent to errors, each value followed by a comma."""
     ttv_events = ctx.ttv_events
     if ttv_events:
         ttv = "{" + ",".join(f'"{k}":{ttv_events[k]}'
                              for k in sorted(ttv_events)) + "}"
     else:
         ttv = "{}"
-    state = ctx.state
-    return (f'{{"id":{encode_basestring_ascii(ctx.plate)},'
-            f'"bytes_sent":{ctx.bytes_sent},'
+    return (f'"bytes_sent":{ctx.bytes_sent},'
             f'"local_objects":{ctx.local_objects},'
             f'"received_objects":{ctx.received_objects},'
             f'"all_objects":{ctx.all_objects},"ttv":{ttv},'
-            f'"errors":{ctx.errors},"x":{state.x!r},"y":{state.y!r}}}')
+            f'"errors":{ctx.errors},')
+
+
+def record_at(plate: str, counters: str, state) -> str:
+    """A record from its plate, its record_counters part and the state
+    that gives its position.  The id goes through the encoder json.dumps
+    uses for a str."""
+    return (f'{{"id":{encode_basestring_ascii(plate)},{counters}'
+            f'"x":{state.x!r},"y":{state.y!r}}}')
 
 
 class MetricsWriter:
     """Append-only sink writing one JSON line and one index entry per tick.
 
-    It takes each tick's records already encoded by record_json and
-    writes the line WRITE_CHUNK records at a time."""
+    It takes each tick's records already encoded (record_json, or
+    record_at for a run) and writes the line WRITE_CHUNK records at a
+    time."""
 
     def __init__(self, directory: str):
         os.makedirs(directory, exist_ok=True)

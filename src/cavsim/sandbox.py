@@ -7,6 +7,14 @@ RNG); it holds no reference to world state, so vehicles are isolated from
 each other except through delivered messages.  Vehicle types are
 declarative: a list of modules, an adjacency list of edges, the entry
 modules that receive the network inbox, and per-module parameters.
+
+A module class may declare `idle = True`.  It promises that when its
+inbox is empty and its vehicle perceives nothing, `process()` returns
+nothing, broadcasts nothing, records no TTV, raises nothing and leaves
+the module's state unchanged, and that whatever it writes into the
+context then depends only on that state.  A run reuses the last record
+of a vehicle whose modules all declare it on such a quiet tick (see
+scenario.py); a module without the declaration runs every tick.
 """
 
 from __future__ import annotations
@@ -115,7 +123,7 @@ class SandboxContext:
 
     Carries the current tick, the vehicle's own identity and pose, the
     cached perception result, bound simulator APIs, and the per-tick
-    metric scratchpad, which metrics.record_json encodes once the
+    metric scratchpad, which metrics.record_counters encodes once the
     vehicle's modules have run.  The RNG is seeded from (scenario seed,
     vehicle id, tick) so results never depend on scheduling.
     """
@@ -203,6 +211,7 @@ class CameraModule:
     Emits nothing on ticks without perceived objects.
     """
 
+    idle = True
     __slots__ = ()
 
     def process(self, inbox, ctx):
@@ -220,6 +229,7 @@ class ObjectStoreModule:
     incrementally so per-tick cost stays proportional to new plates.
     """
 
+    idle = True
     __slots__ = ("local", "received", "_union")
 
     def __init__(self):
@@ -258,6 +268,7 @@ class CpmTxModule:
     Broadcasts only on ticks with at least one locally perceived object.
     """
 
+    idle = True
     __slots__ = ()
 
     def process(self, inbox, ctx):
@@ -273,6 +284,7 @@ class CpmTxModule:
 class RxModule:
     """Entry module: forwards the network inbox into the flow."""
 
+    idle = True
     __slots__ = ()
 
     def process(self, inbox, ctx):
@@ -282,6 +294,7 @@ class RxModule:
 class ProofGenModule:
     """Attaches an observation proof for every newly perceived plate."""
 
+    idle = True
     __slots__ = ("proved",)
 
     def __init__(self):
@@ -319,6 +332,7 @@ class ProofVerifyModule:
 
     PROVERS_REQUIRED = 2
 
+    idle = True
     __slots__ = ("provers_required", "first_seen", "provers", "verified")
 
     def __init__(self, provers_required: int = PROVERS_REQUIRED):
@@ -503,10 +517,14 @@ def builtin_vehicle_types() -> dict[str, VehicleTypeSpec]:
 
 
 class Vehicle:
-    """One instantiated vehicle: module instances plus its type's steps."""
+    """One instantiated vehicle: module instances plus its type's steps.
+
+    `idle` is true when every module declares `idle`; `quiet` is the
+    metrics.record_counters part of the vehicle's last record when that
+    tick was quiet and ended without error, else None."""
 
     __slots__ = ("plate", "station", "type_name", "modules", "steps",
-                 "uses_camera")
+                 "uses_camera", "idle", "quiet")
 
     def __init__(self, plate, station, type_name, modules, steps):
         self.plate = plate
@@ -515,6 +533,8 @@ class Vehicle:
         self.modules = modules
         self.steps = steps
         self.uses_camera = "camera" in modules
+        self.idle = all(getattr(m, "idle", False) for m in modules.values())
+        self.quiet = None
 
 
 def build_vehicle(spec: VehicleTypeSpec, plate: str,

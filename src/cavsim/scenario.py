@@ -9,20 +9,26 @@ new ones with a seed-hashed type draw (the run's one match table follows
 both), and sweep the index once for every vehicle's neighbors within
 perception and communication range; (3) compute
 perception, then run every vehicle's module DAG and encode its metrics
-record; (4) seal the tick's broadcasts; (5) write metrics and phase
-timings.  Every phase runs in
+record, except for a quiet vehicle: one whose modules all declare `idle`
+(see sandbox.py), with no inbox and no percept, whose last tick was quiet
+too and ended without error.  Its modules would change nothing, so it
+writes its last record again at its new position, with no context, DAG
+or counter encoding; (4) seal the tick's broadcasts; (5) write metrics
+and phase timings.  Every phase runs in
 the calling thread, and all outputs are a pure function of (seed,
 config, trace).  The `workers` setting is validated but has no effect.
 
 A run reads its trace once, tick by tick: from a trace file it holds one
 tick of the trace at a time.  Besides that it holds each vehicle's
-module state and match-table entry, and one tick's structures (sweep
-maps, percepts, inboxes, encoded records), which are freed as the tick
-ends, and the index's cells only until the sweep has run; a tick's
-metrics line is written in chunks.  It writes into a fresh staging directory
-next to the output directory and moves the three output files into place
-only when every tick has run, so a run that fails (a malformed trace row
-found mid-run, an interrupt) leaves the output directory as it was.
+module state and match-table entry (and, after a quiet tick, its
+record's counters as a string shared among equal ones), and one tick's
+structures (sweep maps, percepts, inboxes, encoded records), which are
+freed as the tick ends, and the index's cells only until the sweep has
+run; a tick's metrics line is written in chunks.  It writes into a fresh
+staging directory next to the output directory and moves the three
+output files into place only when every tick has run, so a run that
+fails (a malformed trace row found mid-run, an interrupt) leaves the
+output directory as it was.
 """
 
 from __future__ import annotations
@@ -42,7 +48,7 @@ from .errors import ConfigError, NotFoundError, ValidationError
 from .identity import MatchTable, PlateRegistry
 from .metrics import (INDEX_FILE, METRICS_FILE, MetricsWriter, avg_bandwidth,
                       check_cell_size, cpr, iter_ticks, load_run,
-                      open_run_file, record_json, run_index,
+                      open_run_file, record_at, record_counters, run_index,
                       ttv_distribution, ttv_distribution_total)
 from .network import NetworkSim
 from .perception import PerceptionConfig, perceive
@@ -221,6 +227,9 @@ def _run_ticks(config: ScenarioConfig, trace: Iterable[TraceTick],
     def locate(delivery):
         return match.stations_of(prev_comm[match.plate_of(delivery.origin)])
 
+    # one string for equal record_counters of quiet vehicles, kept no
+    # larger than the vehicles alive
+    shared: dict[str, str] = {}
     perf = time.perf_counter
 
     def run_tick(tt: TraceTick) -> None:
@@ -238,6 +247,8 @@ def _run_ticks(config: ScenarioConfig, trace: Iterable[TraceTick],
         prev_comm = None  # delivered: done with last tick's
         t1 = perf()
 
+        if len(shared) > len(vehicles):
+            shared.clear()
         grid = rebuild(tt.states, cell)
         states = grid.states
         for plate in [p for p in vehicles if p not in states]:
@@ -267,12 +278,23 @@ def _run_ticks(config: ScenarioConfig, trace: Iterable[TraceTick],
         records = []
         for plate in order:
             v = vehicles[plate]
-            ctx = SandboxContext(tick, plate, v.station, states[plate],
-                                 percepts.get(plate, ()), net, match,
-                                 comm_range, seed)
+            state = states[plate]
             # no inbox has the key None, which an unconnected vehicle has
-            tick_vehicle(v, inboxes.get(v.station, ()), ctx)
-            records.append(record_json(ctx))
+            inbox = inboxes.get(v.station, ())
+            percept = percepts.get(plate, ())
+            quiet = v.idle and not inbox and not percept
+            if quiet and v.quiet is not None:
+                records.append(record_at(plate, v.quiet, state))
+                continue
+            ctx = SandboxContext(tick, plate, v.station, state, percept, net,
+                                 match, comm_range, seed)
+            tick_vehicle(v, inbox, ctx)
+            counters = record_counters(ctx)
+            # a quiet tick with no error leaves the modules as they were,
+            # so each following quiet tick has these counters too
+            v.quiet = (shared.setdefault(counters, counters)
+                       if quiet and not ctx.errors else None)
+            records.append(record_at(plate, counters, state))
         t4 = perf()
 
         net.seal()
@@ -455,8 +477,9 @@ def parse_config(stream: IO[str]) -> ScenarioConfig:
     parser.optionxform = str  # keep case of type and module names
     try:
         parser.read_file(stream)
-    except configparser.Error as exc:
-        raise ConfigError(f"bad config file: {exc}") from exc
+    except configparser.Error as exc:  # its message may span lines
+        raise ConfigError("bad config file: " + " ".join(
+            line.strip() for line in str(exc).splitlines())) from exc
 
     cfg = ScenarioConfig()
     if parser.has_section("scenario"):

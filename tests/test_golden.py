@@ -142,3 +142,28 @@ def test_golden_digest_wide_camera(name, tmp_path):
     summary = run(cfg, trace=make_trace())
     got = (sha256_of(summary.metrics_path), sha256_of(summary.index_path))
     assert got == GOLDEN_WIDE_CAMERA[name]
+
+
+def test_quiet_vehicles_skip_their_module_dag(tmp_path, monkeypatch):
+    # most vehicle-ticks of the sparse fixture are quiet: after their first
+    # quiet tick they reuse its record, and the digests still hold
+    import cavsim.scenario as scenario
+
+    calls = []
+    inner = scenario.tick_vehicle
+
+    def counted(*args):
+        calls.append(1)
+        return inner(*args)
+
+    monkeypatch.setattr(scenario, "tick_vehicle", counted)
+    make_trace, options = FIXTURES["sparse"]
+    trace = make_trace()
+    cfg = ScenarioConfig(out_dir=str(tmp_path / "sparse"),
+                         perception_radius=100.0, comm_range=100.0,
+                         **options)
+    summary = run(cfg, trace=trace)
+    got = (sha256_of(summary.metrics_path), sha256_of(summary.index_path))
+    assert got == GOLDEN["sparse"]
+    vehicle_ticks = sum(len(tt.states) for tt in trace)
+    assert 0 < len(calls) < vehicle_ticks / 2

@@ -419,6 +419,30 @@ def test_cli_non_numeric_config_value(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("text,why", [
+    ("[scenario]\nseed = 1\n\nfoo\n", "Source contains parsing errors"),
+    ("foo = 1\n[scenario]\n", "File contains no section headers"),
+])
+def test_cli_unparsable_config_is_one_error_line(tmp_path, capsys, text,
+                                                 why):
+    # configparser's own message spans two or three lines
+    from cavsim.cli import main
+
+    trace_path = tmp_path / "t.csv"
+    with open(trace_path, "w") as f:
+        write_csv(synth_traffic(1, 2, 2, 100.0), f)
+    config_path = tmp_path / "bad.ini"
+    config_path.write_text(text)
+    rc = main(["run", "--config", str(config_path), "--trace", str(trace_path),
+               "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1, err
+    assert err[0].startswith("error: bad config file: " + why)
+    assert "'foo" in err[0]
+    assert sorted(os.listdir(tmp_path)) == ["bad.ini", "t.csv"]
+
+
 @pytest.mark.parametrize("param", ["spam_tx.kk = 3", "spam_tx.k = many"])
 def test_bad_module_parameter_fails_before_output(tmp_path, param):
     cfg = parse_config(io.StringIO(
