@@ -32,10 +32,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run output directory")
     p_rep.add_argument("--kind", required=True, choices=REPORT_KINDS)
     p_rep.add_argument("--tick", type=int,
-                       help="tick for ttv/cpr (ttv default: whole run; "
+                       help="tick for ttv/cpr only (ttv default: whole run; "
                             "cpr default: last tick)")
-    p_rep.add_argument("--cell", type=float, default=100.0,
-                       help="cpr cell size in meters (default 100)")
+    p_rep.add_argument("--cell", type=float,
+                       help="cell size in meters, for cpr only (default 100)")
     return parser
 
 

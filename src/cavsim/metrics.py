@@ -7,10 +7,13 @@ index file maps every tick to the byte offset and length of its line so
 individual ticks can be read without scanning.  Keys and float formatting
 are fixed, so identical runs produce byte-identical files.
 
-The whole-run aggregations take any iterable of tick lines, so a report
-streams metrics.jsonl through iter_ticks; a one-tick report reads its one
-line through the index (load_run with a tick).  Either way a report holds
-one tick line in memory, not the run.
+The aggregations take any iterable of decoded tick lines.  The whole-run
+reports stream metrics.jsonl through scan_bandwidth and scan_ttv_total,
+which read a line in the writer's own form with regular expressions,
+without building a dict per record, and decode any other line as JSON, so
+the result and the errors are those of the aggregation over iter_ticks.  A
+one-tick report reads its one line through the index (load_run with a
+tick).  Either way a report holds one tick line in memory, not the run.
 
 Per-vehicle record keys, in order:
     id, bytes_sent, local_objects, received_objects, all_objects,
@@ -25,6 +28,8 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
+from functools import cache
 from itertools import islice
 from json.encoder import encode_basestring_ascii
 from typing import IO, Iterable
@@ -69,6 +74,57 @@ def record_at(plate: str, counters: str, state) -> str:
     uses for a str."""
     return (f'{{"id":{encode_basestring_ascii(plate)},{counters}'
             f'"x":{state.x!r},"y":{state.y!r}}}')
+
+
+@cache
+def _line_form():
+    """The compiled patterns of a line exactly as MetricsWriter writes it:
+    the line with its tick and body, one record, one ttv pair.  Compiled on
+    first use, so a run never pays for them.
+
+    Every int has at most 640 digits, the least int_max_str_digits Python
+    allows, so json.loads reads it; x and y are JSON numbers with a
+    fraction or an exponent, as a float's repr is; ids are JSON strings."""
+    nat = "(?:0|[1-9][0-9]{0,639})"
+    int_ = "(?:0|-?[1-9][0-9]{0,639})"
+    real = r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:e[+-][0-9]+)?|e[+-][0-9]+)"
+    text = (r'"[^"\\\x00-\x1f]*'
+            r'(?:\\(?:["\\/bfnrt]|u[0-9a-fA-F]{4})[^"\\\x00-\x1f]*)*"')
+    pair = f'"{int_}":{nat}'
+    record = (
+        rf'(\{{"id":{text},"bytes_sent":({nat}),"local_objects":{nat},'
+        rf'"received_objects":{nat},"all_objects":{nat},'
+        rf'"ttv":\{{((?:{pair}(?:,{pair})*)?)\}},"errors":{nat},'
+        rf'"x":{real},"y":{real}\}})')
+    return (re.compile(rf'\{{"tick":({int_}),"vehicles":\[(.*)\]\}}\n?')
+            .fullmatch, re.compile(record).findall,
+            re.compile(r'"(-?[0-9]+)":([0-9]+)').findall)
+
+
+def scan_line(line: str) -> tuple[int, tuple[str, ...], list] | None:
+    """Read a tick line in MetricsWriter's own form without building a
+    dict per record: its tick, each record's bytes_sent as text, and the
+    (delay, count) pairs of all its records' ttv, in line order.  None
+    for any other line (blank, other spacing or key order, a non-finite
+    position, a repeated ttv key, a non-int counter, a truncated record),
+    which json.loads is left to read."""
+    match_line, find_records, find_pairs = _line_form()
+    m = match_line(line)
+    if m is None:
+        return None
+    body = m[2]
+    records = find_records(body)
+    whole, sent, ttvs = zip(*records) if records else ((), (), ())
+    # the records found must tile the body, so no byte of it went unread
+    if ",".join(whole) != body:
+        return None
+    pairs = []
+    for ttv in filter(None, ttvs):
+        found = [(int(d), int(c)) for d, c in find_pairs(ttv)]
+        if any(a[0] >= b[0] for a, b in zip(found, found[1:])):
+            return None  # json.loads keeps the last of a repeated key
+        pairs += found
+    return int(m[1]), sent, pairs
 
 
 class MetricsWriter:
@@ -150,12 +206,17 @@ def _json_line(line: str | bytes, where: str) -> dict:
                               f"JSON") from None
 
 
+def _decoded(line: str, n: int) -> tuple:
+    """Line n of a metrics JSONL stream as JSON: one tick, or none for a
+    blank line."""
+    line = line.strip()
+    return (_json_line(line, f"line {n}"),) if line else ()
+
+
 def iter_ticks(stream: IO[str]):
     """Linear scan over a metrics JSONL stream."""
     for n, line in enumerate(stream, 1):
-        line = line.strip()
-        if line:
-            yield _json_line(line, f"line {n}")
+        yield from _decoded(line, n)
 
 
 def open_run_file(run_dir: str, name: str, mode: str = "r") -> IO:
@@ -198,6 +259,21 @@ def avg_bandwidth(run: Iterable[dict]) -> list[tuple[int, float]]:
     return out
 
 
+def scan_bandwidth(stream: IO[str]) -> list[tuple[int, float]]:
+    """avg_bandwidth over the tick lines of a metrics JSONL stream, each
+    read by scan_line or, where that refuses it, as JSON."""
+    out = []
+    for n, line in enumerate(stream, 1):
+        scanned = scan_line(line)
+        if scanned is None:
+            out += avg_bandwidth(_decoded(line, n))
+        else:
+            tick, sent, _ = scanned
+            out.append((tick, sum(map(int, sent)) / len(sent) if sent
+                        else 0.0))
+    return out
+
+
 def ttv_distribution(run: list[dict], tick: int) -> dict[int, int]:
     """Element-wise sum of the vehicles' TTV histograms at one tick."""
     for entry in run:
@@ -208,12 +284,33 @@ def ttv_distribution(run: list[dict], tick: int) -> dict[int, int]:
 
 def ttv_distribution_total(run: Iterable[dict]) -> dict[int, int]:
     """TTV histogram summed over the whole run."""
+    return _add_ttv({}, _ttv_pairs(run))
+
+
+def scan_ttv_total(stream: IO[str]) -> dict[int, int]:
+    """ttv_distribution_total over the tick lines of a metrics JSONL
+    stream, each read by scan_line or, where that refuses it, as JSON."""
     total: dict[int, int] = {}
+    for n, line in enumerate(stream, 1):
+        scanned = scan_line(line)
+        if scanned is None:
+            _add_ttv(total, _ttv_pairs(_decoded(line, n)))
+        else:
+            _add_ttv(total, scanned[2])
+    return total
+
+
+def _ttv_pairs(run: Iterable[dict]):
+    """The (delay, count) pairs of decoded tick lines' ttv, in order."""
     for entry in run:
         for v in entry["vehicles"]:
             for delay, count in v["ttv"].items():
-                d = int(delay)
-                total[d] = total.get(d, 0) + count
+                yield int(delay), count
+
+
+def _add_ttv(total: dict, pairs: Iterable[tuple]) -> dict:
+    for delay, count in pairs:
+        total[delay] = total.get(delay, 0) + count
     return total
 
 

@@ -46,10 +46,10 @@ from typing import IO, Iterable, Iterator
 
 from .errors import ConfigError, NotFoundError, ValidationError
 from .identity import MatchTable, PlateRegistry
-from .metrics import (INDEX_FILE, METRICS_FILE, MetricsWriter, avg_bandwidth,
-                      check_cell_size, cpr, iter_ticks, load_run,
-                      open_run_file, record_at, record_counters, run_index,
-                      ttv_distribution, ttv_distribution_total)
+from .metrics import (INDEX_FILE, METRICS_FILE, MetricsWriter,
+                      check_cell_size, cpr, load_run, open_run_file,
+                      record_at, record_counters, run_index, scan_bandwidth,
+                      scan_ttv_total, ttv_distribution)
 from .network import NetworkSim
 from .perception import PerceptionConfig, perceive
 from .sandbox import (SandboxContext, Vehicle, VehicleTypeSpec, FlowGraph,
@@ -325,18 +325,33 @@ def _run_ticks(config: ScenarioConfig, trace: Iterable[TraceTick],
 # Reports
 
 def report(run_dir: str, kind: str, out: IO[str], tick: int | None = None,
-           cell_size: float = 100.0) -> None:
+           cell_size: float | None = None) -> None:
     """Write one aggregation as CSV with a documented header.
 
     Whole-run reports stream metrics.jsonl; `ttv` at a tick and `cpr`
     (default: the last tick in metrics.idx) read one line through the
-    index, so a report holds one tick line in memory."""
+    index, so a report holds one tick line in memory.  `bandwidth` and
+    `timing` cover the whole run and take no tick; only `cpr` takes a
+    cell size (default 100 m).  `timing` copies timings.csv once it has
+    read all of it as ASCII."""
     if kind not in REPORT_KINDS:
         raise ConfigError(f"unknown report kind {kind!r}")
+    if tick is not None and kind in ("bandwidth", "timing"):
+        raise ConfigError(f"the {kind} report covers the whole run and "
+                          f"takes no tick")
+    if cell_size is not None and kind != "cpr":
+        raise ConfigError(f"the {kind} report takes no cell size; only cpr "
+                          f"does")
     if kind == "timing":
         with open_run_file(run_dir, TIMINGS_FILE) as f:
-            for line in f:
-                out.write(line)
+            try:
+                while f.read(1 << 16):
+                    pass
+            except UnicodeDecodeError as exc:
+                raise ValidationError(f"{TIMINGS_FILE} is not ASCII text "
+                                      f"({exc})") from None
+            f.seek(0)
+            shutil.copyfileobj(f, out)
         return
     try:
         header, rows = _aggregate(run_dir, kind, tick, cell_size)
@@ -351,19 +366,20 @@ def report(run_dir: str, kind: str, out: IO[str], tick: int | None = None,
 
 
 def _aggregate(run_dir: str, kind: str, tick: int | None,
-               cell_size: float) -> tuple[str, list[tuple]]:
+               cell_size: float | None) -> tuple[str, list[tuple]]:
     """The CSV header and rows of a report read from metrics.jsonl."""
     if kind == "bandwidth":
         with open_run_file(run_dir, METRICS_FILE) as f:
-            return "tick,avg_bytes_sent\n", avg_bandwidth(iter_ticks(f))
+            return "tick,avg_bytes_sent\n", scan_bandwidth(f)
     if kind == "ttv":
         if tick is not None:
             hist = ttv_distribution(load_run(run_dir, tick), tick)
         else:
             with open_run_file(run_dir, METRICS_FILE) as f:
-                hist = ttv_distribution_total(iter_ticks(f))
+                hist = scan_ttv_total(f)
         return "delay,count\n", sorted(hist.items())
-    check_cell_size(cell_size)  # cpr
+    cell_size = 100.0 if cell_size is None else cell_size  # cpr
+    check_cell_size(cell_size)
     if tick is None:
         index = run_index(run_dir)
         if not index:

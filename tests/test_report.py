@@ -3,19 +3,29 @@ errors of the read path.
 
 Whole-run reports stream metrics.jsonl; `ttv --tick` and `cpr` read one
 line through metrics.idx.  The oracle is the aggregation functions applied
-to the whole run loaded into memory with `load_run(run_dir)`.
+to the whole run loaded into memory with `load_run(run_dir)`, and, for the
+whole-run reports' scan of the writer's own line form, to json.loads of
+each line.
 """
 
 import io
+import json
+import math
 import os
+import tempfile
 import tracemalloc
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from cavsim import metrics
 from cavsim.cli import main
-from cavsim.errors import ConfigError, NotFoundError
-from cavsim.metrics import (avg_bandwidth, cpr, load_run, ttv_distribution,
-                            ttv_distribution_total)
+from cavsim.errors import ConfigError, NotFoundError, SimError
+from cavsim.metrics import (MetricsWriter, avg_bandwidth, cpr, load_run,
+                            record_at, record_counters, scan_line,
+                            ttv_distribution, ttv_distribution_total)
 from cavsim.scenario import ScenarioConfig, report, run
 from cavsim.trace import synth_traffic, write_csv
 from test_golden import ALL_TYPES, churned
@@ -98,7 +108,7 @@ def test_whole_run_report_memory_is_flat(tmp_path):
         dirs[ticks] = str(tmp_path / f"t{ticks}")
         run(ScenarioConfig(out_dir=dirs[ticks], seed=3),
             trace=synth_traffic(3, 60, ticks, 600.0))
-    for kind in ("bandwidth", "ttv"):
+    for kind in ("bandwidth", "ttv", "timing"):
         report_peak(dirs[n], kind)  # warm up lazy imports and caches
         short, long = report_peak(dirs[n], kind), report_peak(dirs[4 * n], kind)
         assert long <= 1.25 * short, (kind, short, long)
@@ -171,6 +181,43 @@ def test_cli_missing_timings_file(small_run, capsys):
     os.remove(os.path.join(small_run, "timings.csv"))
     assert "timings.csv" in cli_error(capsys, "--run", small_run,
                                       "--kind", "timing")
+
+
+def test_cli_timings_not_ascii(small_run, capsys):
+    path = os.path.join(small_run, "timings.csv")
+    with open(path, "ab") as f:
+        f.write(b"9,0.1\xe9,0,0,0,0\n")
+    err = cli_error(capsys, "--run", small_run, "--kind", "timing")
+    assert err.startswith("error: timings.csv ")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--kind", "bandwidth", "--tick", "1"], "takes no tick"),
+    (["--kind", "timing", "--tick", "1"], "takes no tick"),
+    (["--kind", "bandwidth", "--cell", "50"], "takes no cell size"),
+    (["--kind", "ttv", "--cell", "50"], "takes no cell size"),
+    (["--kind", "ttv", "--tick", "1", "--cell", "50"], "takes no cell size"),
+    (["--kind", "timing", "--cell", "100"], "takes no cell size"),
+], ids=["bandwidth-tick", "timing-tick", "bandwidth-cell", "ttv-cell",
+        "ttv-tick-cell", "timing-cell"])
+def test_cli_option_the_kind_does_not_read(tmp_path, capsys, argv, message):
+    # The run directory does not exist: the options are checked first.
+    err = cli_error(capsys, "--run", str(tmp_path / "nowhere"), *argv)
+    assert message in err
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("kind", ["bandwidth", "timing"])
+def test_whole_run_kind_takes_no_tick(small_run, kind):
+    with pytest.raises(ConfigError, match="takes no tick"):
+        report(small_run, kind, io.StringIO(), tick=0)
+
+
+@pytest.mark.parametrize("kind", ["bandwidth", "ttv", "timing"])
+def test_only_cpr_takes_a_cell_size(small_run, kind):
+    with pytest.raises(ConfigError, match="takes no cell size"):
+        report(small_run, kind, io.StringIO(), cell_size=100.0)
 
 
 @pytest.mark.parametrize("kind", ["ttv", "cpr"])
@@ -250,3 +297,157 @@ def test_cli_metrics_line_of_the_wrong_shape(small_run, capsys, line, kinds):
         err = cli_error(capsys, *argv)
         assert err.startswith("error: metrics.jsonl: ")
         assert len(err.splitlines()) == 1
+
+
+# --- whole-run reports: the scan of the writer's own line form ---------------
+#
+# The oracle is avg_bandwidth and ttv_distribution_total over json.loads of
+# every non-blank line, or the error the JSON path gives at the first line
+# json.loads cannot read.
+
+def json_reports(text):
+    """The bandwidth and ttv CSVs (or error lines) of a metrics.jsonl
+    holding `text`, through json.loads of each line."""
+    data = []
+    for n, line in enumerate(io.StringIO(text), 1):
+        if line.strip():
+            try:
+                data.append(json.loads(line))
+            except ValueError:
+                error = f"error: metrics.jsonl: line {n} is not valid JSON"
+                return {"bandwidth": error, "ttv": error}
+    hist = ttv_distribution_total(data)
+    return {"bandwidth": "tick,avg_bytes_sent\n" + "".join(
+                f"{t},{mean}\n" for t, mean in avg_bandwidth(data)),
+            "ttv": "delay,count\n" + "".join(
+                f"{d},{hist[d]}\n" for d in sorted(hist))}
+
+
+def whole_run_reports(text):
+    """The bandwidth and ttv CSVs (or error lines) that report() writes
+    for a metrics.jsonl holding `text`."""
+    got = {}
+    with tempfile.TemporaryDirectory() as run_dir:
+        with open(os.path.join(run_dir, "metrics.jsonl"), "w",
+                  encoding="ascii", newline="") as f:
+            f.write(text)
+        for kind in ("bandwidth", "ttv"):
+            try:
+                got[kind] = report_text(run_dir, kind)
+            except SimError as exc:
+                got[kind] = f"error: {exc}"
+    return got
+
+
+# ids from all of text, with the writer's own separators mixed in
+ID_PARTS = ['"bytes_sent":7', '},{"id":', "]}", '"ttv":{"1":2}', "\\", '"',
+            "\n", "\x00", "\x7f", "é", "\ud800", "\U0001f697"]
+ids = st.lists(st.one_of(st.text(st.characters(exclude_categories=()),
+                                 max_size=4),
+                         st.sampled_from(ID_PARTS)), max_size=4).map("".join)
+counts = st.integers(0, 2 ** 70)
+records = st.builds(
+    lambda plate, sent, local, received, everyone, ttv, errors, x, y:
+        record_at(plate, record_counters(SimpleNamespace(
+            bytes_sent=sent, local_objects=local, received_objects=received,
+            all_objects=everyone, ttv_events=ttv, errors=errors)),
+            SimpleNamespace(x=x, y=y)),
+    ids, counts, counts, counts, counts,
+    st.dictionaries(st.one_of(st.integers(-3, 3), st.integers(-2 ** 70, 2 ** 70)),
+                    st.integers(0, 10 ** 6), max_size=3),
+    st.integers(0, 3), st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(allow_nan=False, allow_infinity=False))
+runs = st.lists(st.lists(records, max_size=4), max_size=4)
+
+
+def writer_text(ticks):
+    """metrics.jsonl as MetricsWriter writes `ticks` (lists of records) as
+    ticks 0, 1, ..."""
+    with tempfile.TemporaryDirectory() as run_dir:
+        with MetricsWriter(run_dir) as w:
+            for tick, recs in enumerate(ticks):
+                w.record_tick(tick, recs)
+        with open(os.path.join(run_dir, "metrics.jsonl"), "rb") as f:
+            return f.read().decode("ascii")
+
+
+def compact(obj):
+    return json.dumps(obj, separators=(",", ":"))
+
+
+def some_record(obj):
+    """obj's first record, one added if it has none."""
+    if not obj["vehicles"]:
+        obj["vehicles"].append(json.loads(record_at(
+            "v", record_counters(SimpleNamespace(
+                bytes_sent=1, local_objects=0, received_objects=0,
+                all_objects=0, ttv_events={}, errors=0)),
+            SimpleNamespace(x=0.0, y=0.0))))
+    return obj["vehicles"][0]
+
+
+def repeated_ttv_key(obj):
+    ttv = some_record(obj)["ttv"]
+    return compact(obj).replace('"ttv":{', '"ttv":{"7":1,"7":2'
+                                + ("," if ttv else ""), 1)
+
+
+def reordered(obj):
+    return compact({"vehicles": [dict(reversed(v.items()))
+                                 for v in obj["vehicles"]],
+                    "tick": obj["tick"]})
+
+
+def with_value(key, value):
+    def mutate(obj):
+        some_record(obj)[key] = value
+        return compact(obj)
+    return mutate
+
+
+# each turns a writer line, decoded, into a line of another form
+OTHER_FORMS = {
+    "default_separators": json.dumps,
+    "reordered_keys": reordered,
+    "infinite_x": with_value("x", math.inf),
+    "repeated_ttv_key": repeated_ttv_key,
+    "float_counter": with_value("bytes_sent", 2.5),
+}
+
+
+@settings(deadline=None)
+@given(runs, st.data())
+def test_whole_run_reports_equal_json_reports(ticks, data):
+    lines = writer_text(ticks).splitlines(keepends=True)
+    out = []
+    for line in lines:
+        form = data.draw(st.sampled_from(
+            ["writer", "writer", "blank", "truncated", *OTHER_FORMS]))
+        if form == "blank":  # a blank line before the writer's line
+            blank = data.draw(st.sampled_from(["\n", " \n", "\t\n"]))
+            assert scan_line(blank) is None
+            out.append(blank)
+        elif form == "truncated":
+            line = line[:data.draw(st.integers(1, len(line) - 2))] + "\n"
+        elif form != "writer":
+            line = OTHER_FORMS[form](json.loads(line)) + "\n"
+        if form not in ("writer", "blank"):
+            assert scan_line(line) is None, (form, line)
+        out.append(line)
+    text = "".join(out)
+    if text and data.draw(st.booleans()):
+        text = text[:-1]  # no newline after the last line
+    assert whole_run_reports(text) == json_reports(text)
+
+
+@settings(deadline=None)
+@given(runs)
+def test_writer_lines_are_read_by_the_scan(ticks):
+    text = writer_text(ticks)
+    for line in text.splitlines(keepends=True):
+        assert scan_line(line) is not None, line
+    # not one line goes through JSON
+    with mock.patch.object(metrics, "_decoded",
+                           side_effect=AssertionError("decoded as JSON")):
+        got = whole_run_reports(text)
+    assert got == json_reports(text)
