@@ -7,7 +7,7 @@ from .errors import (ConfigError, ContractViolation, GeometryError,
                      NotFoundError, SchemaError, SimError, TraceParseError,
                      ValidationError)
 from .identity import MatchTable, PlateRegistry
-from .messages import Cpm, PerceivedObject, ProofToken
+from .messages import Cpm, PerceivedObject
 from .metrics import MetricsWriter
 from .network import NetworkSim, PendingDelivery, cpm_wire_size, \
     deserialize_cpm, serialize_cpm

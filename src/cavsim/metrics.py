@@ -11,7 +11,8 @@ The aggregations take any iterable of decoded tick lines.  The whole-run
 reports stream metrics.jsonl through scan_bandwidth and scan_ttv_total,
 which read a line in the writer's own form with regular expressions,
 without building a dict per record, and decode any other line as JSON, so
-the result and the errors are those of the aggregation over iter_ticks.  A
+the result and the errors are those of the aggregation over iter_ticks.
+These three refuse a line that is not ASCII, and name it.  A
 one-tick report reads its one line through the index (load_run with a
 tick).  Either way a report holds one tick line in memory, not the run.
 
@@ -213,18 +214,32 @@ def _decoded(line: str, n: int) -> tuple:
     return (_json_line(line, f"line {n}"),) if line else ()
 
 
+def _lines(stream: IO[str]):
+    """(n, line n) for each line of a metrics JSONL stream; a line that is
+    not ASCII is an error that names it."""
+    for n, line in enumerate(stream, 1):
+        if not line.isascii():
+            raise ValidationError(f"{METRICS_FILE}: line {n} is not ASCII "
+                                  f"text")
+        yield n, line
+
+
 def iter_ticks(stream: IO[str]):
     """Linear scan over a metrics JSONL stream."""
-    for n, line in enumerate(stream, 1):
+    for n, line in _lines(stream):
         yield from _decoded(line, n)
 
 
 def open_run_file(run_dir: str, name: str, mode: str = "r") -> IO:
-    """Open one file of a run directory (text files as ASCII); a missing
-    file is a NotFoundError that names it."""
+    """Open one file of a run directory; a missing file is a NotFoundError
+    that names it.  Text files read as ASCII, each other byte as a
+    character that is not ASCII either (a lone surrogate), so a reader
+    can tell where in the file it is."""
     path = os.path.join(run_dir, name)
+    text = "b" not in mode
     try:
-        return open(path, mode, encoding=None if "b" in mode else "ascii")
+        return open(path, mode, encoding="ascii" if text else None,
+                    errors="surrogateescape" if text else None)
     except FileNotFoundError:
         raise NotFoundError(f"no {name} in {run_dir!r}") from None
 
@@ -263,7 +278,7 @@ def scan_bandwidth(stream: IO[str]) -> list[tuple[int, float]]:
     """avg_bandwidth over the tick lines of a metrics JSONL stream, each
     read by scan_line or, where that refuses it, as JSON."""
     out = []
-    for n, line in enumerate(stream, 1):
+    for n, line in _lines(stream):
         scanned = scan_line(line)
         if scanned is None:
             out += avg_bandwidth(_decoded(line, n))
@@ -291,7 +306,7 @@ def scan_ttv_total(stream: IO[str]) -> dict[int, int]:
     """ttv_distribution_total over the tick lines of a metrics JSONL
     stream, each read by scan_line or, where that refuses it, as JSON."""
     total: dict[int, int] = {}
-    for n, line in enumerate(stream, 1):
+    for n, line in _lines(stream):
         scanned = scan_line(line)
         if scanned is None:
             _add_ttv(total, _ttv_pairs(_decoded(line, n)))

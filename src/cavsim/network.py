@@ -12,15 +12,17 @@ Wire format (little-endian, bit-exact):
     u32 sender_station, u32 gen_tick, f64 x, f64 y, f64 heading,
     u16 object_count, then per object:
     u32 plate_code, f64 x, f64 y, f64 heading, u32 observed_tick.
-A CPM's `local` flag and private extensions are in-vehicle only:
-shb_broadcast strips both, so neither reaches a recipient or the wire.
-Plate strings map to dense u32 codes through the plate registry.
+A CPM's `local` flag is in-vehicle only: shb_broadcast clears it, so it
+never reaches a recipient or the wire.  Plate strings map to dense u32
+codes through a plate registry.  A run needs only the encoded length,
+cpm_wire_size; serialize_cpm and deserialize_cpm define the bytes it
+counts.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ValidationError
 from .identity import PlateRegistry
@@ -73,28 +75,20 @@ def deserialize_cpm(data: bytes, registry: PlateRegistry) -> Cpm:
         code, ox, oy, oh, otick = _OBJECT.unpack_from(data, offset)
         objects.append(PerceivedObject(registry.name_of(code), ox, oy, oh, otick))
         offset += OBJECT_SIZE
-    return Cpm(station, tick, (x, y, heading), tuple(objects), {})
+    return Cpm(station, tick, (x, y, heading), tuple(objects))
 
 
 @dataclass(slots=True)
 class PendingDelivery:
     """One sealed broadcast awaiting delivery at send_tick + 1.
 
-    Its wire `payload` is encoded each time it is read, not at seal: a run
-    delivers the CPM itself and never reads it, so the plate registry
-    interns only the plates of payloads that something encodes.  Not
-    frozen, which would make it several times as costly to build, and so
-    not hashable; treat it as read-only.
+    Not frozen, which would make it several times as costly to build, and
+    so not hashable; treat it as read-only.
     """
 
     cpm: Cpm
     origin: int
     send_tick: int
-    registry: PlateRegistry = field(repr=False, compare=False)
-
-    @property
-    def payload(self) -> bytes:
-        return serialize_cpm(self.cpm, self.registry)
 
 
 class NetworkSim:
@@ -105,18 +99,17 @@ class NetworkSim:
     inboxes.
     """
 
-    def __init__(self, registry: PlateRegistry):
-        self.registry = registry
+    def __init__(self):
         self._buffer: list[tuple[int, int, Cpm]] = []
         self._pending: list[PendingDelivery] = []
 
     def shb_broadcast(self, sender: int, cpm: Cpm, tick: int) -> int:
         """Queue a single-hop broadcast; returns the wire byte length.
 
-        The local flag and extensions are stripped.  Recipients are
-        resolved at delivery, by the locator, against send-time geometry.
+        The local flag is cleared.  Recipients are resolved at delivery,
+        by the locator, against send-time geometry.
         """
-        cpm = cpm.without_extensions()
+        cpm = cpm.without_local()
         self._buffer.append((sender, tick, cpm))
         return cpm_wire_size(cpm)
 
@@ -127,8 +120,7 @@ class NetworkSim:
         self._buffer = []
         for sender, tick, cpm in buffered:
             _check_object_count(cpm)
-            self._pending.append(
-                PendingDelivery(cpm, sender, tick, self.registry))
+            self._pending.append(PendingDelivery(cpm, sender, tick))
 
     def pending_deliveries(self) -> list[PendingDelivery]:
         """Sealed, not yet delivered broadcasts (for inspection/tests)."""

@@ -22,11 +22,11 @@ from __future__ import annotations
 import math
 import random
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from .errors import SchemaError, SimError
-from .messages import Cpm, PerceivedObject, ProofToken, local_cpm
+from .messages import Cpm, PerceivedObject, local_cpm
 from .network import MAX_OBJECTS
 from .trace import normalize_angle
 
@@ -277,7 +277,7 @@ class CpmTxModule:
             objects.extend(cpm.objects)
         if objects:
             pose = (ctx.state.x, ctx.state.y, ctx.state.heading)
-            ctx.broadcast(Cpm(ctx.station, ctx.tick, pose, tuple(objects), {}))
+            ctx.broadcast(Cpm(ctx.station, ctx.tick, pose, tuple(objects)))
         return []
 
 
@@ -292,31 +292,16 @@ class RxModule:
 
 
 class ProofGenModule:
-    """Attaches an observation proof for every newly perceived plate."""
+    """Forwards the vehicle's perceptions, unchanged, to its CPM sender.
+
+    On the wire the object entry itself is the observation proof (see
+    ProofVerifyModule), so a prover needs nothing added to its CPM."""
 
     idle = True
-    __slots__ = ("proved",)
-
-    def __init__(self):
-        self.proved = set()
+    __slots__ = ()
 
     def process(self, inbox, ctx):
-        out = []
-        for cpm in inbox:
-            tokens = {}
-            for obj in cpm.objects:
-                if obj.plate in self.proved:
-                    continue
-                self.proved.add(obj.plate)
-                token = ProofToken.create(ctx.station or 0, obj.plate, ctx.tick)
-                key, value = token.extension_entry()
-                tokens[key] = value
-            if tokens:
-                ext = dict(cpm.extensions)
-                ext.update(tokens)
-                cpm = replace(cpm, extensions=ext)
-            out.append(cpm)
-        return out
+        return list(inbox)
 
 
 class ProofVerifyModule:
@@ -396,7 +381,7 @@ class SpamTxModule:
                 sx + r * math.cos(theta), sy + r * math.sin(theta),
                 normalize_angle(rng.uniform(-math.pi, math.pi)), tick))
         pose = (sx, sy, ctx.state.heading)
-        ctx.broadcast(Cpm(station, tick, pose, tuple(objects), {}))
+        ctx.broadcast(Cpm(station, tick, pose, tuple(objects)))
         return []
 
 
@@ -415,7 +400,7 @@ class ReplayTxModule:
 
     def process(self, inbox, ctx):
         for cpm in inbox:
-            self.buffer.append(cpm.without_extensions())
+            self.buffer.append(cpm.without_local())
         if self.buffer:
             count = min(self.replays, len(self.buffer))
             picks = ctx.rng.sample(range(len(self.buffer)), count)

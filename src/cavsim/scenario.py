@@ -166,9 +166,16 @@ def run(config: ScenarioConfig,
     is created if needed and its metrics.jsonl, metrics.idx and
     timings.csv are replaced; other files in it are left alone.  On any
     exception, KeyboardInterrupt included, the staging directory is
-    removed and out_dir is not created or touched.
+    removed and out_dir is not created or touched.  An empty out_dir, or
+    one that names something other than a directory, fails first.
     """
     config.validate()
+    out_dir = config.out_dir
+    if not out_dir:
+        raise ConfigError("no output directory given (out is empty)")
+    if os.path.lexists(out_dir) and not os.path.isdir(out_dir):
+        raise ConfigError(f"output directory {out_dir!r} exists and is not "
+                          f"a directory")
     source = None
     if trace is None:
         if config.trace_path is None:
@@ -179,7 +186,6 @@ def run(config: ScenarioConfig,
     if config.tick_range is not None:
         trace = _ticks_in(trace, *config.tick_range)
 
-    out_dir = config.out_dir
     # the staging directory shares out_dir's file system, so the moves
     # into out_dir are renames
     target = os.path.realpath(out_dir)
@@ -208,8 +214,9 @@ def _run_ticks(config: ScenarioConfig, trace: Iterable[TraceTick],
     """The tick loop; writes the three output files into out_dir and
     returns (ticks executed, vehicles seen)."""
     types = config.vehicle_types()
+    # counts the vehicles seen: it interns each trace id at its first spawn
     registry = PlateRegistry()
-    net = NetworkSim(registry)
+    net = NetworkSim()
     pcfg = config.perception
     seed, comm_range = config.seed, config.comm_range
     # the sweep is exact for any cell at least as wide as both radii, and
@@ -316,8 +323,6 @@ def _run_ticks(config: ScenarioConfig, trace: Iterable[TraceTick],
         for tt in trace:
             run_tick(tt)
             ticks += 1
-    # the registry interns each trace id at its first spawn and nothing
-    # else (a run never encodes a payload), so its size is the vehicles seen
     return ticks, len(registry)
 
 
@@ -344,12 +349,10 @@ def report(run_dir: str, kind: str, out: IO[str], tick: int | None = None,
                           f"does")
     if kind == "timing":
         with open_run_file(run_dir, TIMINGS_FILE) as f:
-            try:
-                while f.read(1 << 16):
-                    pass
-            except UnicodeDecodeError as exc:
-                raise ValidationError(f"{TIMINGS_FILE} is not ASCII text "
-                                      f"({exc})") from None
+            while chunk := f.read(1 << 16):
+                if not chunk.isascii():
+                    raise ValidationError(f"{TIMINGS_FILE} is not ASCII "
+                                          f"text")
             f.seek(0)
             shutil.copyfileobj(f, out)
         return

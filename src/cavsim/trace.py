@@ -216,6 +216,8 @@ def _fcd_ticks(stream: IO, default_length: float,
             if not 0.0 * x * y * angle == 0.0 < length < _INF > width > 0.0:
                 raise ValidationError(f"vehicle {vid!r}: non-finite value "
                                       f"or non-positive dimensions")
+            if not vid:
+                raise ValidationError(f"vehicle {vid!r}: empty vehicle id")
             if heading is None:
                 heading = normalize_angle(math.radians(90.0 - angle))
             if old is not None:

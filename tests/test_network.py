@@ -11,8 +11,8 @@ from cavsim.network import (HEADER_SIZE, OBJECT_SIZE, NetworkSim,
 from oracles import full_scan_locator
 
 
-def make_cpm(station=1, tick=0, objects=(), ext=None):
-    return Cpm(station, tick, (1.0, 2.0, 0.5), tuple(objects), ext or {})
+def make_cpm(station=1, tick=0, objects=()):
+    return Cpm(station, tick, (1.0, 2.0, 0.5), tuple(objects))
 
 
 def obj(plate, tick=0):
@@ -61,7 +61,7 @@ def test_deserialize_unknown_plate_code():
 
 
 def network():
-    return NetworkSim(PlateRegistry())
+    return NetworkSim()
 
 
 def test_empty_cpm_header_only_byte_count():
@@ -72,19 +72,6 @@ def test_empty_cpm_header_only_byte_count():
                                             300.0))
     assert [c.sender_station for c in inboxes[2]] == [1]
     assert 1 not in inboxes
-
-
-def test_extensions_stripped_before_wire():
-    net = network()
-    cpm = make_cpm(station=1, ext={"secret": b"xyz"})
-    size = net.shb_broadcast(1, cpm, 0)
-    assert size == 34  # extensions add nothing to the wire
-    net.seal()
-    (pd,) = net.pending_deliveries()
-    assert len(pd.payload) == 34
-    inboxes = net.step(1, full_scan_locator({1: (0.0, 0.0), 2: (10.0, 0.0)},
-                                            300.0))
-    assert inboxes[2][0].extensions == {}
 
 
 def test_message_values_have_no_instance_dict():
@@ -160,7 +147,7 @@ def test_conservation_random():
         positions = {i: (rng.uniform(0, 600), rng.uniform(0, 600))
                      for i in range(1, n + 1)}
         comm = rng.uniform(50, 300)
-        net = NetworkSim(PlateRegistry())
+        net = NetworkSim()
         expected = 0
         senders = rng.sample(sorted(positions), rng.randint(0, n))
         for st in senders:
@@ -175,14 +162,14 @@ def test_conservation_random():
 
 def test_byte_accounting_reproducible():
     reg = PlateRegistry()
-    net = NetworkSim(reg)
+    net = NetworkSim()
     credited = 0
     credited += net.shb_broadcast(1, make_cpm(station=1, objects=[obj("a")]), 0)
     credited += net.shb_broadcast(1, make_cpm(station=1,
                                               objects=[obj("b"), obj("c")]), 0)
     net.seal()
-    replayed = sum(len(pd.payload) for pd in net.pending_deliveries()
-                   if pd.origin == 1)
+    replayed = sum(len(serialize_cpm(pd.cpm, reg))
+                   for pd in net.pending_deliveries() if pd.origin == 1)
     assert credited == replayed == (34 + 32) + (34 + 64)
 
 

@@ -22,9 +22,10 @@ from hypothesis import given, settings, strategies as st
 
 from cavsim import metrics
 from cavsim.cli import main
-from cavsim.errors import ConfigError, NotFoundError, SimError
-from cavsim.metrics import (MetricsWriter, avg_bandwidth, cpr, load_run,
-                            record_at, record_counters, scan_line,
+from cavsim.errors import (ConfigError, NotFoundError, SimError,
+                           ValidationError)
+from cavsim.metrics import (MetricsWriter, avg_bandwidth, cpr, iter_ticks,
+                            load_run, record_at, record_counters, scan_line,
                             ttv_distribution, ttv_distribution_total)
 from cavsim.scenario import ScenarioConfig, report, run
 from cavsim.trace import synth_traffic, write_csv
@@ -190,6 +191,51 @@ def test_cli_timings_not_ascii(small_run, capsys):
     err = cli_error(capsys, "--run", small_run, "--kind", "timing")
     assert err.startswith("error: timings.csv ")
     assert len(err.splitlines()) == 1
+
+
+def put_non_ascii_in_line_2(run_dir):
+    path = os.path.join(run_dir, "metrics.jsonl")
+    with open(path, "rb") as f:
+        lines = f.readlines()
+    lines[1] = lines[1].replace(b'"id":"', b'"id":"\xe9', 1)
+    with open(path, "wb") as f:
+        f.writelines(lines)
+
+
+@pytest.mark.parametrize("kind", ["bandwidth", "ttv"])
+def test_cli_metrics_not_ascii_names_the_line(small_run, capsys, kind):
+    put_non_ascii_in_line_2(small_run)
+    err = cli_error(capsys, "--run", small_run, "--kind", kind)
+    assert err == "error: metrics.jsonl: line 2 is not ASCII text\n"
+
+
+@pytest.mark.parametrize("kind", [["ttv", "1"], ["cpr"]],
+                         ids=["ttv-tick", "cpr"])
+def test_cli_index_not_ascii_names_the_line(small_run, capsys, kind):
+    path = os.path.join(small_run, "metrics.idx")
+    with open(path, "rb") as f:
+        lines = f.readlines()
+    lines[1] = lines[1].replace(b" ", b"\xe9", 1)
+    with open(path, "wb") as f:
+        f.writelines(lines)
+    argv = ["--run", small_run, "--kind", kind[0]]
+    if len(kind) > 1:
+        argv += ["--tick", kind[1]]
+    err = cli_error(capsys, *argv)
+    assert err.startswith("error: metrics.idx line 2: ")
+    assert len(err.splitlines()) == 1
+
+
+def test_load_run_not_ascii_names_the_line(small_run):
+    put_non_ascii_in_line_2(small_run)
+    with pytest.raises(ValidationError,
+                       match="^metrics.jsonl: line 2 is not ASCII text$"):
+        load_run(small_run)
+    with metrics.open_run_file(small_run, "metrics.jsonl") as f:
+        ticks = iter_ticks(f)
+        assert next(ticks)["tick"] == 0
+        with pytest.raises(ValidationError, match="line 2 is not ASCII"):
+            next(ticks)
 
 
 @pytest.mark.parametrize("argv,message", [

@@ -1,12 +1,11 @@
 import math
-from dataclasses import replace
 
 import pytest
 
 from cavsim.errors import SchemaError, SimError
 from cavsim.identity import MatchTable, PlateRegistry
 from cavsim.messages import Cpm, PerceivedObject, local_cpm
-from cavsim.network import NetworkSim, serialize_cpm
+from cavsim.network import NetworkSim, deserialize_cpm, serialize_cpm
 from cavsim.sandbox import (MODULES, FlowGraph, SandboxContext,
                             VehicleTypeSpec, build_vehicle,
                             builtin_vehicle_types, predecessors,
@@ -20,13 +19,13 @@ def obj(plate, tick=0):
 
 
 def wire_cpm(station, tick, objects):
-    return Cpm(station, tick, (0.0, 0.0, 0.0), tuple(objects), {})
+    return Cpm(station, tick, (0.0, 0.0, 0.0), tuple(objects))
 
 
 def make_ctx(tick=0, plate="ego", station=1, percept=(), net=None, match=None,
              seed=0):
     if net is None:
-        net = NetworkSim(PlateRegistry())
+        net = NetworkSim()
     state = VehicleState(plate, 0.0, 0.0, 0.0)
     return SandboxContext(tick, plate, station, state, percept, net,
                           match or MatchTable({plate: station}), 300.0, seed)
@@ -144,8 +143,7 @@ def test_unconnected_vehicle_counts_local_only():
 
 
 def test_connected_vehicle_two_peer_end_to_end():
-    reg = PlateRegistry()
-    net = NetworkSim(reg)
+    net = NetworkSim()
     positions = {1: (0.0, 0.0), 2: (10.0, 0.0)}
     match = MatchTable({"a": 1, "b": 2, "c": None})
     types = builtin_vehicle_types()
@@ -186,7 +184,8 @@ def test_object_store_union_and_self_exclusion():
 
 def test_spam_attacker_emits_k_objects():
     types = builtin_vehicle_types()
-    net = NetworkSim(PlateRegistry())
+    reg = PlateRegistry()
+    net = NetworkSim()
     v = build_vehicle(types["SpamAttacker"], "s", 5)
     ctx = make_ctx(0, "s", 5, net=net)
     n, rec = run_vehicle(v, (), ctx)
@@ -194,10 +193,10 @@ def test_spam_attacker_emits_k_objects():
     assert rec.bytes_sent == 34 + 5 * 32
     net.seal()
     (pd,) = net.pending_deliveries()
-    assert len(pd.payload) == 34 + 5 * 32
+    payload = serialize_cpm(pd.cpm, reg)
+    assert len(payload) == 34 + 5 * 32
     # fake objects lie within comm range of the sender
-    from cavsim.network import deserialize_cpm
-    cpm = deserialize_cpm(pd.payload, net.registry)
+    cpm = deserialize_cpm(payload, reg)
     assert len(cpm.objects) == 5
     assert len({o.plate for o in cpm.objects}) == 5
     for o in cpm.objects:
@@ -208,12 +207,13 @@ def test_spam_attacker_deterministic_per_seed():
     types = builtin_vehicle_types()
 
     def one(seed):
-        net = NetworkSim(PlateRegistry())
+        net = NetworkSim()
         v = build_vehicle(types["SpamAttacker"], "s", 5)
         ctx = make_ctx(3, "s", 5, net=net, seed=seed)
         tick_vehicle(v, (), ctx)
         net.seal()
-        return net.pending_deliveries()[0].payload
+        return serialize_cpm(net.pending_deliveries()[0].cpm,
+                             PlateRegistry())
 
     assert one(1) == one(1)
     assert one(1) != one(2)
@@ -232,7 +232,7 @@ def test_silence_attacker_never_broadcasts():
 
 def test_replay_attacker_byte_identical():
     reg = PlateRegistry()
-    net = NetworkSim(reg)
+    net = NetworkSim()
     v = build_vehicle(builtin_vehicle_types()["ReplayAttacker"], "r", 7)
 
     seen = wire_cpm(8, 0, [obj("a"), obj("b", 1)])
@@ -244,24 +244,24 @@ def test_replay_attacker_byte_identical():
     (pd,) = net.pending_deliveries()
     candidates = {original_payload,
                   serialize_cpm(local_cpm(7, 1, (0.0, 0.0, 0.0),
-                                          (obj("c"),)).without_extensions(),
+                                          (obj("c"),)).without_local(),
                                 reg)}
-    assert pd.payload in candidates
+    assert serialize_cpm(pd.cpm, reg) in candidates
 
 
 def test_replay_attacker_replays_own_camera_cpm_as_wire_cpm():
     reg = PlateRegistry()
-    net = NetworkSim(reg)
+    net = NetworkSim()
     v = build_vehicle(builtin_vehicle_types()["ReplayAttacker"], "r", 7)
     ctx = make_ctx(1, "r", 7, percept=(obj("c"),), net=net)
     n, _ = run_vehicle(v, (), ctx)  # the camera CPM is the only candidate
     assert n == 1
     (stored,) = v.modules["replay_tx"].buffer
-    assert stored.local is False and stored.extensions == {}
+    assert stored.local is False
     net.seal()
     (pd,) = net.pending_deliveries()
     assert pd.cpm.local is False
-    assert pd.payload == serialize_cpm(
+    assert serialize_cpm(pd.cpm, reg) == serialize_cpm(
         wire_cpm(7, 1, [obj("c")]), reg)
     inboxes = net.step(2, full_scan_locator({7: (0.0, 0.0), 8: (5.0, 0.0)},
                                             300.0))
@@ -274,7 +274,7 @@ def test_replay_attacker_history_and_rate_params():
     custom = VehicleTypeSpec(
         "Replay3", spec.graph, spec.entry, True,
         {"replay_tx": {"history": 2, "replays": 3}})
-    net = NetworkSim(PlateRegistry())
+    net = NetworkSim()
     v = build_vehicle(custom, "r", 7)
     inbox = [wire_cpm(8, 0, [obj(f"p{i}")]) for i in range(5)]
     ctx = make_ctx(1, "r", 7, net=net)
@@ -329,55 +329,31 @@ def test_pot_first_seen_via_network():
     assert rec.ttv_events == {0: 1}
 
 
-def test_proof_token_extension_roundtrip():
-    from cavsim.messages import ProofToken
-
-    token = ProofToken.create(7, "veh-42", 13)
-    key, value = token.extension_entry()
-    assert key == "proof/veh-42"
-    assert ProofToken.from_extension(key, value) == token
-    # nonce is deterministic for (prover, target, tick)
-    assert ProofToken.create(7, "veh-42", 13) == token
-    assert ProofToken.create(8, "veh-42", 13) != token
-
-
-def test_proof_gen_attaches_extensions_once():
-    v = build_vehicle(builtin_vehicle_types()["PoTVehicle"], "me", 1)
-    gen = v.modules["proof_gen"]
-    out = gen.process([local_cpm(1, 0, (0, 0, 0), (obj("a"), obj("b")))],
-                      make_ctx(0, "me", 1))
-    keys = set(out[0].extensions)
-    assert "proof/a" in keys and "proof/b" in keys
-    # already proved plates are not re-proved
-    out2 = gen.process([local_cpm(1, 1, (0, 0, 0), (obj("a"), obj("c")))],
-                       make_ctx(1, "me", 1))
-    keys2 = set(out2[0].extensions)
-    assert "proof/c" in keys2 and "proof/a" not in keys2
-
-
-def test_proof_gen_keeps_local_flag():
+def test_proof_gen_forwards_its_inbox_unchanged():
     gen = build_vehicle(builtin_vehicle_types()["PoTVehicle"], "me",
                         1).modules["proof_gen"]
-    (out,) = gen.process([local_cpm(1, 0, (0, 0, 0), (obj("a"),))],
-                         make_ctx(0, "me", 1))
-    assert out.extensions and out.local is True  # dataclasses.replace
+    inbox = [local_cpm(1, 0, (0, 0, 0), (obj("a"), obj("b"))),
+             wire_cpm(9, 0, [obj("c")])]
+    out = gen.process(inbox, make_ctx(0, "me", 1))
+    assert len(out) == len(inbox)
+    assert all(a is b for a, b in zip(out, inbox))
+    assert gen.process([], make_ctx(1, "me", 1)) == []
 
 
 def test_local_cpm_broadcast_arrives_plain():
-    net = NetworkSim(PlateRegistry())
+    net = NetworkSim()
     ctx = make_ctx(0, "ego", 1, net=net)
-    cpm = replace(local_cpm(1, 0, (0.0, 0.0, 0.0), (obj("a"),)),
-                  extensions={"proof/a": b"token"})
+    cpm = local_cpm(1, 0, (0.0, 0.0, 0.0), (obj("a"),))
     assert cpm.local is True
     assert ctx.broadcast(cpm) == 34 + 32
     inboxes = net.step(1, full_scan_locator({1: (0.0, 0.0), 2: (5.0, 0.0)},
                                             300.0))
     (got,) = inboxes[2]
-    assert got.local is False and got.extensions == {}
+    assert got.local is False
     assert got == wire_cpm(1, 0, [obj("a")])
-    # a CPM with nothing to strip goes out as it is
+    # a CPM with nothing to clear goes out as it is
     plain = wire_cpm(1, 0, [obj("a")])
-    assert plain.without_extensions() is plain
+    assert plain.without_local() is plain
 
 
 class BoomModule:
@@ -413,7 +389,7 @@ def test_module_failure_keeps_earlier_broadcasts():
                       {"camera": ("cpm_tx", "boom"),
                        "boom": ("object_store",)}))
         v = build_vehicle(spec, "a", 1)
-        net = NetworkSim(PlateRegistry())
+        net = NetworkSim()
         positions = {1: (0.0, 0.0), 2: (10.0, 0.0)}
         ctx = make_ctx(0, "a", 1, percept=(obj("c"),), net=net,
                        match=MatchTable({"a": 1, "b": 2, "c": None}))

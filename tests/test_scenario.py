@@ -691,6 +691,95 @@ def test_existing_out_dir(tmp_path):
     assert os.listdir(tmp_path) == ["out"]
 
 
+def prover_type(with_proof_gen):
+    """PoTVehicle's flow as a custom type, with or without proof_gen
+    between the camera and cpm_tx."""
+    nodes = ("camera", "cpm_tx", "rx", "proof_verify", "object_store")
+    edges = {"camera": ("cpm_tx", "object_store", "proof_verify"),
+             "rx": ("object_store", "proof_verify")}
+    if with_proof_gen:
+        nodes = ("proof_gen",) + nodes
+        edges["camera"] = ("proof_gen",) + edges["camera"][1:]
+        edges["proof_gen"] = ("cpm_tx",)
+    return VehicleTypeSpec("Prover", FlowGraph(nodes, edges), entry=("rx",))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_proof_gen_changes_no_output(tmp_path, seed):
+    from test_golden import ALL_TYPES, churned
+
+    trace = churned(synth_traffic(seed, 80, 8, 400.0))
+    got = {}
+    for with_proof_gen in (True, False):
+        out = tmp_path / str(with_proof_gen)
+        run(ScenarioConfig(out_dir=str(out), seed=seed,
+                           mix=ALL_TYPES + (("Prover", 2.0),),
+                           extra_types={"Prover": prover_type(with_proof_gen)}),
+            trace=trace)
+        got[with_proof_gen] = read_bytes(out / "metrics.jsonl")
+    assert got[True] == got[False]
+    # the provers broadcast, and some plates were verified
+    assert b'"ttv":{"' in got[True]
+    assert any(assign_type(seed, v["id"], ALL_TYPES + (("Prover", 2.0),))
+               == "Prover" and v["bytes_sent"]
+               for line in load_run(str(tmp_path / "True"))
+               for v in line["vehicles"])
+
+
+class NoStaging:
+    """Stands in for scenario's tempfile module: making a staging directory
+    fails the test."""
+
+    @staticmethod
+    def mkdtemp(**kwargs):
+        raise AssertionError("a staging directory was made")
+
+
+@pytest.mark.parametrize("out", ["", "taken"], ids=["empty", "file"])
+def test_bad_out_fails_before_any_tick(tmp_path, monkeypatch, out):
+    import cavsim.scenario as scenario
+
+    monkeypatch.setattr(scenario, "tempfile", NoStaging)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "taken").write_bytes(b"kept")
+    pulled = []
+
+    def trace():
+        for tt in synth_traffic(1, 4, 3, 200.0):
+            pulled.append(tt.tick)
+            yield tt
+
+    with pytest.raises(ConfigError, match="output directory"):
+        run(ScenarioConfig(out_dir=out), trace=trace())
+    assert pulled == []
+    assert os.listdir(tmp_path) == ["taken"]
+    assert read_bytes(tmp_path / "taken") == b"kept"
+
+
+@pytest.mark.parametrize("how", ["config", "option", "file"])
+def test_cli_bad_out_is_one_error_line(tmp_path, monkeypatch, capsys, how):
+    import cavsim.scenario as scenario
+    from cavsim.cli import main
+
+    monkeypatch.setattr(scenario, "tempfile", NoStaging)
+    monkeypatch.chdir(tmp_path)
+    write_trace(tmp_path / "t.csv", synth_traffic(1, 4, 3, 200.0))
+    (tmp_path / "taken").write_bytes(b"kept")
+    (tmp_path / "s.ini").write_text(
+        "[scenario]\nseed = 1\n" + ("out =\n" if how == "config" else ""))
+    argv = ["run", "--config", "s.ini", "--trace", "t.csv"]
+    argv += {"config": [], "option": ["--out", ""],
+             "file": ["--out", "taken"]}[how]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "output directory" in captured.err
+    assert len(captured.err.splitlines()) == 1
+    assert sorted(os.listdir(tmp_path)) == ["s.ini", "t.csv", "taken"]
+    assert read_bytes(tmp_path / "taken") == b"kept"
+
+
 def test_run_reads_trace_once_and_stops_at_range_end(tmp_path):
     pulled = []
 

@@ -254,6 +254,18 @@ def test_fcd_bad_time_rejected(time):
     assert "time" in str(exc.value)
 
 
+def test_empty_id_rejected_in_both_formats():
+    with pytest.raises(ValidationError, match="^row 2: empty vehicle id$"):
+        parse_csv(io.StringIO(csv_doc(id="")))
+    with pytest.raises(ValidationError,
+                       match="^vehicle '': empty vehicle id$"):
+        parse_fcd(io.StringIO(fcd_doc().replace('id="a"', 'id=""')))
+    # an entity the parser cannot expand leaves the id empty
+    with pytest.raises(ValidationError,
+                       match="^vehicle '': empty vehicle id$"):
+        parse_fcd(io.StringIO(ODD_FCD["external-dtd-entity-attr"]))
+
+
 @pytest.mark.parametrize("name, doc", [
     ("t.csv", csv_doc(x="nan")),
     ("t.csv", csv_doc(width="inf")),
@@ -531,6 +543,9 @@ def reference_fcd_ticks(stream, default_length=5.0, default_width=1.8):
                     raise ValidationError(
                         f"vehicle {attrs['id']!r}: non-finite value "
                         f"or non-positive dimensions")
+                if not attrs["id"]:
+                    raise ValidationError(
+                        f"vehicle {attrs['id']!r}: empty vehicle id")
                 states.append(VehicleState(
                     attrs["id"], x, y,
                     normalize_angle(math.radians(90.0 - angle)),
