@@ -14,7 +14,8 @@ without building a dict per record, and decode any other line as JSON, so
 the result and the errors are those of the aggregation over iter_ticks.
 These three refuse a line that is not ASCII, and name it.  A
 one-tick report reads its one line through the index (load_run with a
-tick).  Either way a report holds one tick line in memory, not the run.
+tick), and refuses it, naming the tick, when it is not ASCII.  Either way
+a report holds one tick line in memory, not the run.
 
 Per-vehicle record keys, in order:
     id, bytes_sent, local_objects, received_objects, all_objects,
@@ -195,7 +196,11 @@ def seek_tick(index: list[tuple[int, int, int]], data: IO[bytes],
     for t, offset, length in index:
         if t == tick:
             data.seek(offset)
-            return _json_line(data.read(length), f"the line of tick {tick}")
+            line = data.read(length)
+            if not line.isascii():
+                raise ValidationError(f"{METRICS_FILE}: the line of tick "
+                                      f"{tick} is not ASCII text")
+            return _json_line(line, f"the line of tick {tick}")
     raise NotFoundError(f"tick {tick} not in run")
 
 

@@ -46,64 +46,9 @@ def validate_flow(graph: FlowGraph) -> list[str]:
     """Topological order with ties broken by declaration order.
 
     Raises SchemaError for duplicate/unknown module names and names one
-    offending edge when the graph has a cycle.
+    edge on a cycle when the graph has one.
     """
-    nodes = list(graph.nodes)
-    known = set(nodes)
-    if len(known) != len(nodes):
-        raise SchemaError("duplicate module name in flow")
-    indeg = {n: 0 for n in nodes}
-    for src, dsts in graph.edges.items():
-        if src not in known:
-            raise SchemaError(f"edge from unknown module {src!r}")
-        for dst in dsts:
-            if dst not in known:
-                raise SchemaError(f"edge to unknown module {dst!r}")
-            indeg[dst] += 1
-    order = []
-    remaining = dict(indeg)
-    pending = list(nodes)
-    while pending:
-        picked = None
-        for n in pending:
-            if remaining[n] == 0:
-                picked = n
-                break
-        if picked is None:
-            cycle_edge = _find_cycle_edge(graph, set(pending))
-            raise SchemaError(
-                f"flow graph has a cycle through edge "
-                f"{cycle_edge[0]!r} -> {cycle_edge[1]!r}")
-        pending.remove(picked)
-        order.append(picked)
-        for dst in graph.edges.get(picked, ()):
-            remaining[dst] -= 1
-    return order
-
-
-def _find_cycle_edge(graph: FlowGraph, stuck: set[str]) -> tuple[str, str]:
-    """One edge on a cycle among the nodes a stalled topological sort left.
-
-    Nodes without successors inside the set are stripped first (they merely
-    hang off the cycle); every remaining node has an in-set successor, so
-    walking successors must revisit a node.
-    """
-    core = set(stuck)
-    changed = True
-    while changed:
-        changed = False
-        for n in list(core):
-            if not any(d in core for d in graph.edges.get(n, ())):
-                core.discard(n)
-                changed = True
-    node = next(iter(core))
-    seen = {node}
-    while True:
-        nxt = next(d for d in graph.edges.get(node, ()) if d in core)
-        if nxt in seen:
-            return (node, nxt)
-        seen.add(nxt)
-        node = nxt
+    return _compile_flow(graph)[0]
 
 
 def predecessors(graph: FlowGraph) -> dict[str, tuple[str, ...]]:
@@ -113,6 +58,43 @@ def predecessors(graph: FlowGraph) -> dict[str, tuple[str, ...]]:
         for dst in graph.edges.get(src, ()):
             preds[dst].append(src)
     return {n: tuple(p) for n, p in preds.items()}
+
+
+def _compile_flow(graph: FlowGraph):
+    """(validate_flow's order, predecessors) of a flow in one pass.
+
+    Each step places the first pending module, in declaration order, whose
+    predecessors are all placed.  When none is ready, every pending module
+    has a pending predecessor, so walking back from the first pending one
+    must repeat a module: the edge from it to the module walked just
+    before it lies on a cycle.
+    """
+    known = set(graph.nodes)
+    if len(known) != len(graph.nodes):
+        raise SchemaError("duplicate module name in flow")
+    for src, dsts in graph.edges.items():
+        if src not in known:
+            raise SchemaError(f"edge from unknown module {src!r}")
+        for dst in dsts:
+            if dst not in known:
+                raise SchemaError(f"edge to unknown module {dst!r}")
+    preds = predecessors(graph)
+    order = []
+    pending = dict.fromkeys(graph.nodes)
+    while pending:
+        for n in pending:
+            if not any(p in pending for p in preds[n]):
+                break
+        else:
+            n, walk = next(iter(pending)), []
+            while n not in walk:
+                walk.append(n)
+                n = next(p for p in preds[n] if p in pending)
+            raise SchemaError(f"flow graph has a cycle through edge "
+                              f"{n!r} -> {walk[-1]!r}")
+        del pending[n]
+        order.append(n)
+    return order, preds
 
 
 # ---------------------------------------------------------------------------
@@ -440,12 +422,10 @@ class VehicleTypeSpec:
     params: dict[str, dict[str, Any]] = field(default_factory=dict)
 
     def __post_init__(self):
-        order = validate_flow(self.graph)
-        known = set(self.graph.nodes)
+        order, preds = _compile_flow(self.graph)
         for e in self.entry:
-            if e not in known:
+            if e not in preds:
                 raise SchemaError(f"entry module {e!r} not in flow")
-        preds = predecessors(self.graph)
         at = {name: i for i, name in enumerate(order)}
         # the steps tick_vehicle walks, shared by every vehicle of the
         # type: (module, is entry, indices of its predecessors' steps)

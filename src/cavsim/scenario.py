@@ -471,18 +471,29 @@ def _parse_connected(name: str, raw: str) -> bool:
 
 
 def _number(section, convert, key: str, default):
-    """section[key] converted by int or float, or default when absent."""
+    """section[key] converted by int or float, or default when absent.  An
+    int key also takes a whole number written as a float, such as 2.0."""
     raw = section.get(key)
     if raw is None:
         return default
+    if convert is int:
+        try:
+            return int(raw)
+        except ValueError:
+            pass
     try:
-        value = convert(raw)
+        value = float(raw)
     except ValueError:
-        value = None
-    if value is None or not math.isfinite(value):
+        value = math.nan
+    if not math.isfinite(value):
         raise ConfigError(f"[{section.name}] {key} = {raw!r} is not "
                           f"a finite number")
-    return value
+    if convert is float:
+        return value
+    if not value.is_integer():
+        raise ConfigError(f"[{section.name}] {key} = {raw!r} is not "
+                          f"a whole number")
+    return int(value)
 
 
 def parse_config(stream: IO[str]) -> ScenarioConfig:

@@ -226,6 +226,23 @@ def test_cli_index_not_ascii_names_the_line(small_run, capsys, kind):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("kind", ["ttv", "cpr"])
+def test_cli_one_tick_not_ascii_names_the_tick(small_run, capsys, kind):
+    # Valid UTF-8 of the same length, so the index still frames the line
+    # and JSON would decode it.
+    path = os.path.join(small_run, "metrics.jsonl")
+    with open(path, "rb") as f:
+        lines = f.readlines()
+    line = lines[1]
+    lines[1] = line.replace(b'"id":"v0', '"id":"\u00e9'.encode(), 1)
+    assert lines[1] != line and len(lines[1]) == len(line)
+    with open(path, "wb") as f:
+        f.writelines(lines)
+    err = cli_error(capsys, "--run", small_run, "--kind", kind, "--tick", "1")
+    assert err == ("error: metrics.jsonl: the line of tick 1 is not ASCII "
+                   "text\n")
+
+
 def test_load_run_not_ascii_names_the_line(small_run):
     put_non_ascii_in_line_2(small_run)
     with pytest.raises(ValidationError,

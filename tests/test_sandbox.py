@@ -1,4 +1,10 @@
+import json
 import math
+import os
+import random
+import re
+import subprocess
+import sys
 
 import pytest
 
@@ -91,6 +97,179 @@ def test_validate_unknown_module():
         validate_flow(FlowGraph(("a",), {"ghost": ("a",)}))
 
 
+# A reference for the flow compile by the in-degree rule (Kahn's
+# algorithm, ties by declaration order): the name checks in edge order,
+# then placing modules by counting each edge, repeats included.
+
+def reference_order(graph):
+    nodes = list(graph.nodes)
+    if len(set(nodes)) != len(nodes):
+        raise SchemaError("duplicate module name in flow")
+    indeg = {n: 0 for n in nodes}
+    for src, dsts in graph.edges.items():
+        if src not in indeg:
+            raise SchemaError(f"edge from unknown module {src!r}")
+        for dst in dsts:
+            if dst not in indeg:
+                raise SchemaError(f"edge to unknown module {dst!r}")
+            indeg[dst] += 1
+    order = []
+    while len(order) < len(nodes):
+        ready = [n for n in nodes if n not in order and indeg[n] == 0]
+        if not ready:
+            raise SchemaError("flow graph has a cycle")
+        order.append(ready[0])
+        for dst in graph.edges.get(ready[0], ()):
+            indeg[dst] -= 1
+    return order
+
+
+def reference_predecessors(graph):
+    preds = {n: [] for n in graph.nodes}
+    for src in graph.nodes:
+        for dst in graph.edges.get(src, ()):
+            preds[dst].append(src)
+    return {n: tuple(p) for n, p in preds.items()}
+
+
+def reference_steps(graph, entry):
+    order = reference_order(graph)
+    for e in entry:
+        if e not in graph.nodes:
+            raise SchemaError(f"entry module {e!r} not in flow")
+    preds = reference_predecessors(graph)
+    return tuple((n, n in entry, tuple(order.index(p) for p in preds[n]))
+                 for n in order)
+
+
+CYCLE_EDGE = re.compile(r"flow graph has a cycle through edge "
+                        r"'(\w+)' -> '(\w+)'")
+
+
+def on_a_cycle(graph, src, dst):
+    """True when src -> dst is an edge and src is reachable from dst."""
+    if dst not in graph.edges.get(src, ()):
+        return False
+    seen, todo = set(), [dst]
+    while todo:
+        n = todo.pop()
+        if n == src:
+            return True
+        if n not in seen:
+            seen.add(n)
+            todo.extend(graph.edges.get(n, ()))
+    return False
+
+
+def outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+def random_flow(rng):
+    """A small flow with repeated edges, edges listed in another order
+    than the nodes, and now and then a duplicate or unknown name or a
+    back edge that may close a cycle."""
+    nodes = rng.sample("abcdefgh", rng.randint(0, 7))
+    rank = {n: i for i, n in enumerate(rng.sample(nodes, len(nodes)))}
+    edges = {}
+    for src in rng.sample(nodes, len(nodes)):
+        later = [d for d in nodes if rank[d] > rank[src]]
+        if rng.random() < 0.1:
+            later = list(nodes)
+        if later and rng.random() < 0.7:
+            edges[src] = tuple(rng.choice(later)
+                               for _ in range(rng.randint(1, 3)))
+    if rng.random() < 0.03:
+        edges[rng.choice(["x", "y"])] = tuple(nodes[:1])
+    if nodes and rng.random() < 0.03:
+        src = rng.choice(nodes)
+        edges[src] = edges.get(src, ()) + ("z",)
+    if nodes and rng.random() < 0.03:
+        nodes.insert(rng.randrange(len(nodes) + 1), rng.choice(nodes))
+    entry = tuple(rng.sample(nodes, rng.randint(0, min(2, len(nodes)))))
+    if rng.random() < 0.03:
+        entry += ("w",)
+    return FlowGraph(tuple(nodes), edges), entry
+
+
+def steps(graph, entry):
+    return VehicleTypeSpec("t", graph, entry)._steps
+
+
+def test_flow_compile_matches_the_in_degree_reference():
+    rng = random.Random(20240)
+    seen = {}
+    for _ in range(6000):
+        graph, entry = random_flow(rng)
+        assert (outcome(predecessors, graph)
+                == outcome(reference_predecessors, graph)), graph
+        for got, want in ((outcome(validate_flow, graph),
+                           outcome(reference_order, graph)),
+                          (outcome(steps, graph, entry),
+                           outcome(reference_steps, graph, entry))):
+            if want[1] == "flow graph has a cycle":
+                match = CYCLE_EDGE.fullmatch(got[1])
+                assert got[0] == "SchemaError" and match, (graph, got)
+                assert on_a_cycle(graph, *match.groups()), (graph, got)
+            else:
+                assert got == want, (graph, entry)
+        kind = want[0] if want[0] == "ok" else want[1].split(" '")[0]
+        seen[kind] = seen.get(kind, 0) + 1
+    assert seen["ok"] > 3000 and seen["flow graph has a cycle"] > 300, seen
+    assert all(seen.get(kind, 0) > 20 for kind in (
+        "duplicate module name in flow", "edge from unknown module",
+        "edge to unknown module", "entry module")), seen
+
+
+CYCLIC_FLOWS = [
+    (("a", "b", "c", "d", "e"),
+     {"a": ("b",), "b": ("c",), "c": ("a", "d"), "d": ("e",)}),
+    (("rx", "camera", "object_store", "cpm_tx"),
+     {"camera": ("object_store",), "object_store": ("cpm_tx",),
+      "cpm_tx": ("camera", "rx")}),
+    (("p", "q", "r", "s", "t"),
+     {"p": ("q", "s"), "q": ("r",), "r": ("p",), "s": ("t",), "t": ("s",)}),
+]
+
+CYCLE_MESSAGES = r"""
+import json, sys
+from cavsim.sandbox import FlowGraph, validate_flow
+for nodes, edges in json.loads(sys.argv[1]):
+    try:
+        validate_flow(FlowGraph(tuple(nodes), {k: tuple(v)
+                                              for k, v in edges.items()}))
+    except Exception as exc:
+        print(exc)
+"""
+
+
+def test_cycle_error_is_the_same_under_every_hash_seed():
+    outputs = set()
+    for seed in range(8):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed),
+                   PYTHONPATH=os.path.join(os.path.dirname(
+                       os.path.dirname(os.path.abspath(__file__))), "src"))
+        proc = subprocess.run([sys.executable, "-c", CYCLE_MESSAGES,
+                               json.dumps(CYCLIC_FLOWS)], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        outputs.add(proc.stdout)
+    assert len(outputs) == 1, outputs
+    lines = outputs.pop().splitlines()
+    # walking back from the first pending module through first pending
+    # predecessors: a <- c <- b <- a, rx <- cpm_tx <- object_store <-
+    # camera <- cpm_tx, p <- r <- q <- p
+    assert [CYCLE_EDGE.fullmatch(line).groups() for line in lines] == [
+        ("a", "b"), ("cpm_tx", "camera"), ("p", "q")]
+    for (nodes, edges), line in zip(CYCLIC_FLOWS, lines):
+        match = CYCLE_EDGE.fullmatch(line)
+        assert match and on_a_cycle(FlowGraph(nodes, edges),
+                                    *match.groups()), line
+
+
 def test_spec_rejects_bad_entry():
     with pytest.raises(SchemaError):
         VehicleTypeSpec("t", FlowGraph(("rx",), {}), entry=("nope",))
@@ -103,8 +282,6 @@ def test_build_unknown_module():
     object.__setattr__(spec, "entry", ())
     object.__setattr__(spec, "connected", True)
     object.__setattr__(spec, "params", {})
-    object.__setattr__(spec, "_order", ("mystery",))
-    object.__setattr__(spec, "_preds", {"mystery": ()})
     with pytest.raises(SchemaError):
         build_vehicle(spec, "v", 1)
 

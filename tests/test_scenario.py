@@ -3,6 +3,7 @@ import hashlib
 import io
 import math
 import os
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -148,6 +149,40 @@ def test_parse_config_bad_edge_and_range():
 def test_parse_config_non_numeric_value(line):
     with pytest.raises(ConfigError, match="is not a finite number"):
         parse_config(io.StringIO(line + "\n"))
+
+
+@pytest.mark.parametrize("line", ["[scenario]\nseed = 1.5",
+                                  "[scenario]\nworkers = 2.5",
+                                  "[scenario]\nseed = -1e-3"])
+def test_parse_config_integer_key_not_whole(line):
+    with pytest.raises(ConfigError, match="is not a whole number$"):
+        parse_config(io.StringIO(line + "\n"))
+
+
+def test_parse_config_integer_key_written_as_float():
+    cfg = parse_config(io.StringIO("[scenario]\nseed = 1e3\nworkers = 2.0\n"))
+    assert (cfg.seed, cfg.workers) == (1000, 2)
+    assert type(cfg.seed) is int and type(cfg.workers) is int
+    # an integer past float range stays an integer, not an OverflowError
+    big = "1" * 400
+    assert parse_config(io.StringIO(f"[scenario]\nseed = {big}\n")
+                        ).seed == int(big)
+
+
+def test_readme_example_config_parses_and_validates():
+    readme = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "README.md")
+    with open(readme, encoding="utf-8") as f:
+        blocks = re.findall(r"^```ini\n(.*?)^```$", f.read(), re.M | re.S)
+    assert len(blocks) == 1
+    cfg = parse_config(io.StringIO(blocks[0]))
+    cfg.validate()
+    assert cfg.tick_range == (0, 3600)
+    assert (cfg.perception_radius, cfg.comm_range, cfg.workers) == (
+        100.0, 300.0, 1)
+    assert [name for name, _ in cfg.mix] == ["ConnectedVehicle",
+                                             "SpamAttacker", "PoTVehicle"]
+    assert set(cfg.extra_types) == {"Gossip", "SpamAttacker"}
 
 
 def test_parse_config_unknown_custom_base():
