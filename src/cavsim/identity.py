@@ -5,9 +5,9 @@ real world; the simulator sidesteps it with a ground-truth match table
 that a run keeps for its whole length: a vehicle is added when it spawns
 and removed when it despawns.  Plates are the opaque trace
 vehicle ids; stations are dense integers assigned at spawn (0 is reserved
-for "no station").  The plate registry assigns every plate string a dense
-integer code for the wire format; codes are append-only for the lifetime
-of a run so old messages always decode.
+for "no station").  The plate registry gives every plate string a dense
+integer code, its order of first interning, which the wire format
+carries; a run reads only its size, the number of distinct plates seen.
 """
 
 from __future__ import annotations
@@ -16,51 +16,32 @@ from .errors import NotFoundError
 
 
 class PlateRegistry:
-    """Append-only interning table plate string <-> dense wire code."""
+    """Append-only interning table plate string -> dense wire code."""
 
     def __init__(self):
         self._codes: dict[str, int] = {}
-        self._names: list[str] = []
 
     def intern(self, plate: str) -> int:
         code = self._codes.get(plate)
         if code is None:
-            code = len(self._names)
-            self._codes[plate] = code
-            self._names.append(plate)
+            code = self._codes[plate] = len(self._codes)
         return code
-
-    def code_of(self, plate: str) -> int:
-        code = self._codes.get(plate)
-        if code is None:
-            raise NotFoundError(f"unregistered plate {plate!r}")
-        return code
-
-    def name_of(self, code: int) -> str:
-        if 0 <= code < len(self._names):
-            return self._names[code]
-        raise NotFoundError(f"unknown plate code {code}")
 
     def __len__(self) -> int:
-        return len(self._names)
+        return len(self._codes)
 
 
 class MatchTable:
     """Ground-truth bijection between alive plates and stations.
 
     Connected vehicles map to their station, unconnected vehicles are
-    present with no station.  The table starts from `stations_by_plate`,
-    which it takes ownership of (it is kept, not copied, so the caller
-    must not change it afterwards), and follows spawns and despawns
-    through add and remove.
+    present with no station.  The table starts empty and follows spawns
+    and despawns through add and remove.
     """
 
-    def __init__(self, stations_by_plate: dict[str, int | None]):
-        self._station_of = stations_by_plate
+    def __init__(self):
+        self._station_of: dict[str, int | None] = {}
         self._plate_of: dict[int, str] = {}
-        for plate, station in self._station_of.items():
-            if station is not None:
-                self._plate_of[station] = plate
 
     def add(self, plate: str, station: int | None) -> None:
         self._station_of[plate] = station

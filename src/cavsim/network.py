@@ -15,8 +15,7 @@ Wire format (little-endian, bit-exact):
 A CPM's `local` flag is in-vehicle only: shb_broadcast clears it, so it
 never reaches a recipient or the wire.  Plate strings map to dense u32
 codes through a plate registry.  A run needs only the encoded length,
-cpm_wire_size; serialize_cpm and deserialize_cpm define the bytes it
-counts.
+cpm_wire_size; serialize_cpm defines the bytes it counts.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from dataclasses import dataclass
 
 from .errors import ValidationError
 from .identity import PlateRegistry
-from .messages import Cpm, PerceivedObject
+from .messages import Cpm
 
 _HEADER = struct.Struct("<IIdddH")
 _OBJECT = struct.Struct("<IdddI")
@@ -58,24 +57,6 @@ def serialize_cpm(cpm: Cpm, registry: PlateRegistry) -> bytes:
         parts.append(_OBJECT.pack(intern(o.plate), o.x, o.y, o.heading,
                                   o.observed_tick))
     return b"".join(parts)
-
-
-def deserialize_cpm(data: bytes, registry: PlateRegistry) -> Cpm:
-    """Decode a wire payload; fails on truncation or trailing bytes."""
-    if len(data) < HEADER_SIZE:
-        raise ValidationError("truncated CPM header")
-    station, tick, x, y, heading, count = _HEADER.unpack_from(data)
-    expected = HEADER_SIZE + OBJECT_SIZE * count
-    if len(data) != expected:
-        raise ValidationError(
-            f"CPM length {len(data)} does not match object count {count}")
-    objects = []
-    offset = HEADER_SIZE
-    for _ in range(count):
-        code, ox, oy, oh, otick = _OBJECT.unpack_from(data, offset)
-        objects.append(PerceivedObject(registry.name_of(code), ox, oy, oh, otick))
-        offset += OBJECT_SIZE
-    return Cpm(station, tick, (x, y, heading), tuple(objects))
 
 
 @dataclass(slots=True)

@@ -176,12 +176,12 @@ class SandboxContext:
 
 def _whole(key: str, value, least: int) -> int:
     """A count parameter as an int; ValueError unless it is a whole
-    number of at least `least`."""
+    number of at least `least` (a bool is not a count)."""
     try:
         n = int(value)
     except (TypeError, ValueError, OverflowError):
         n = None
-    if n is None or n != value or n < least:
+    if n is None or n != value or n < least or isinstance(value, bool):
         raise ValueError(f"{key} must be a whole number >= {least}, "
                          f"not {value!r}")
     return n

@@ -225,7 +225,7 @@ def _run_ticks(config: ScenarioConfig, trace: Iterable[TraceTick],
     vehicles: dict[str, Vehicle] = {}
     stations = itertools.count(1)
     # the run's one match table, kept up to date at spawn and despawn
-    match = MatchTable({})
+    match = MatchTable()
     # last tick's comm-range neighbor map: every delivery due now was
     # sealed last tick, from last tick's positions.  Delivery runs before
     # despawn, so the match table still holds last tick's vehicles.

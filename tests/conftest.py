@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from cavsim.identity import MatchTable
 from cavsim.trace import VehicleState
 
 
@@ -20,6 +21,14 @@ def random_scene(rng: random.Random, n: int, radius: float = 100.0):
             rng.uniform(3.0, 12.0),
             rng.uniform(1.5, 2.5)))
     return states
+
+
+def table_of(stations_by_plate):
+    """A MatchTable holding the (plate, station) pairs, added in order."""
+    table = MatchTable()
+    for plate, station in stations_by_plate.items():
+        table.add(plate, station)
+    return table
 
 
 @pytest.fixture

@@ -5,11 +5,13 @@ plain value, and `finish_record` reads one from a `SandboxContext`: the
 tests compare `metrics.record_json` with `json.dumps` of it.
 `full_scan_locator` resolves a delivery's recipients by scanning an
 explicit station -> position table, against which the run's sweep-based
-delivery is checked.
+delivery is checked.  `decode_cpm` reads a wire payload back by the
+format the README defines, against which `serialize_cpm` is checked.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 
 from cavsim.sandbox import SandboxContext
@@ -75,3 +77,18 @@ def full_scan_locator(positions: dict[int, tuple[float, float]],
         return out
 
     return locate
+
+
+_WIRE_HEADER = struct.Struct("<IIdddH")
+_WIRE_OBJECT = struct.Struct("<IdddI")
+
+
+def decode_cpm(data: bytes):
+    """(sender_station, gen_tick, (x, y, heading), [(plate_code, x, y,
+    heading, observed_tick), ...]) of a wire payload; AssertionError
+    unless its length is exactly what its object count says."""
+    station, tick, x, y, heading, count = _WIRE_HEADER.unpack_from(data)
+    assert len(data) == _WIRE_HEADER.size + _WIRE_OBJECT.size * count
+    objects = [_WIRE_OBJECT.unpack_from(data, offset) for offset in
+               range(_WIRE_HEADER.size, len(data), _WIRE_OBJECT.size)]
+    return station, tick, (x, y, heading), objects

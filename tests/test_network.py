@@ -2,13 +2,14 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cavsim.errors import NotFoundError, ValidationError
+from cavsim.errors import ValidationError
 from cavsim.identity import PlateRegistry
 from cavsim.messages import Cpm, PerceivedObject
 from cavsim.network import (HEADER_SIZE, OBJECT_SIZE, NetworkSim,
-                            cpm_wire_size, deserialize_cpm, serialize_cpm)
-from oracles import full_scan_locator
+                            cpm_wire_size, serialize_cpm)
+from oracles import decode_cpm, full_scan_locator
 
 
 def make_cpm(station=1, tick=0, objects=()):
@@ -30,34 +31,52 @@ def test_serialize_roundtrip():
     reg = PlateRegistry()
     cpm = make_cpm(objects=[obj("a"), obj("b", 3)])
     data = serialize_cpm(cpm, reg)
-    assert len(data) == cpm_wire_size(cpm)
-    assert deserialize_cpm(data, reg) == cpm
+    assert decode_cpm(data) == (1, 0, (1.0, 2.0, 0.5), [
+        (reg.intern("a"), 10.0, -3.5, 0.25, 0),
+        (reg.intern("b"), 10.0, -3.5, 0.25, 3)])
 
 
 def test_serialize_is_canonical():
     reg = PlateRegistry()
-    cpm = make_cpm(objects=[obj("a")])
+    cpm = make_cpm(objects=[obj("a"), obj("b", 3), obj("a", 1)])
     data = serialize_cpm(cpm, reg)
-    again = serialize_cpm(deserialize_cpm(data, reg), reg)
-    assert again == data
+    station, tick, pose, objects = decode_cpm(data)
+    plate_of = {reg.intern(p): p for p in ("a", "b")}
+    again = Cpm(station, tick, pose, tuple(
+        PerceivedObject(plate_of[code], *rest) for code, *rest in objects))
+    assert again == cpm
+    assert serialize_cpm(again, reg) == data
 
 
-def test_deserialize_rejects_garbage():
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_u32 = st.integers(0, 2**32 - 1)
+
+
+@st.composite
+def _cpms(draw):
+    # a small pool of plates, so that objects repeat plates
+    pool = draw(st.lists(st.text(max_size=6), min_size=1, max_size=8))
+    objects = draw(st.lists(st.builds(
+        PerceivedObject, st.sampled_from(pool), _finite, _finite, _finite,
+        _u32), max_size=50))
+    return Cpm(draw(_u32), draw(_u32), draw(st.tuples(_finite, _finite,
+                                                      _finite)),
+               tuple(objects))
+
+
+@settings(deadline=None)
+@given(st.lists(_cpms(), min_size=1, max_size=3))
+def test_wire_size_is_encoded_length(cpms):
     reg = PlateRegistry()
-    with pytest.raises(ValidationError):
-        deserialize_cpm(b"\x00" * 10, reg)
-    data = serialize_cpm(make_cpm(objects=[obj("a")]), reg)
-    with pytest.raises(ValidationError):
-        deserialize_cpm(data + b"\x00", reg)
-    with pytest.raises(ValidationError):
-        deserialize_cpm(data[:-1], reg)
-
-
-def test_deserialize_unknown_plate_code():
-    reg = PlateRegistry()
-    data = serialize_cpm(make_cpm(objects=[obj("a")]), reg)
-    with pytest.raises(NotFoundError):
-        deserialize_cpm(data, PlateRegistry())
+    for cpm in cpms:
+        data = serialize_cpm(cpm, reg)
+        assert len(data) == cpm_wire_size(cpm)
+        assert decode_cpm(data) == (
+            cpm.sender_station, cpm.gen_tick, cpm.sender_pose,
+            [(reg.intern(o.plate), o.x, o.y, o.heading, o.observed_tick)
+             for o in cpm.objects])
+    plates = {o.plate for cpm in cpms for o in cpm.objects}
+    assert len(reg) == len(plates)
 
 
 def network():

@@ -9,15 +9,16 @@ import sys
 import pytest
 
 from cavsim.errors import SchemaError, SimError
-from cavsim.identity import MatchTable, PlateRegistry
+from cavsim.identity import PlateRegistry
 from cavsim.messages import Cpm, PerceivedObject, local_cpm
-from cavsim.network import NetworkSim, deserialize_cpm, serialize_cpm
+from cavsim.network import NetworkSim, serialize_cpm
 from cavsim.sandbox import (MODULES, FlowGraph, SandboxContext,
                             VehicleTypeSpec, build_vehicle,
                             builtin_vehicle_types, predecessors,
                             register_module, tick_vehicle, validate_flow)
 from cavsim.trace import VehicleState
-from oracles import finish_record, full_scan_locator
+from conftest import table_of
+from oracles import decode_cpm, finish_record, full_scan_locator
 
 
 def obj(plate, tick=0):
@@ -34,7 +35,7 @@ def make_ctx(tick=0, plate="ego", station=1, percept=(), net=None, match=None,
         net = NetworkSim()
     state = VehicleState(plate, 0.0, 0.0, 0.0)
     return SandboxContext(tick, plate, station, state, percept, net,
-                          match or MatchTable({plate: station}), 300.0, seed)
+                          match or table_of({plate: station}), 300.0, seed)
 
 
 def run_vehicle(v, inbox, ctx):
@@ -322,7 +323,7 @@ def test_unconnected_vehicle_counts_local_only():
 def test_connected_vehicle_two_peer_end_to_end():
     net = NetworkSim()
     positions = {1: (0.0, 0.0), 2: (10.0, 0.0)}
-    match = MatchTable({"a": 1, "b": 2, "c": None})
+    match = table_of({"a": 1, "b": 2, "c": None})
     types = builtin_vehicle_types()
     va = build_vehicle(types["ConnectedVehicle"], "a", 1)
     vb = build_vehicle(types["ConnectedVehicle"], "b", 2)
@@ -373,11 +374,11 @@ def test_spam_attacker_emits_k_objects():
     payload = serialize_cpm(pd.cpm, reg)
     assert len(payload) == 34 + 5 * 32
     # fake objects lie within comm range of the sender
-    cpm = deserialize_cpm(payload, reg)
-    assert len(cpm.objects) == 5
-    assert len({o.plate for o in cpm.objects}) == 5
-    for o in cpm.objects:
-        assert math.hypot(o.x, o.y) <= 300.0
+    _, _, _, objects = decode_cpm(payload)
+    assert len(objects) == 5
+    assert len({code for code, *_ in objects}) == 5
+    for _, x, y, _, _ in objects:
+        assert math.hypot(x, y) <= 300.0
 
 
 def test_spam_attacker_deterministic_per_seed():
@@ -569,7 +570,7 @@ def test_module_failure_keeps_earlier_broadcasts():
         net = NetworkSim()
         positions = {1: (0.0, 0.0), 2: (10.0, 0.0)}
         ctx = make_ctx(0, "a", 1, percept=(obj("c"),), net=net,
-                       match=MatchTable({"a": 1, "b": 2, "c": None}))
+                       match=table_of({"a": 1, "b": 2, "c": None}))
         n, rec = run_vehicle(v, (), ctx)
         assert rec.errors == 1
         assert n == 1 and rec.bytes_sent == 34 + 32
@@ -613,7 +614,7 @@ def test_broadcast_without_station_raises():
 
 
 def test_ctx_identity_lookups():
-    match = MatchTable({"a": 1, "u": None})
+    match = table_of({"a": 1, "u": None})
     ctx = make_ctx(0, "a", 1, match=match)
     assert ctx.station_of("u") is None
     assert ctx.plate_of(1) == "a"

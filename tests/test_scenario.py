@@ -501,8 +501,14 @@ def test_bad_module_parameter_fails_before_output(tmp_path, param):
     ("SpamAttacker", "spam_tx.k = 65536"),
     ("ReplayAttacker", "replay_tx.history = 0"),
     ("PoTVehicle", "proof_verify.provers_required = 0"),
+    # the config parser reads true/false as bools, and int(True) == 1
+    ("SpamAttacker", "spam_tx.k = true"),
+    ("ReplayAttacker", "replay_tx.history = true"),
+    ("ReplayAttacker", "replay_tx.replays = false"),
+    ("PoTVehicle", "proof_verify.provers_required = true"),
 ], ids=["replays-negative", "replays-fraction", "k-negative", "k-fraction",
-        "k-inf", "k-above-wire-limit", "history-0", "provers-required-0"])
+        "k-inf", "k-above-wire-limit", "history-0", "provers-required-0",
+        "k-true", "history-true", "replays-false", "provers-required-true"])
 def test_out_of_range_module_parameter_fails_validate(tmp_path, vtype, param):
     cfg = parse_config(io.StringIO(
         f"[vehicle_type.{vtype}]\n{param}\n[mix]\n{vtype} = 1\n"))
@@ -831,12 +837,12 @@ def test_run_reads_trace_once_and_stops_at_range_end(tmp_path):
 def test_run_registry_interns_only_trace_ids(tmp_path, monkeypatch):
     import cavsim.scenario as scenario
 
-    registries = []
+    interned = []
 
     class Recorded(scenario.PlateRegistry):
-        def __init__(self):
-            super().__init__()
-            registries.append(self)
+        def intern(self, plate):
+            interned.append(plate)
+            return super().intern(plate)
 
     monkeypatch.setattr(scenario, "PlateRegistry", Recorded)
     mix = (("SpamAttacker", 1.0), ("ConnectedVehicle", 1.0))
@@ -847,9 +853,7 @@ def test_run_registry_interns_only_trace_ids(tmp_path, monkeypatch):
     spammers = [s.id for s in trace[0].states
                 if assign_type(6, s.id, mix) == "SpamAttacker"]
     assert spammers  # the run did fabricate plates
-    (registry,) = registries
-    plates = {registry.name_of(code) for code in range(len(registry))}
-    assert plates == {s.id for tt in trace for s in tt.states}
+    assert set(interned) == {s.id for tt in trace for s in tt.states}
 
 
 def test_vehicles_seen_counts_distinct_trace_ids(tmp_path):
