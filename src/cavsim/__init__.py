@@ -9,7 +9,7 @@ from .errors import (ConfigError, ContractViolation, GeometryError,
 from .identity import MatchTable, PlateRegistry
 from .messages import Cpm, PerceivedObject
 from .metrics import MetricsWriter
-from .network import NetworkSim, PendingDelivery, cpm_wire_size, serialize_cpm
+from .network import NetworkSim, cpm_wire_size, serialize_cpm
 from .perception import (BoundingBox, CameraPose, PerceptionConfig,
                          ProjectionView, fov_relevant, get_visible_lines,
                          get_visible_lines_naive, heading_visible,

@@ -61,7 +61,8 @@ class MatchTable:
     def stations_of(self, vehicles) -> list[int]:
         """The stations of the connected ones among `vehicles` (anything
         with the `id` of a plate in the table, such as trace states), in
-        order: one lookup each, for a whole delivery's recipients."""
+        order: one lookup each, for a broadcast's recipients, which are
+        resolved from the sweep of its tick when that tick is sealed."""
         station_of = self._station_of
         return [station for v in vehicles
                 if (station := station_of[v.id]) is not None]

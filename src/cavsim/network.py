@@ -3,10 +3,11 @@
 Propagation is lossless unit-disk: a broadcast reaches every station
 within communication range of the sender's position at send time
 (inclusive boundary), exactly one tick later.  The network holds no
-positions: whoever steps it resolves recipients (a run reads its
-neighbour sweep of the send tick).  There is no channel model,
-contention, or loss; the point is deterministic data flow and byte
-accounting, not radio realism.
+positions: recipients are resolved when the tick's broadcasts are
+sealed, by a locator that a run answers from that tick's neighbour
+sweep, and the next step hands the inboxes out.  There is no channel
+model, contention, or loss; the point is deterministic data flow and
+byte accounting, not radio realism.
 
 Wire format (little-endian, bit-exact):
     u32 sender_station, u32 gen_tick, f64 x, f64 y, f64 heading,
@@ -21,7 +22,6 @@ cpm_wire_size; serialize_cpm defines the bytes it counts.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 
 from .errors import ValidationError
 from .identity import PlateRegistry
@@ -59,79 +59,43 @@ def serialize_cpm(cpm: Cpm, registry: PlateRegistry) -> bytes:
     return b"".join(parts)
 
 
-@dataclass(slots=True)
-class PendingDelivery:
-    """One sealed broadcast awaiting delivery at send_tick + 1.
-
-    Not frozen, which would make it several times as costly to build, and
-    so not hashable; treat it as read-only.
-    """
-
-    cpm: Cpm
-    origin: int
-    send_tick: int
-
-
 class NetworkSim:
-    """Collects broadcasts during a tick and delivers them the next tick.
+    """Collects a tick's broadcasts and delivers them the next tick.
 
-    Broadcast calls only append to a buffer.  seal() queues it for
-    delivery in send order; step() resolves recipients and hands out
-    inboxes.
+    Broadcast calls only append to a buffer.  seal(locator) resolves the
+    buffered broadcasts' recipients into inboxes; step() hands out, and
+    clears, the inboxes sealed since the last step.
     """
 
     def __init__(self):
-        self._buffer: list[tuple[int, int, Cpm]] = []
-        self._pending: list[PendingDelivery] = []
+        self._buffer: list[tuple[int, Cpm]] = []
+        self._inboxes: dict[int, list[Cpm]] = {}
 
-    def shb_broadcast(self, sender: int, cpm: Cpm, tick: int) -> int:
-        """Queue a single-hop broadcast; returns the wire byte length.
+    def shb_broadcast(self, sender: int, cpm: Cpm) -> int:
+        """Buffer a single-hop broadcast; returns the wire byte length.
 
-        The local flag is cleared.  Recipients are resolved at delivery,
-        by the locator, against send-time geometry.
+        The local flag is cleared.  Recipients are resolved at the seal.
         """
         cpm = cpm.without_local()
-        self._buffer.append((sender, tick, cpm))
+        self._buffer.append((sender, cpm))
         return cpm_wire_size(cpm)
 
-    def seal(self) -> None:
-        """Queue the buffered broadcasts for delivery in send order; a
-        CPM with more objects than the wire can count fails here."""
+    def seal(self, locator) -> None:
+        """Resolve the buffered broadcasts' recipients, in order of sender
+        station and then send order; a CPM with more objects than the
+        wire can count fails here.
+
+        locator(origin) must yield the stations within comm_range of
+        station origin at send time; the sender itself is excluded.
+        """
         buffered = self._buffer
         self._buffer = []
-        for sender, tick, cpm in buffered:
+        # stable: one sender's broadcasts keep their send order
+        buffered.sort(key=lambda b: b[0])
+        inboxes = self._inboxes
+        for origin, cpm in buffered:
             _check_object_count(cpm)
-            self._pending.append(PendingDelivery(cpm, sender, tick))
-
-    def pending_deliveries(self) -> list[PendingDelivery]:
-        """Sealed, not yet delivered broadcasts (for inspection/tests)."""
-        return list(self._pending)
-
-    def step(self, tick: int, locator) -> dict[int, list[Cpm]]:
-        """Deliver everything sent before `tick` and return the inboxes.
-
-        locator(delivery) is called with each due PendingDelivery and must
-        yield the stations within comm_range of the sender (station
-        delivery.origin), evaluated against send-time positions; the
-        sender itself is always excluded.  Inboxes are ordered by (send
-        tick, sender station, send order), whatever seals fell between.
-        """
-        self.seal()
-        due = []
-        later = []
-        for delivery in self._pending:
-            if delivery.send_tick < tick:
-                due.append(delivery)
-            else:
-                later.append(delivery)
-        self._pending = later
-        # stable: one sender's broadcasts of one tick keep their send order
-        due.sort(key=lambda d: (d.send_tick, d.origin))
-        inboxes: dict[int, list[Cpm]] = {}
-        for delivery in due:
-            cpm = delivery.cpm
-            origin = delivery.origin
-            for station in locator(delivery):
+            for station in locator(origin):
                 if station == origin:
                     continue
                 box = inboxes.get(station)
@@ -139,4 +103,9 @@ class NetworkSim:
                     inboxes[station] = [cpm]
                 else:
                     box.append(cpm)
+
+    def step(self) -> dict[int, list[Cpm]]:
+        """The inboxes sealed since the last step, {station: [Cpm, ...]}."""
+        inboxes = self._inboxes
+        self._inboxes = {}
         return inboxes

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable
@@ -148,7 +149,7 @@ class SandboxContext:
             raise SimError(f"vehicle {self.plate!r} has no V2X station")
         if self._net is None:
             raise SimError("no network attached to this context")
-        size = self._net.shb_broadcast(self.station, cpm, self.tick)
+        size = self._net.shb_broadcast(self.station, cpm)
         self.bytes_sent += size
         return size
 
@@ -174,16 +175,17 @@ class SandboxContext:
 # ---------------------------------------------------------------------------
 # OBU modules
 
-def _whole(key: str, value, least: int) -> int:
+def _whole(key: str, value, least: int, most: int = sys.maxsize) -> int:
     """A count parameter as an int; ValueError unless it is a whole
-    number of at least `least` (a bool is not a count)."""
+    number from `least` to `most` (a bool is not a count)."""
     try:
         n = int(value)
     except (TypeError, ValueError, OverflowError):
         n = None
-    if n is None or n != value or n < least or isinstance(value, bool):
-        raise ValueError(f"{key} must be a whole number >= {least}, "
-                         f"not {value!r}")
+    if n is None or n != value or not least <= n <= most \
+            or isinstance(value, bool):
+        raise ValueError(f"{key} must be a whole number from {least} to "
+                         f"{most}, not {value!r}")
     return n
 
 
@@ -344,10 +346,7 @@ class SpamTxModule:
     __slots__ = ("k",)
 
     def __init__(self, k: int = 5):
-        self.k = _whole("k", k, 0)
-        if self.k > MAX_OBJECTS:
-            raise ValueError(f"k must be at most {MAX_OBJECTS}, the wire's "
-                             f"object limit, not {k!r}")
+        self.k = _whole("k", k, 0, MAX_OBJECTS)
 
     def process(self, inbox, ctx):
         rng = ctx.rng

@@ -1,34 +1,35 @@
 """Top-level simulation lifecycle and reporting.
 
-Each tick runs fixed phases: (1) deliver the network inboxes queued last
-tick (recipients are the sender's neighbors within comm range in last
-tick's sweep, which is then dropped); (2) rebuild the spatial index from
-the trace, with cells as wide as the larger of the perception radius and
-the communication range, despawning vehicles absent from it and spawning
-new ones with a seed-hashed type draw (the run's one match table follows
-both), and sweep the index once for every vehicle's neighbors within
-perception and communication range; (3) compute
-perception, then run every vehicle's module DAG and encode its metrics
-record, except for a quiet vehicle: one whose modules all declare `idle`
-(see sandbox.py), with no inbox and no percept, whose last tick was quiet
-too and ended without error.  Its modules would change nothing, so it
-writes its last record again at its new position, with no context, DAG
-or counter encoding; (4) seal the tick's broadcasts; (5) write metrics
-and phase timings.  Every phase runs in
-the calling thread, and all outputs are a pure function of (seed,
-config, trace).  The `workers` setting is validated but has no effect.
+Each tick runs fixed phases: (1) hand out the network inboxes sealed
+last tick; (2) rebuild the spatial index from the trace, with cells as
+wide as the larger of the perception radius and the communication range,
+despawning vehicles absent from it and spawning new ones with a
+seed-hashed type draw (the run's one match table follows both), and
+sweep the index once for every vehicle's neighbors within perception and
+communication range; (3) compute perception, then run every vehicle's
+module DAG and encode its metrics record, except for a quiet vehicle:
+one whose modules all declare `idle` (see sandbox.py), with no inbox and
+no percept, whose last tick was quiet too and ended without error.  Its
+modules would change nothing, so it writes its last record again at its
+new position, with no context, DAG or counter encoding; (4) seal the
+tick's broadcasts: their recipients are resolved now, from this tick's
+sweep (the sender's neighbors within comm range), and receive them next
+tick, one tick of latency; (5) write metrics and phase timings.  Every
+phase runs in the calling thread, and all outputs are a pure function of
+(seed, config, trace).  The `workers` setting is validated but has no
+effect.
 
 A run reads its trace once, tick by tick: from a trace file it holds one
 tick of the trace at a time.  Besides that it holds each vehicle's
 module state and match-table entry (and, after a quiet tick, its
-record's counters as a string shared among equal ones), and one tick's
-structures (sweep maps, percepts, inboxes, encoded records), which are
-freed as the tick ends, and the index's cells only until the sweep has
-run; a tick's metrics line is written in chunks.  It writes into a fresh
-staging directory next to the output directory and moves the three
-output files into place only when every tick has run, so a run that
-fails (a malformed trace row found mid-run, an interrupt) leaves the
-output directory as it was.
+record's counters as a string shared among equal ones), the inboxes
+sealed for the next tick, and one tick's structures (sweep maps,
+percepts, inboxes, encoded records), which are freed as the tick ends,
+and the index's cells only until the sweep has run; a tick's metrics
+line is written in chunks.  It writes into a fresh staging directory
+next to the output directory and moves the three output files into place
+only when every tick has run, so a run that fails (a malformed trace row
+found mid-run, an interrupt) leaves the output directory as it was.
 """
 
 from __future__ import annotations
@@ -226,14 +227,6 @@ def _run_ticks(config: ScenarioConfig, trace: Iterable[TraceTick],
     stations = itertools.count(1)
     # the run's one match table, kept up to date at spawn and despawn
     match = MatchTable()
-    # last tick's comm-range neighbor map: every delivery due now was
-    # sealed last tick, from last tick's positions.  Delivery runs before
-    # despawn, so the match table still holds last tick's vehicles.
-    prev_comm: dict[str, list] = {}
-
-    def locate(delivery):
-        return match.stations_of(prev_comm[match.plate_of(delivery.origin)])
-
     # one string for equal record_counters of quiet vehicles, kept no
     # larger than the vehicles alive
     shared: dict[str, str] = {}
@@ -242,16 +235,14 @@ def _run_ticks(config: ScenarioConfig, trace: Iterable[TraceTick],
     def run_tick(tt: TraceTick) -> None:
         """One tick.  Its sweep maps, percepts, inboxes and records are
         locals, freed when it returns (the grid's cells as soon as the
-        sweep has run); only the comm map outlives it, until the next
-        tick's delivery.  Each record is encoded as soon as its vehicle
-        has ticked, so the tick holds plain strings, which the garbage
+        sweep has run, the perception map, percepts and inboxes before
+        the seal).  Each record is encoded as soon as its vehicle has
+        ticked, so the tick holds plain strings, which the garbage
         collector does not track."""
-        nonlocal prev_comm
         tick = tt.tick
 
         t0 = perf()
-        inboxes = net.step(tick, locate)
-        prev_comm = None  # delivered: done with last tick's
+        inboxes = net.step()
         t1 = perf()
 
         if len(shared) > len(vehicles):
@@ -304,7 +295,9 @@ def _run_ticks(config: ScenarioConfig, trace: Iterable[TraceTick],
             records.append(record_at(plate, counters, state))
         t4 = perf()
 
-        net.seal()
+        del near, percepts, inboxes
+        net.seal(lambda origin: match.stations_of(
+            comm[match.plate_of(origin)]))
         t5 = perf()
 
         writer.record_tick(tick, records)
@@ -313,7 +306,6 @@ def _run_ticks(config: ScenarioConfig, trace: Iterable[TraceTick],
         timings.write(f"{tick},{t2 - t1:.6f},{t3 - t2:.6f},"
                       f"{t4 - t3:.6f},{(t1 - t0) + (t5 - t4):.6f},"
                       f"{t6 - t5:.6f}\n")
-        prev_comm = comm
 
     ticks = 0
     with MetricsWriter(out_dir) as writer, \

@@ -3,7 +3,7 @@
 `MetricsRecord` with `to_json_obj`/`from_json_obj` is the record as a
 plain value, and `finish_record` reads one from a `SandboxContext`: the
 tests compare `metrics.record_json` with `json.dumps` of it.
-`full_scan_locator` resolves a delivery's recipients by scanning an
+`full_scan_locator` resolves a broadcast's recipients by scanning an
 explicit station -> position table, against which the run's sweep-based
 delivery is checked.  `decode_cpm` reads a wire payload back by the
 format the README defines, against which `serialize_cpm` is checked.
@@ -63,11 +63,11 @@ def finish_record(ctx: SandboxContext) -> MetricsRecord:
 def full_scan_locator(positions: dict[int, tuple[float, float]],
                       comm_range: float):
     """Reference locator over an explicit station -> position table of
-    the send tick: the sender's position is positions[delivery.origin]."""
+    the send tick: the sender's position is positions[origin]."""
     r2 = comm_range * comm_range
 
-    def locate(delivery):
-        ox, oy = positions[delivery.origin]
+    def locate(origin):
+        ox, oy = positions[origin]
         out = []
         for station, (x, y) in positions.items():
             dx = x - ox

@@ -151,3 +151,21 @@ def test_despawned_sender_still_reaches_its_last_neighbours(tmp_path):
     assert log[2, "r"][4] == [s, far]
     assert log[2, "far"][4] == [r]
     assert log[2, "r"][5][s] is None  # the sender's station is gone now
+
+
+def test_broadcasts_cross_a_tick_gap_once(tmp_path):
+    # the trace skips ticks 2 and 3: tick 1's broadcasts arrive at tick 4,
+    # once, at tick 1's comm-range neighbours only; c, which came into
+    # range only by tick 4, receives nothing, and neither does anyone
+    # from tick 0, when all three were out of range
+    log = beacon_run(tmp_path, {
+        0: {"a": (0.0, 0.0), "b": (1000.0, 0.0), "c": (2000.0, 0.0)},
+        1: {"a": (0.0, 0.0), "b": (50.0, 0.0), "c": (2000.0, 0.0)},
+        4: {"a": (0.0, 0.0), "b": (50.0, 0.0), "c": (100.0, 0.0)},
+    })
+    a, b = (log[0, p][2] for p in ("a", "b"))
+    assert [log[1, p][4] for p in ("a", "b", "c")] == [[], [], []]
+    assert log[4, "a"][4] == [b]
+    assert log[4, "b"][4] == [a]
+    assert log[4, "c"][4] == []
+    assert sorted(log) == [(t, p) for t in (0, 1, 4) for p in ("a", "b", "c")]

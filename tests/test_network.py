@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from cavsim.errors import ValidationError
 from cavsim.identity import PlateRegistry
 from cavsim.messages import Cpm, PerceivedObject
-from cavsim.network import (HEADER_SIZE, OBJECT_SIZE, NetworkSim,
-                            cpm_wire_size, serialize_cpm)
+from cavsim.network import (HEADER_SIZE, MAX_OBJECTS, OBJECT_SIZE,
+                            NetworkSim, cpm_wire_size, serialize_cpm)
 from oracles import decode_cpm, full_scan_locator
 
 
@@ -79,66 +79,66 @@ def test_wire_size_is_encoded_length(cpms):
     assert len(reg) == len(plates)
 
 
-def network():
-    return NetworkSim()
+def delivered(net, locator):
+    """Seal the buffered broadcasts with `locator`, then step."""
+    net.seal(locator)
+    return net.step()
 
 
 def test_empty_cpm_header_only_byte_count():
-    net = network()
-    size = net.shb_broadcast(1, make_cpm(station=1), 0)
+    net = NetworkSim()
+    size = net.shb_broadcast(1, make_cpm(station=1))
     assert size == 34
-    inboxes = net.step(1, full_scan_locator({1: (0.0, 0.0), 2: (10.0, 0.0)},
-                                            300.0))
+    inboxes = delivered(net, full_scan_locator({1: (0.0, 0.0),
+                                                2: (10.0, 0.0)}, 300.0))
     assert [c.sender_station for c in inboxes[2]] == [1]
     assert 1 not in inboxes
 
 
 def test_message_values_have_no_instance_dict():
-    net = network()
-    net.shb_broadcast(1, make_cpm(station=1, objects=[obj("a")]), 0)
-    net.seal()
-    (pd,) = net.pending_deliveries()
-    for value in (obj("a"), make_cpm(), pd):
+    for value in (obj("a"), make_cpm()):
         assert not hasattr(value, "__dict__")
 
 
 def test_no_station_in_range_still_credits_bytes():
-    net = network()
-    size = net.shb_broadcast(1, make_cpm(station=1), 0)
+    net = NetworkSim()
+    size = net.shb_broadcast(1, make_cpm(station=1))
     assert size > 0
-    inboxes = net.step(1, full_scan_locator({1: (0.0, 0.0),
-                                             2: (10_000.0, 0.0)}, 300.0))
+    inboxes = delivered(net, full_scan_locator({1: (0.0, 0.0),
+                                                2: (10_000.0, 0.0)}, 300.0))
     assert inboxes == {}
 
 
 def test_boundary_distance_inclusive():
     positions = {1: (0.0, 0.0), 2: (300.0, 0.0)}
-    net = network()
-    net.shb_broadcast(1, make_cpm(station=1), 0)
-    inboxes = net.step(1, full_scan_locator(positions, 300.0))
+    net = NetworkSim()
+    net.shb_broadcast(1, make_cpm(station=1))
+    inboxes = delivered(net, full_scan_locator(positions, 300.0))
     assert list(inboxes) == [2]
 
 
 def test_one_tick_latency():
     positions = {1: (0.0, 0.0), 2: (10.0, 0.0)}
-    net = network()
+    net = NetworkSim()
     locator = full_scan_locator(positions, 300.0)
-    assert net.step(0, locator) == {}
-    net.shb_broadcast(1, make_cpm(station=1, tick=0), 0)
-    # still nothing in the same tick
-    assert net.step(0, locator) == {}
-    inboxes = net.step(1, locator)
+    assert net.step() == {}
+    net.shb_broadcast(1, make_cpm(station=1, tick=0))
+    # nothing before the seal that ends the tick
+    assert net.step() == {}
+    net.seal(locator)
+    inboxes = net.step()
     assert len(inboxes[2]) == 1
     # delivered exactly once
-    assert net.step(2, locator) == {}
+    net.seal(locator)
+    assert net.step() == {}
 
 
 def test_three_station_cluster():
     positions = {1: (0.0, 0.0), 2: (5.0, 0.0), 3: (0.0, 5.0)}
-    net = network()
+    net = NetworkSim()
     for st in (1, 2, 3):
-        net.shb_broadcast(st, make_cpm(station=st, tick=0), 0)
-    inboxes = net.step(1, full_scan_locator(positions, 300.0))
+        net.shb_broadcast(st, make_cpm(station=st, tick=0))
+    inboxes = delivered(net, full_scan_locator(positions, 300.0))
     assert {st: len(box) for st, box in inboxes.items()} == {1: 2, 2: 2, 3: 2}
     for st, box in inboxes.items():
         senders = [c.sender_station for c in box]
@@ -147,16 +147,20 @@ def test_three_station_cluster():
 
 
 def test_send_order_kept_across_seals():
-    # a sender's broadcasts of one tick arrive in send order, also when a
-    # seal falls between them; other senders still come by station number
+    # a sender's broadcasts arrive in send order, also across seals; in
+    # one seal other senders come by station number, and a later seal's
+    # broadcasts come after all of them
     positions = {1: (0.0, 0.0), 2: (10.0, 0.0), 3: (0.0, 10.0)}
-    net = network()
-    for st, plate in ((3, "x"), (1, "a"), (1, "b")):
-        net.shb_broadcast(st, make_cpm(station=st, objects=[obj(plate)]), 0)
-    net.seal()
-    net.shb_broadcast(1, make_cpm(station=1, objects=[obj("c")]), 0)
-    inboxes = net.step(1, full_scan_locator(positions, 300.0))
-    assert [c.objects[0].plate for c in inboxes[2]] == ["a", "b", "c", "x"]
+    locator = full_scan_locator(positions, 300.0)
+    net = NetworkSim()
+    for st, plate in ((3, "x"), (1, "a"), (3, "y"), (1, "b")):
+        net.shb_broadcast(st, make_cpm(station=st, objects=[obj(plate)]))
+    net.seal(locator)
+    net.shb_broadcast(1, make_cpm(station=1, objects=[obj("c")]))
+    net.seal(locator)
+    inboxes = net.step()
+    assert [c.objects[0].plate for c in inboxes[2]] == ["a", "b", "x", "y",
+                                                        "c"]
 
 
 def test_conservation_random():
@@ -170,12 +174,12 @@ def test_conservation_random():
         expected = 0
         senders = rng.sample(sorted(positions), rng.randint(0, n))
         for st in senders:
-            net.shb_broadcast(st, make_cpm(station=st, tick=0), 0)
+            net.shb_broadcast(st, make_cpm(station=st, tick=0))
             sx, sy = positions[st]
             expected += sum(
                 1 for other, (x, y) in positions.items()
                 if other != st and math.hypot(x - sx, y - sy) <= comm)
-        inboxes = net.step(1, full_scan_locator(positions, comm))
+        inboxes = delivered(net, full_scan_locator(positions, comm))
         assert sum(len(b) for b in inboxes.values()) == expected
 
 
@@ -183,25 +187,34 @@ def test_byte_accounting_reproducible():
     reg = PlateRegistry()
     net = NetworkSim()
     credited = 0
-    credited += net.shb_broadcast(1, make_cpm(station=1, objects=[obj("a")]), 0)
+    credited += net.shb_broadcast(1, make_cpm(station=1, objects=[obj("a")]))
     credited += net.shb_broadcast(1, make_cpm(station=1,
-                                              objects=[obj("b"), obj("c")]), 0)
-    net.seal()
-    replayed = sum(len(serialize_cpm(pd.cpm, reg))
-                   for pd in net.pending_deliveries() if pd.origin == 1)
+                                              objects=[obj("b"), obj("c")]))
+    inboxes = delivered(net, full_scan_locator({1: (0.0, 0.0),
+                                                2: (10.0, 0.0)}, 300.0))
+    replayed = sum(len(serialize_cpm(cpm, reg)) for cpm in inboxes[2])
     assert credited == replayed == (34 + 32) + (34 + 64)
 
 
 def test_send_time_positions_used():
-    # recipient resolution uses the locator (send-time geometry); the
-    # network keeps no position table of its own
-    net = network()
-    net.shb_broadcast(1, make_cpm(station=1), 0)
-    # station 2 has "moved away" by delivery time; locator still answers
-    # with send-time positions
-    send_time = full_scan_locator({1: (0.0, 0.0), 2: (10.0, 0.0)}, 300.0)
-    inboxes = net.step(1, send_time)
-    assert list(inboxes) == [2]
+    # recipients are resolved at the seal, from the locator's send-time
+    # geometry; the network keeps no position table of its own
+    positions = {1: (0.0, 0.0), 2: (10.0, 0.0)}
+    net = NetworkSim()
+    net.shb_broadcast(1, make_cpm(station=1))
+    net.seal(full_scan_locator(positions, 300.0))
+    # station 2 has moved away by the step; it still receives
+    positions[2] = (10_000.0, 0.0)
+    assert list(net.step()) == [2]
+
+
+def test_seal_rejects_too_many_objects():
+    net = NetworkSim()
+    objects = tuple(obj(f"p{i}") for i in range(MAX_OBJECTS + 1))
+    # the broadcast is buffered; the seal refuses it
+    assert net.shb_broadcast(1, make_cpm(station=1, objects=objects)) > 0
+    with pytest.raises(ValidationError):
+        net.seal(full_scan_locator({1: (0.0, 0.0), 2: (10.0, 0.0)}, 300.0))
 
 
 def test_too_many_objects_rejected():

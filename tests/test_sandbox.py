@@ -29,24 +29,45 @@ def wire_cpm(station, tick, objects):
     return Cpm(station, tick, (0.0, 0.0, 0.0), tuple(objects))
 
 
+class CountingNet(NetworkSim):
+    """A network that counts the broadcasts sent through it."""
+
+    def __init__(self):
+        super().__init__()
+        self.sent = 0
+
+    def shb_broadcast(self, sender, cpm):
+        self.sent += 1
+        return super().shb_broadcast(sender, cpm)
+
+
+# station 0 is "no station", so it is never a sender
+LISTENER = 0
+
+
+def delivered(net):
+    """The broadcasts buffered in `net`, as a listener in range of every
+    sender receives them: sealed, then stepped."""
+    net.seal(lambda origin: [LISTENER])
+    return net.step().get(LISTENER, [])
+
+
 def make_ctx(tick=0, plate="ego", station=1, percept=(), net=None, match=None,
              seed=0):
     if net is None:
-        net = NetworkSim()
+        net = CountingNet()
     state = VehicleState(plate, 0.0, 0.0, 0.0)
     return SandboxContext(tick, plate, station, state, percept, net,
                           match or table_of({plate: station}), 300.0, seed)
 
 
 def run_vehicle(v, inbox, ctx):
-    """tick_vehicle, then (broadcasts it queued, the record its context
-    holds)."""
+    """tick_vehicle, then (broadcasts it sent, the record its context
+    holds); the broadcasts stay buffered in the context's CountingNet."""
     net = ctx._net
-    net.seal()
-    before = len(net.pending_deliveries())
+    before = net.sent
     tick_vehicle(v, inbox, ctx)
-    net.seal()
-    return len(net.pending_deliveries()) - before, finish_record(ctx)
+    return net.sent - before, finish_record(ctx)
 
 
 # --- flow graphs -----------------------------------------------------------
@@ -321,7 +342,7 @@ def test_unconnected_vehicle_counts_local_only():
 
 
 def test_connected_vehicle_two_peer_end_to_end():
-    net = NetworkSim()
+    net = CountingNet()
     positions = {1: (0.0, 0.0), 2: (10.0, 0.0)}
     match = table_of({"a": 1, "b": 2, "c": None})
     types = builtin_vehicle_types()
@@ -337,7 +358,8 @@ def test_connected_vehicle_two_peer_end_to_end():
     assert rec_b.bytes_sent == 0 and rec_b.all_objects == 0
 
     # tick 1: the broadcast arrives at B
-    inboxes = net.step(1, full_scan_locator(positions, 300.0))
+    net.seal(full_scan_locator(positions, 300.0))
+    inboxes = net.step()
     assert [c.sender_station for c in inboxes[2]] == [1]
     ctx_b1 = make_ctx(1, "b", 2, percept=(), net=net, match=match)
     _, rec_b1 = run_vehicle(vb, inboxes[2], ctx_b1)
@@ -363,15 +385,14 @@ def test_object_store_union_and_self_exclusion():
 def test_spam_attacker_emits_k_objects():
     types = builtin_vehicle_types()
     reg = PlateRegistry()
-    net = NetworkSim()
+    net = CountingNet()
     v = build_vehicle(types["SpamAttacker"], "s", 5)
     ctx = make_ctx(0, "s", 5, net=net)
     n, rec = run_vehicle(v, (), ctx)
     assert n == 1
     assert rec.bytes_sent == 34 + 5 * 32
-    net.seal()
-    (pd,) = net.pending_deliveries()
-    payload = serialize_cpm(pd.cpm, reg)
+    (cpm,) = delivered(net)
+    payload = serialize_cpm(cpm, reg)
     assert len(payload) == 34 + 5 * 32
     # fake objects lie within comm range of the sender
     _, _, _, objects = decode_cpm(payload)
@@ -389,9 +410,7 @@ def test_spam_attacker_deterministic_per_seed():
         v = build_vehicle(types["SpamAttacker"], "s", 5)
         ctx = make_ctx(3, "s", 5, net=net, seed=seed)
         tick_vehicle(v, (), ctx)
-        net.seal()
-        return serialize_cpm(net.pending_deliveries()[0].cpm,
-                             PlateRegistry())
+        return serialize_cpm(delivered(net)[0], PlateRegistry())
 
     assert one(1) == one(1)
     assert one(1) != one(2)
@@ -410,7 +429,7 @@ def test_silence_attacker_never_broadcasts():
 
 def test_replay_attacker_byte_identical():
     reg = PlateRegistry()
-    net = NetworkSim()
+    net = CountingNet()
     v = build_vehicle(builtin_vehicle_types()["ReplayAttacker"], "r", 7)
 
     seen = wire_cpm(8, 0, [obj("a"), obj("b", 1)])
@@ -418,32 +437,28 @@ def test_replay_attacker_byte_identical():
     ctx = make_ctx(1, "r", 7, percept=(obj("c"),), net=net)
     n, rec = run_vehicle(v, [seen], ctx)
     assert n == 1  # replays = 1 per tick
-    net.seal()
-    (pd,) = net.pending_deliveries()
+    (cpm,) = delivered(net)
     candidates = {original_payload,
                   serialize_cpm(local_cpm(7, 1, (0.0, 0.0, 0.0),
                                           (obj("c"),)).without_local(),
                                 reg)}
-    assert serialize_cpm(pd.cpm, reg) in candidates
+    assert serialize_cpm(cpm, reg) in candidates
 
 
 def test_replay_attacker_replays_own_camera_cpm_as_wire_cpm():
     reg = PlateRegistry()
-    net = NetworkSim()
+    net = CountingNet()
     v = build_vehicle(builtin_vehicle_types()["ReplayAttacker"], "r", 7)
     ctx = make_ctx(1, "r", 7, percept=(obj("c"),), net=net)
     n, _ = run_vehicle(v, (), ctx)  # the camera CPM is the only candidate
     assert n == 1
     (stored,) = v.modules["replay_tx"].buffer
     assert stored.local is False
-    net.seal()
-    (pd,) = net.pending_deliveries()
-    assert pd.cpm.local is False
-    assert serialize_cpm(pd.cpm, reg) == serialize_cpm(
+    net.seal(full_scan_locator({7: (0.0, 0.0), 8: (5.0, 0.0)}, 300.0))
+    (got,) = net.step()[8]
+    assert got.local is False
+    assert serialize_cpm(got, reg) == serialize_cpm(
         wire_cpm(7, 1, [obj("c")]), reg)
-    inboxes = net.step(2, full_scan_locator({7: (0.0, 0.0), 8: (5.0, 0.0)},
-                                            300.0))
-    assert inboxes[8][0].local is False
 
 
 def test_replay_attacker_history_and_rate_params():
@@ -452,7 +467,7 @@ def test_replay_attacker_history_and_rate_params():
     custom = VehicleTypeSpec(
         "Replay3", spec.graph, spec.entry, True,
         {"replay_tx": {"history": 2, "replays": 3}})
-    net = NetworkSim()
+    net = CountingNet()
     v = build_vehicle(custom, "r", 7)
     inbox = [wire_cpm(8, 0, [obj(f"p{i}")]) for i in range(5)]
     ctx = make_ctx(1, "r", 7, net=net)
@@ -524,8 +539,8 @@ def test_local_cpm_broadcast_arrives_plain():
     cpm = local_cpm(1, 0, (0.0, 0.0, 0.0), (obj("a"),))
     assert cpm.local is True
     assert ctx.broadcast(cpm) == 34 + 32
-    inboxes = net.step(1, full_scan_locator({1: (0.0, 0.0), 2: (5.0, 0.0)},
-                                            300.0))
+    net.seal(full_scan_locator({1: (0.0, 0.0), 2: (5.0, 0.0)}, 300.0))
+    inboxes = net.step()
     (got,) = inboxes[2]
     assert got.local is False
     assert got == wire_cpm(1, 0, [obj("a")])
@@ -567,7 +582,7 @@ def test_module_failure_keeps_earlier_broadcasts():
                       {"camera": ("cpm_tx", "boom"),
                        "boom": ("object_store",)}))
         v = build_vehicle(spec, "a", 1)
-        net = NetworkSim()
+        net = CountingNet()
         positions = {1: (0.0, 0.0), 2: (10.0, 0.0)}
         ctx = make_ctx(0, "a", 1, percept=(obj("c"),), net=net,
                        match=table_of({"a": 1, "b": 2, "c": None}))
@@ -575,7 +590,8 @@ def test_module_failure_keeps_earlier_broadcasts():
         assert rec.errors == 1
         assert n == 1 and rec.bytes_sent == 34 + 32
         assert rec.all_objects == 0
-        inboxes = net.step(1, full_scan_locator(positions, 300.0))
+        net.seal(full_scan_locator(positions, 300.0))
+        inboxes = net.step()
         assert [c.sender_station for c in inboxes[2]] == [1]
         assert [o.plate for o in inboxes[2][0].objects] == ["c"]
     finally:

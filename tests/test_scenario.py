@@ -4,6 +4,7 @@ import io
 import math
 import os
 import re
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -519,6 +520,28 @@ def test_out_of_range_module_parameter_fails_validate(tmp_path, vtype, param):
     with pytest.raises(ConfigError):
         run(cfg, trace=synth_traffic(1, 4, 2, 100.0))
     assert not os.path.exists(cfg.out_dir)
+
+
+def test_cli_replay_history_above_maxsize_is_one_error_line(tmp_path,
+                                                           capsys):
+    # deque(maxlen=...) takes at most sys.maxsize
+    from cavsim.cli import main
+
+    trace_path = tmp_path / "t.csv"
+    with open(trace_path, "w") as f:
+        write_csv(synth_traffic(1, 2, 2, 100.0), f)
+    config_path = tmp_path / "big.ini"
+    config_path.write_text(
+        "[vehicle_type.ReplayAttacker]\n"
+        f"replay_tx.history = {sys.maxsize + 1}\n"
+        "[mix]\nReplayAttacker = 1\n")
+    rc = main(["run", "--config", str(config_path), "--trace", str(trace_path),
+               "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1, err
+    assert err[0].startswith("error: ") and "history" in err[0]
+    assert sorted(os.listdir(tmp_path)) == ["big.ini", "t.csv"]
 
 
 def test_module_parameter_lower_bounds_pass_validate():

@@ -49,6 +49,10 @@ print(json.dumps({"plain": plain, "traced": traced, "wrapped": wrapped,
                   "spans": sorted({s[0] for spans in t.threads
                                    for s in spans}),
                   "metrics": len(metrics), "names": sorted(metrics),
+                  "network": {n: metrics[n] for n in (
+                      "network.broadcasts_per_tick",
+                      "network.deliveries_per_tick",
+                      "network.wire_bytes_per_tick")},
                   "not_finite": sorted(
                       n for n, v in metrics.items()
                       if type(v) not in (int, float) or not math.isfinite(v))}))
@@ -75,6 +79,15 @@ def test_tracer_install_keeps_names_and_output(traced):
     assert {"spatial.rebuild", "perception.perceive", "identity.MatchTable",
             "network.step", "sandbox.tick_vehicle"} <= set(got["spans"])
     assert got["metrics"] > 0
+
+
+def test_traced_network_counts(traced):
+    # the tracer counts deliveries from what `step` returns, so a network
+    # that resolved or handed out its inboxes elsewhere would read 0 here
+    network = traced["network"]
+    assert len(network) == 3
+    for name, value in network.items():
+        assert value > 0, name
 
 
 def test_layer_metrics_are_the_declared_ones(traced):
