@@ -14,7 +14,7 @@ from .perception import (BoundingBox, CameraPose, PerceptionConfig,
                          ProjectionView, fov_relevant, get_visible_lines,
                          get_visible_lines_naive, heading_visible,
                          normalize_heading, perceive, projection_angles,
-                         reconstruct_box, to_camera_frame)
+                         reconstruct_box)
 from .sandbox import (FlowGraph, SandboxContext, Vehicle, VehicleTypeSpec,
                       build_vehicle, builtin_vehicle_types, register_module,
                       tick_vehicle, validate_flow)
@@ -23,7 +23,6 @@ from .scenario import (RunSummary, ScenarioConfig, assign_type, load_config,
 from .spatial import (GridIndex, get_nearby_vehicles, query_radius, rebuild,
                       sweep_neighbors)
 from .trace import (TraceTick, VehicleState, iter_trace, load_trace,
-                    normalize_angle, parse_csv, parse_fcd, synth_traffic,
-                    write_csv)
+                    normalize_angle, synth_traffic, write_csv)
 
 __version__ = "0.1.0"

@@ -138,7 +138,6 @@ class MetricsWriter:
 
     def __init__(self, directory: str):
         os.makedirs(directory, exist_ok=True)
-        self.directory = directory
         self._data: IO[bytes] = open(os.path.join(directory, METRICS_FILE), "wb")
         self._index: IO[str] = open(os.path.join(directory, INDEX_FILE), "w",
                                     encoding="ascii")
@@ -335,10 +334,11 @@ def _add_ttv(total: dict, pairs: Iterable[tuple]) -> dict:
 
 
 def check_cell_size(cell_size: float) -> None:
-    """A CPR cell size must be a positive, finite number of meters."""
-    if not 0.0 < cell_size < math.inf:
-        raise ConfigError(f"cell size must be positive and finite, "
-                          f"not {cell_size!r}")
+    """A CPR cell size must be a positive, finite number of meters whose
+    reciprocal, which cpr multiplies positions by, is finite too."""
+    if not 0.0 < cell_size < math.inf or 1.0 / cell_size == math.inf:
+        raise ConfigError(f"cell size must be positive and finite, with a "
+                          f"finite reciprocal, not {cell_size!r}")
 
 
 def cpr(run: list[dict], tick: int,
@@ -348,7 +348,8 @@ def cpr(run: list[dict], tick: int,
     Per spatial cell: sum of objects not perceived locally divided by the
     sum of locally perceived objects, over the vehicles positioned in the
     cell.  Cells with zero locally perceived objects are undefined and
-    omitted.
+    omitted.  A finite position whose cell index overflows a float is a
+    ConfigError on the cell size.
     """
     check_cell_size(cell_size)
     for entry in run:
@@ -357,7 +358,14 @@ def cpr(run: list[dict], tick: int,
             local: dict[tuple[int, int], int] = {}
             inv = 1.0 / cell_size
             for v in entry["vehicles"]:
-                key = (math.floor(v["x"] * inv), math.floor(v["y"] * inv))
+                try:
+                    key = (math.floor(v["x"] * inv), math.floor(v["y"] * inv))
+                except OverflowError:
+                    if math.isinf(v["x"]) or math.isinf(v["y"]):
+                        raise
+                    raise ConfigError(
+                        f"cell size {cell_size!r} is too small: position "
+                        f"({v['x']!r}, {v['y']!r}) has no cell") from None
                 remote[key] = remote.get(key, 0) + (v["all_objects"]
                                                     - v["local_objects"])
                 local[key] = local.get(key, 0) + v["local_objects"]

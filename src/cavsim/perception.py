@@ -104,17 +104,12 @@ class BoundingBox:
 class ProjectionView:
     """A candidate reduced to angular intervals in the camera frame.
 
-    delta1/delta2 bound the box corner arguments and rho1/rho2 the plate
-    arguments, as plain min/max of principal values.  box_spans and
-    plate_spans carry the true angular extent: a single interval normally,
-    two sub-intervals when the extent crosses the +-pi seam.
+    box_spans and plate_spans are the angular extents of the box corners
+    and of the plate ends: a single interval normally, two sub-intervals
+    when the extent crosses the +-pi seam.
     """
 
     vehicle_id: str
-    delta1: float
-    delta2: float
-    rho1: float
-    rho2: float
     dist_g: float
     heading: float
     box_spans: tuple[Span, ...]
@@ -137,28 +132,6 @@ def reconstruct_box(state: VehicleState, plate_width: float) -> BoundingBox:
         (ax, ay), (bx, by), (bx - dxl, by - dyl), (ax - dxl, ay - dyl),
         (gx - sh * hp, gy + ch * hp), (gx + sh * hp, gy - ch * hp),
         (fx, fy), (gx, gy), state.heading)
-
-
-def to_camera_frame(cam: CameraPose, pose: tuple[float, float, float]
-                    ) -> tuple[float, float, float]:
-    """Rotate-translate a world pose (x, y, beta) into the camera frame."""
-    x, y, beta = pose
-    cb = math.cos(cam.beta0)
-    sb = math.sin(cam.beta0)
-    dx = x - cam.x0
-    dy = y - cam.y0
-    return (cb * dx + sb * dy, cb * dy - sb * dx,
-            normalize_angle(beta - cam.beta0))
-
-
-def from_camera_frame(cam: CameraPose, pose: tuple[float, float, float]
-                      ) -> tuple[float, float, float]:
-    """Inverse of to_camera_frame."""
-    x, y, beta = pose
-    cb = math.cos(cam.beta0)
-    sb = math.sin(cam.beta0)
-    return (cam.x0 + cb * x - sb * y, cam.y0 + sb * x + cb * y,
-            normalize_angle(beta + cam.beta0))
 
 
 def box_to_camera(cam: CameraPose, box: BoundingBox) -> BoundingBox:
@@ -321,10 +294,8 @@ def projection_angles(box: BoundingBox, vehicle_id: str = "") -> ProjectionView:
         raise GeometryError("box contains the camera origin")
     box_args = [math.atan2(y, x) for x, y in corners]
     plate_args = [math.atan2(y, x) for x, y in (box.m, box.n)]
-    return ProjectionView(vehicle_id, min(box_args), max(box_args),
-                          min(plate_args), max(plate_args),
-                          math.hypot(box.g[0], box.g[1]), box.heading,
-                          _spans(box_args), _spans(plate_args))
+    return ProjectionView(vehicle_id, math.hypot(box.g[0], box.g[1]),
+                          box.heading, _spans(box_args), _spans(plate_args))
 
 
 def heading_visible(heading: float, cfg: PerceptionConfig) -> bool:

@@ -40,6 +40,7 @@ import itertools
 import math
 import os
 import shutil
+import sys
 import tempfile
 import time
 from dataclasses import dataclass, field, replace
@@ -110,6 +111,11 @@ class ScenarioConfig:
                 build_vehicle(types[name], name, None)
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"vehicle type {name!r}: {exc}") from None
+        # assign_type scales a uniform draw by this sum
+        total = sum(w for _, w in self.mix)
+        if not sys.float_info.min <= total < math.inf:
+            raise ConfigError(f"mix weights sum to {total!r}, which is not a "
+                              f"normal finite number")
 
     def vehicle_types(self) -> dict[str, VehicleTypeSpec]:
         types = builtin_vehicle_types()
@@ -121,7 +127,6 @@ class ScenarioConfig:
 class RunSummary:
     ticks_executed: int
     vehicles_seen: int
-    out_dir: str
     metrics_path: str
     index_path: str
     timings_path: str
@@ -204,7 +209,7 @@ def run(config: ScenarioConfig,
         if source is not None:
             source.close()
 
-    return RunSummary(ticks, seen, out_dir,
+    return RunSummary(ticks, seen,
                       os.path.join(out_dir, METRICS_FILE),
                       os.path.join(out_dir, INDEX_FILE),
                       os.path.join(out_dir, TIMINGS_FILE))
@@ -424,33 +429,37 @@ def _names_list(raw: str) -> tuple[str, ...]:
 
 def _parse_vehicle_type(name: str, section,
                         builtin: dict[str, VehicleTypeSpec]) -> VehicleTypeSpec:
+    base = builtin.get(name)
+    if "modules" in section:
+        nodes = _names_list(section["modules"])
+        keys = ("modules", "edges", "entry", "connected")
+    elif base is None:
+        raise ConfigError(
+            f"vehicle type {name!r} gives no modules and is not built in")
+    else:  # an override of a built-in type keeps its flow
+        nodes, keys = base.graph.nodes, ("connected",)
     params: dict[str, dict] = {}
-    plain = {}
     for key, value in section.items():
-        if "." in key:
-            module, _, pname = key.partition(".")
+        module, dot, pname = key.partition(".")
+        if module not in (nodes if dot else keys):
+            raise ConfigError(f"vehicle type {name!r}: {key!r} is not " + (
+                "a parameter of a module in its flow" if dot else
+                f"one of its keys ({', '.join(keys)})"))
+        if dot:
             params.setdefault(module, {})[pname] = _parse_value(value)
-        else:
-            plain[key] = value
-    if "modules" not in plain:
-        base = builtin.get(name)
-        if base is None:
-            raise ConfigError(
-                f"vehicle type {name!r} gives no modules and is not built in")
-        merged = {m: dict(p) for m, p in base.params.items()}
-        for module, p in params.items():
-            merged.setdefault(module, {}).update(p)
-        connected = plain.get("connected")
-        return replace(base, params=merged,
-                       connected=(_parse_connected(name, connected)
-                                  if connected is not None
-                                  else base.connected))
-    modules = _names_list(plain["modules"])
-    edges = _parse_edges(plain.get("edges", ""))
-    entry = _names_list(plain.get("entry", ""))
-    connected = _parse_connected(name, plain.get("connected", "true"))
-    return VehicleTypeSpec(name, FlowGraph(modules, edges), entry,
-                           connected, params)
+    connected = section.get("connected")
+    if "modules" in section:
+        return VehicleTypeSpec(
+            name, FlowGraph(nodes, _parse_edges(section.get("edges", ""))),
+            _names_list(section.get("entry", "")),
+            _parse_connected(name, "true" if connected is None
+                             else connected), params)
+    merged = {m: dict(p) for m, p in base.params.items()}
+    for module, p in params.items():
+        merged.setdefault(module, {}).update(p)
+    return replace(base, params=merged,
+                   connected=(base.connected if connected is None
+                              else _parse_connected(name, connected)))
 
 
 def _parse_connected(name: str, raw: str) -> bool:

@@ -7,13 +7,13 @@ converted here, at ingest, and nowhere else.
 
 Each format has one streaming parser, a generator of TraceTicks that
 validates every row as it reads it.  iter_trace streams a trace file tick
-by tick, so a consumer holds one tick at a time; parse_csv, parse_fcd and
-load_trace are the list-building forms of the same parsers.  Both parsers
-remember the previous tick's rows: a vehicle present one tick earlier
-reuses that state's id, and each of its heading, length and width whose
-raw text is unchanged.  A held trace costs about 260 B a row when every
-value is new, about 165 B when only the heading changes and about 140 B
-when nothing but the position does.
+by tick through it, so a consumer holds one tick at a time; load_trace
+reads the whole file into a list.  Both parsers remember the previous
+tick's rows: a vehicle present one tick earlier reuses that state's id,
+and each of its heading, length and width whose raw text is unchanged.
+A held trace costs about 260 B a row when every value is new, about
+165 B when only the heading changes and about 140 B when nothing but the
+position does.
 """
 
 from __future__ import annotations
@@ -99,20 +99,6 @@ def _duplicate_id(tick: int, states: list[VehicleState]) -> ValidationError:
     return ValidationError(f"tick {tick}: duplicate vehicle id {s.id!r}")
 
 
-def parse_fcd(stream: IO, *, default_length: float = DEFAULT_LENGTH,
-              default_width: float = DEFAULT_WIDTH) -> list[TraceTick]:
-    """Parse floating-car-data XML (nested timestep/vehicle elements).
-
-    Fractional timestamps are floor-bucketed to integer ticks, which must
-    lie in 0..MAX_TICK; when several timesteps land in the same bucket only
-    the first is kept.  Source angles are degrees clockwise from north and
-    get converted to radians CCW from +x.  Missing length/width attributes
-    fall back to the defaults.  Only a direct child of a timestep counts as
-    a vehicle.
-    """
-    return list(_fcd_ticks(stream, default_length, default_width))
-
-
 class _Timesteps:
     """XMLParser target that collects, as each <timestep> closes, its time
     attribute and the attributes of its direct <vehicle> children."""
@@ -163,6 +149,15 @@ def _fcd_steps(stream: IO) -> Iterator[tuple[str | None, list[dict]]]:
 
 def _fcd_ticks(stream: IO, default_length: float,
                default_width: float) -> Iterator[TraceTick]:
+    """Parse floating-car-data XML (nested timestep/vehicle elements).
+
+    Fractional timestamps are floor-bucketed to integer ticks, which must
+    lie in 0..MAX_TICK; when several timesteps land in the same bucket only
+    the first is kept.  Source angles are degrees clockwise from north and
+    get converted to radians CCW from +x.  Missing length/width attributes
+    fall back to the defaults.  Only a direct child of a timestep counts as
+    a vehicle.
+    """
     last_time = None
     last_bucket = None
     prev: dict[str, tuple] = {}
@@ -231,8 +226,8 @@ def _fcd_ticks(stream: IO, default_length: float,
         yield TraceTick(bucket, tuple(states))
 
 
-def parse_csv(stream: IO, *, default_length: float = DEFAULT_LENGTH,
-              default_width: float = DEFAULT_WIDTH) -> list[TraceTick]:
+def _csv_ticks(stream: IO, default_length: float,
+               default_width: float) -> Iterator[TraceTick]:
     """Parse the CSV trace schema: tick,id,x,y,heading,length,width.
 
     Columns may come in any order, and header names may be padded with
@@ -243,11 +238,6 @@ def parse_csv(stream: IO, *, default_length: float = DEFAULT_LENGTH,
     more or fewer fields than the header is an error; every row error
     names the line.
     """
-    return list(_csv_ticks(stream, default_length, default_width))
-
-
-def _csv_ticks(stream: IO, default_length: float,
-               default_width: float) -> Iterator[TraceTick]:
     reader = csv.reader(stream)
     header = next(reader, None)
     if header is None:

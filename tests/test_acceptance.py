@@ -1,6 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a PASS line
 (run with `pytest tests/test_acceptance.py -v -s`)."""
 
+import itertools
 import math
 import random
 import time
@@ -8,16 +9,15 @@ import time
 from cavsim.metrics import (avg_bandwidth, cpr, load_run, read_index,
                             seek_tick, ttv_distribution)
 from cavsim.perception import (CameraPose, PerceptionConfig, box_to_camera,
-                               fov_relevant, from_camera_frame,
-                               get_visible_lines, get_visible_lines_naive,
-                               normalize_heading, projection_angles,
-                               reconstruct_box, to_camera_frame)
+                               fov_relevant, get_visible_lines,
+                               get_visible_lines_naive, normalize_heading,
+                               projection_angles, reconstruct_box)
 from cavsim.scenario import ScenarioConfig, assign_type, run
 from cavsim.spatial import get_nearby_vehicles, rebuild
 from cavsim.trace import TraceTick, VehicleState, normalize_angle, synth_traffic
 from cavsim.errors import GeometryError
 
-from conftest import random_scene
+from conftest import LANDMARKS, camera_to_world, random_scene
 
 
 def _pass(num, name):
@@ -105,16 +105,21 @@ def test_criterion_03_camera_transform_geometry():
     for _ in range(10000):
         cam = CameraPose(rng.uniform(-1e4, 1e4), rng.uniform(-1e4, 1e4),
                          rng.uniform(-math.pi, math.pi) or math.pi)
-        p = (rng.uniform(-1e4, 1e4), rng.uniform(-1e4, 1e4),
-             rng.uniform(-math.pi, math.pi) or math.pi)
-        q = (rng.uniform(-1e4, 1e4), rng.uniform(-1e4, 1e4), 0.0)
-        tp = to_camera_frame(cam, p)
-        tq = to_camera_frame(cam, q)
-        assert abs(math.dist(p[:2], q[:2]) - math.dist(tp[:2], tq[:2])) <= 1e-9
-        back = from_camera_frame(cam, tp)
-        assert abs(back[0] - p[0]) <= 1e-9
-        assert abs(back[1] - p[1]) <= 1e-9
-        assert abs(normalize_angle(back[2] - p[2])) <= 1e-9
+        state = VehicleState("v", rng.uniform(-1e4, 1e4),
+                             rng.uniform(-1e4, 1e4),
+                             rng.uniform(-math.pi, math.pi) or math.pi,
+                             rng.uniform(1.0, 20.0), rng.uniform(0.5, 3.0))
+        world = reconstruct_box(state, 0.52)
+        box = box_to_camera(cam, world)
+        points = [(getattr(world, k), getattr(box, k)) for k in LANDMARKS]
+        for (p, tp), (q, tq) in itertools.combinations(points, 2):
+            assert abs(math.dist(p, q) - math.dist(tp, tq)) <= 1e-9
+        for p, tp in points:
+            back = camera_to_world(cam, tp)
+            assert abs(back[0] - p[0]) <= 1e-9
+            assert abs(back[1] - p[1]) <= 1e-9
+        assert abs(normalize_angle(box.heading + cam.beta0
+                                   - state.heading)) <= 1e-9
     _pass(3, "camera transform isometry and inverse")
 
 

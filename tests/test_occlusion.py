@@ -13,8 +13,7 @@ from conftest import random_scene
 
 
 def view(vid, d1, d2, r1, r2, dist):
-    return ProjectionView(vid, d1, d2, r1, r2, dist, 0.0,
-                          ((d1, d2),), ((r1, r2),))
+    return ProjectionView(vid, dist, 0.0, ((d1, d2),), ((r1, r2),))
 
 
 def scene_views(states, cfg=None):
@@ -106,21 +105,20 @@ def test_unsorted_input_rejected():
 
 def test_zero_width_plate_never_occluded():
     near = view("near", -0.5, 0.5, -0.2, 0.2, 5.0)
-    degenerate = ProjectionView("deg", -0.6, 0.6, 0.0, 0.0, 20.0, 0.0,
-                                ((-0.6, 0.6),), ((0.0, 0.0),))
+    degenerate = ProjectionView("deg", 20.0, 0.0, ((-0.6, 0.6),),
+                                ((0.0, 0.0),))
     assert get_visible_lines([near, degenerate]) == [near, degenerate]
     assert get_visible_lines_naive([near, degenerate]) == [near, degenerate]
 
 
 def test_seam_crossing_occluder():
     # a wrapped box (two spans hugging +-pi) occludes a plate near the seam
-    wrapped = ProjectionView("w", -3.1, 3.1, 3.12, math.pi, 5.0, 0.0,
+    wrapped = ProjectionView("w", 5.0, 0.0,
                              ((3.0, math.pi), (-math.pi, -3.0)),
                              ((3.12, math.pi),))
-    target = ProjectionView("t", 3.05, math.pi, 3.1, 3.14, 10.0, 0.0,
-                            ((3.05, math.pi),), ((3.1, 3.14),))
-    clear = ProjectionView("c", 0.5, 1.0, 0.6, 0.9, 10.0, 0.0,
-                           ((0.5, 1.0),), ((0.6, 0.9),))
+    target = ProjectionView("t", 10.0, 0.0, ((3.05, math.pi),),
+                            ((3.1, 3.14),))
+    clear = ProjectionView("c", 10.0, 0.0, ((0.5, 1.0),), ((0.6, 0.9),))
     assert get_visible_lines([wrapped, target, clear]) == [wrapped, clear]
     assert get_visible_lines_naive([wrapped, target, clear]) == [wrapped, clear]
 
@@ -206,14 +204,11 @@ def test_box_bridging_three_stored_intervals():
 
 
 def test_seam_split_box():
-    seam = ProjectionView("seam", -3.0, 3.0, 1.0, 1.1, 5.0, 0.0,
-                          ((3.0, math.pi), (-math.pi, -3.0)),
-                          ((1.0, 1.1),))
+    seam = ProjectionView("seam", 5.0, 0.0,
+                          ((3.0, math.pi), (-math.pi, -3.0)), ((1.0, 1.1),))
 
     def plate(vid, spans, dist):
-        return ProjectionView(vid, -math.pi, math.pi, spans[0][0],
-                              spans[-1][1], dist, 0.0,
-                              ((-math.pi, math.pi),), spans)
+        return ProjectionView(vid, dist, 0.0, ((-math.pi, math.pi),), spans)
 
     views = [seam,
              plate("upper", ((3.1, 3.14),), 9.0),

@@ -6,11 +6,11 @@ import pytest
 from cavsim.errors import GeometryError
 from cavsim.perception import (BoundingBox, CameraPose, PerceptionConfig,
                                _box_spans, _plate_spans, _spans, box_to_camera,
-                               fov_relevant, from_camera_frame,
-                               heading_visible, normalize_heading, perceive,
-                               projection_angles, reconstruct_box,
-                               to_camera_frame)
+                               fov_relevant, heading_visible,
+                               normalize_heading, perceive, projection_angles,
+                               reconstruct_box)
 from cavsim.trace import VehicleState, normalize_angle
+from conftest import LANDMARKS, camera_to_world
 from test_perceive import perceive_naive
 
 
@@ -67,43 +67,52 @@ def test_reconstruct_rectangle_properties(rng):
         assert approx_pt(((b.m[0] + b.n[0]) / 2, (b.m[1] + b.n[1]) / 2), b.g)
 
 
-# --- to_camera_frame ------------------------------------------------------
+# --- box_to_camera --------------------------------------------------------
+
+def random_cam_and_box(rng):
+    cam = CameraPose(rng.uniform(-1e3, 1e3), rng.uniform(-1e3, 1e3),
+                     rng.uniform(-math.pi, math.pi) or math.pi)
+    state = VehicleState("t", rng.uniform(-1e3, 1e3), rng.uniform(-1e3, 1e3),
+                         rng.uniform(-math.pi, math.pi) or math.pi,
+                         rng.uniform(1.0, 15.0), rng.uniform(0.5, 3.0))
+    return cam, state, reconstruct_box(state, 0.52)
+
 
 def test_transform_identity():
-    cam = CameraPose(0.0, 0.0, 0.0)
-    assert to_camera_frame(cam, (3.0, 4.0, 1.0)) == (3.0, 4.0, 1.0)
+    box = reconstruct_box(VehicleState("t", 3.0, 4.0, 1.0, 4.0, 2.0), 0.52)
+    assert box_to_camera(CameraPose(0.0, 0.0, 0.0), box) == box
 
 
 def test_transform_quarter_turn():
     cam = CameraPose(0.0, 0.0, math.pi / 2)
-    x, y, b = to_camera_frame(cam, (0.0, 1.0, math.pi / 2))
-    assert math.isclose(x, 1.0, abs_tol=1e-12)
-    assert math.isclose(y, 0.0, abs_tol=1e-12)
-    assert b == 0.0
+    box = box_to_camera(cam, reconstruct_box(
+        VehicleState("t", 0.0, 10.0, math.pi / 2, 4.0, 2.0), 0.52))
+    want = reconstruct_box(VehicleState("t", 10.0, 0.0, 0.0, 4.0, 2.0), 0.52)
+    for name in LANDMARKS:
+        assert approx_pt(getattr(box, name), getattr(want, name), tol=1e-12)
+    assert box.heading == 0.0
 
 
 def test_transform_inverse_composition(rng):
     for _ in range(500):
-        cam = CameraPose(rng.uniform(-1e3, 1e3), rng.uniform(-1e3, 1e3),
-                         rng.uniform(-math.pi, math.pi) or math.pi)
-        pose = (rng.uniform(-1e3, 1e3), rng.uniform(-1e3, 1e3),
-                rng.uniform(-math.pi, math.pi) or math.pi)
-        back = from_camera_frame(cam, to_camera_frame(cam, pose))
-        assert math.isclose(back[0], pose[0], abs_tol=1e-9)
-        assert math.isclose(back[1], pose[1], abs_tol=1e-9)
-        assert math.isclose(normalize_angle(back[2] - pose[2]), 0.0, abs_tol=1e-9)
+        cam, state, world = random_cam_and_box(rng)
+        box = box_to_camera(cam, world)
+        for name in LANDMARKS:
+            assert approx_pt(camera_to_world(cam, getattr(box, name)),
+                             getattr(world, name))
+        assert math.isclose(normalize_angle(box.heading + cam.beta0
+                                            - state.heading), 0.0,
+                            abs_tol=1e-9)
 
 
 def test_transform_is_isometry(rng):
     for _ in range(500):
-        cam = CameraPose(rng.uniform(-1e3, 1e3), rng.uniform(-1e3, 1e3),
-                         rng.uniform(-math.pi, math.pi) or math.pi)
-        p = (rng.uniform(-1e3, 1e3), rng.uniform(-1e3, 1e3), 0.0)
-        q = (rng.uniform(-1e3, 1e3), rng.uniform(-1e3, 1e3), 0.0)
-        tp = to_camera_frame(cam, p)
-        tq = to_camera_frame(cam, q)
-        assert math.isclose(math.dist(p[:2], q[:2]), math.dist(tp[:2], tq[:2]),
-                            abs_tol=1e-9)
+        cam, _, world = random_cam_and_box(rng)
+        box = box_to_camera(cam, world)
+        points = [(getattr(world, k), getattr(box, k)) for k in LANDMARKS]
+        for (p, tp), (q, tq) in itertools.combinations(points, 2):
+            assert math.isclose(math.dist(p, q), math.dist(tp, tq),
+                                abs_tol=1e-9)
 
 
 def kernel_scene(rng, ego, n):
@@ -253,20 +262,20 @@ def test_projection_angles_example():
     box = manual_box([(4.0, 1.0), (4.0, -1.0), (2.0, -1.0), (2.0, 1.0)],
                      m=(3.0, 0.26), n=(3.0, -0.26), g=(3.0, 0.0))
     view = projection_angles(box, "x")
-    assert view.delta1 == -math.atan2(1.0, 2.0)
-    assert view.delta2 == math.atan2(1.0, 2.0)
-    assert view.delta1 <= view.rho1 <= view.rho2 <= view.delta2
-    assert view.rho1 == -view.rho2
+    assert view.box_spans == ((-math.atan2(1.0, 2.0), math.atan2(1.0, 2.0)),)
+    ((box_lo, box_hi),) = view.box_spans
+    ((plate_lo, plate_hi),) = view.plate_spans
+    assert box_lo <= plate_lo <= plate_hi <= box_hi
+    assert plate_lo == -plate_hi
     assert view.dist_g == 3.0
-    assert view.box_spans == ((view.delta1, view.delta2),)
-    assert view.plate_spans == ((view.rho1, view.rho2),)
 
 
 def test_projection_symmetric_box():
     box = manual_box([(2.0, 1.0), (4.0, 1.0), (4.0, -1.0), (2.0, -1.0)],
                      m=(3.0, 0.2), n=(3.0, -0.2), g=(3.0, 0.0))
     view = projection_angles(box)
-    assert view.delta1 == -view.delta2
+    ((lo, hi),) = view.box_spans
+    assert lo == -hi
 
 
 def test_projection_rejects_origin_inside():
@@ -285,9 +294,12 @@ def test_projection_seam_crossing_box():
     spans = sorted(view.box_spans)
     assert spans[0][0] == -math.pi
     assert spans[1][1] == math.pi
-    # principal min/max still the plain extremes of the corner arguments
-    assert view.delta1 == min(math.atan2(y, x) for x, y in box.corners)
-    assert view.delta2 == max(math.atan2(y, x) for x, y in box.corners)
+    # the inner ends are the corner arguments nearest the seam on each side
+    args = [math.atan2(y, x) for x, y in box.corners]
+    assert math.isclose(spans[0][1], max(a for a in args if a < 0.0),
+                        abs_tol=1e-12)
+    assert math.isclose(spans[1][0], min(a for a in args if a > 0.0),
+                        abs_tol=1e-12)
     # the true arc is narrow even though principal values straddle the seam
     width = sum(b - a for a, b in view.box_spans)
     assert width < math.pi
@@ -305,8 +317,10 @@ def test_projection_invariant_random(rng):
             view = projection_angles(box, s.id)
         except GeometryError:
             continue
-        if len(view.box_spans) == 1:
-            assert view.delta1 <= view.rho1 <= view.rho2 <= view.delta2
+        if len(view.box_spans) == 1 == len(view.plate_spans):
+            ((box_lo, box_hi),) = view.box_spans
+            ((plate_lo, plate_hi),) = view.plate_spans
+            assert box_lo <= plate_lo <= plate_hi <= box_hi
         # plate arc always inside box arc (span arithmetic)
         for pa, pb in view.plate_spans:
             assert any(ba - 1e-12 <= pa and pb <= bb + 1e-12

@@ -151,6 +151,32 @@ def test_cpr_bad_cell_size(small_run, cell):
         cpr(load_run(small_run), 0, cell)
 
 
+def test_cli_cpr_cell_size_with_infinite_reciprocal(small_run, capsys):
+    # 1.0 / 1e-320 is inf: the cell size is refused, not the run
+    err = cli_error(capsys, "--run", small_run, "--kind", "cpr",
+                    "--cell", "1e-320")
+    assert err.count("\n") == 1 and "cell size" in err
+    assert "metrics.jsonl" not in err
+
+
+def test_cli_cpr_position_without_a_cell(tmp_path, capsys):
+    # 1e300 * (1.0 / 1e-10) overflows: the cell size is too small for the
+    # run, whose metrics are sound
+    trace_path = tmp_path / "t.csv"
+    trace_path.write_text("tick,id,x,y,heading,length,width\n"
+                          "0,a,0.0,0.0,0,4,1.8\n0,b,1e300,0.0,0,4,1.8\n")
+    config_path = tmp_path / "c.ini"
+    config_path.write_text("[scenario]\nseed = 1\n")
+    out = str(tmp_path / "out")
+    assert main(["run", "--config", str(config_path), "--trace",
+                 str(trace_path), "--out", out]) == 0
+    capsys.readouterr()
+    err = cli_error(capsys, "--run", out, "--kind", "cpr", "--cell", "1e-10")
+    assert err.count("\n") == 1 and "cell size 1e-10" in err
+    assert "metrics.jsonl" not in err
+    assert report_text(out, "cpr", cell_size=1e10)  # the same run reads
+
+
 @pytest.mark.parametrize("kind", [["bandwidth"], ["ttv"], ["ttv", "2"],
                                   ["cpr"], ["cpr", "2"]])
 def test_cli_missing_metrics_file(small_run, capsys, kind):

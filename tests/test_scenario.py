@@ -84,6 +84,23 @@ def test_config_validation():
         cfg.validate()
 
 
+@pytest.mark.parametrize("weight", [1e308, 5e-324],
+                         ids=["overflow", "subnormal"])
+def test_mix_weights_must_sum_to_a_normal_number(weight):
+    # the draw scales by the sum: an infinite sum gave every id the last
+    # type, a subnormal one a skewed split
+    cfg = parse_config(io.StringIO(f"[mix]\nConnectedVehicle = {weight!r}\n"
+                                   f"PoTVehicle = {weight!r}\n"))
+    with pytest.raises(ConfigError, match="mix weights sum to"):
+        cfg.validate()
+
+
+def test_mix_weights_summing_to_the_least_normal_pass():
+    half = sys.float_info.min / 2
+    ScenarioConfig(mix=(("ConnectedVehicle", half),
+                        ("PoTVehicle", half))).validate()
+
+
 def test_parse_config_full():
     text = """
 [scenario]
@@ -599,6 +616,53 @@ def test_cli_connected_not_a_boolean(tmp_path, capsys, section, vtype, raw):
     assert len(err) == 1 and err[0].startswith("error: ")
     assert vtype in err[0] and "connected" in err[0] and raw in err[0]
     assert sorted(os.listdir(tmp_path)) == ["c.ini", "t.csv"]
+
+
+@pytest.mark.parametrize("section,vtype,key", [
+    (f"{LURKER}conected = false\n", "Lurker", "conected"),
+    ("[vehicle_type.ConnectedVehicle]\nconected = false\n",
+     "ConnectedVehicle", "conected"),
+    ("[vehicle_type.ConnectedVehicle]\nedges = camera -> object_store\n",
+     "ConnectedVehicle", "edges"),
+    ("[vehicle_type.PoTVehicle]\nentry = camera\n", "PoTVehicle", "entry"),
+    ("[vehicle_type.SpamAttacker]\nnotamodule.foo = 1\n", "SpamAttacker",
+     "notamodule.foo"),
+    (f"{LURKER}spam_tx.k = 1\n", "Lurker", "spam_tx.k"),
+], ids=["misspelled", "misspelled-builtin", "edges-without-modules",
+        "entry-without-modules", "unknown-module", "module-not-in-flow"])
+def test_vehicle_type_key_it_cannot_use(section, vtype, key):
+    with pytest.raises(ConfigError) as exc:
+        parse_config(io.StringIO(section))
+    assert repr(vtype) in str(exc.value) and repr(key) in str(exc.value)
+
+
+def test_cli_vehicle_type_key_it_cannot_use(tmp_path, capsys):
+    from cavsim.cli import main
+
+    trace_path = tmp_path / "t.csv"
+    with open(trace_path, "w") as f:
+        write_csv(synth_traffic(1, 2, 2, 100.0), f)
+    config_path = tmp_path / "c.ini"
+    config_path.write_text("[vehicle_type.ConnectedVehicle]\n"
+                           "notamodule.foo = 1\n")
+    rc = main(["run", "--config", str(config_path), "--trace", str(trace_path),
+               "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert "ConnectedVehicle" in err[0] and "notamodule.foo" in err[0]
+    assert sorted(os.listdir(tmp_path)) == ["c.ini", "t.csv"]
+
+
+def test_vehicle_type_keys_in_use_still_parse():
+    # the override the benchmark writes, and a full custom type
+    cfg = parse_config(io.StringIO(
+        "[vehicle_type.SpamAttacker]\nspam_tx.k = 3\nconnected = yes\n"
+        f"{LURKER}entry = camera\nconnected = no\n"
+        "[mix]\nSpamAttacker = 1\nLurker = 1\n"))
+    cfg.validate()
+    assert cfg.extra_types["SpamAttacker"].params["spam_tx"] == {"k": 3}
+    assert cfg.extra_types["Lurker"].entry == ("camera",)
 
 
 # --- perception radius rules -------------------------------------------------

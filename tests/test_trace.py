@@ -12,8 +12,9 @@ from hypothesis import given, strategies as st
 from cavsim.errors import (ConfigError, SchemaError, SimError,
                            TraceParseError, ValidationError)
 from cavsim.trace import (CSV_COLUMNS, TAU, TraceTick, VehicleState,
-                          iter_trace, normalize_angle, parse_csv, parse_fcd,
-                          synth_traffic, write_csv)
+                          iter_trace, normalize_angle, synth_traffic,
+                          write_csv)
+from conftest import read_trace
 
 FCD_EMPTY = "<fcd-export></fcd-export>"
 
@@ -30,11 +31,11 @@ FCD_NON_MONOTONIC = """<fcd-export>
 
 
 def test_fcd_empty_document():
-    assert parse_fcd(io.StringIO(FCD_EMPTY)) == []
+    assert read_trace(FCD_EMPTY, "fcd") == []
 
 
 def test_fcd_angle_conversion_east():
-    ticks = parse_fcd(io.StringIO(FCD_ONE))
+    ticks = read_trace(FCD_ONE, "fcd")
     assert len(ticks) == 1
     (state,) = ticks[0].states
     assert ticks[0].tick == 0
@@ -51,7 +52,7 @@ def test_fcd_angle_convention_more_points():
       <vehicle id="s" x="1" y="0" angle="180"/>
       <vehicle id="w" x="2" y="0" angle="270"/>
     </timestep></fcd-export>"""
-    (tick,) = parse_fcd(io.StringIO(doc))
+    (tick,) = read_trace(doc, "fcd")
     by_id = {s.id: s for s in tick.states}
     assert by_id["n"].heading == pytest.approx(math.pi / 2)
     assert by_id["s"].heading == pytest.approx(-math.pi / 2)
@@ -60,13 +61,13 @@ def test_fcd_angle_convention_more_points():
 
 def test_fcd_non_monotonic_rejected():
     with pytest.raises(ValidationError):
-        parse_fcd(io.StringIO(FCD_NON_MONOTONIC))
+        read_trace(FCD_NON_MONOTONIC, "fcd")
 
 
 def test_fcd_malformed_reports_line():
     bad = "<fcd-export>\n<timestep time='0'>\n</fcd-export>"
     with pytest.raises(TraceParseError) as exc:
-        parse_fcd(io.StringIO(bad))
+        read_trace(bad, "fcd")
     assert exc.value.line is not None
     assert "line" in str(exc.value)
 
@@ -77,7 +78,7 @@ def test_fcd_fractional_buckets_keep_first():
       <timestep time="0.5"><vehicle id="a" x="2" y="0" angle="90"/></timestep>
       <timestep time="1.5"><vehicle id="a" x="3" y="0" angle="90"/></timestep>
     </fcd-export>"""
-    ticks = parse_fcd(io.StringIO(doc))
+    ticks = read_trace(doc, "fcd")
     assert [t.tick for t in ticks] == [0, 1]
     assert ticks[0].states[0].x == 1.0
     assert ticks[1].states[0].x == 3.0
@@ -87,7 +88,7 @@ def test_fcd_explicit_dimensions_and_duplicate_id():
     doc = """<fcd-export><timestep time="0">
       <vehicle id="a" x="0" y="0" angle="0" length="7.5" width="2.5"/>
     </timestep></fcd-export>"""
-    (tick,) = parse_fcd(io.StringIO(doc))
+    (tick,) = read_trace(doc, "fcd")
     assert tick.states[0].length == 7.5
     assert tick.states[0].width == 2.5
     dup = """<fcd-export><timestep time="0">
@@ -95,7 +96,7 @@ def test_fcd_explicit_dimensions_and_duplicate_id():
       <vehicle id="a" x="1" y="0" angle="0"/>
     </timestep></fcd-export>"""
     with pytest.raises(ValidationError):
-        parse_fcd(io.StringIO(dup))
+        read_trace(dup, "fcd")
 
 
 def test_fcd_missing_attribute():
@@ -103,51 +104,50 @@ def test_fcd_missing_attribute():
       <vehicle id="a" x="0" y="0"/>
     </timestep></fcd-export>"""
     with pytest.raises(SchemaError) as exc:
-        parse_fcd(io.StringIO(doc))
+        read_trace(doc, "fcd")
     assert "angle" in str(exc.value)
 
 
 def test_csv_header_only():
-    assert parse_csv(io.StringIO("tick,id,x,y,heading,length,width\n")) == []
+    assert read_trace("tick,id,x,y,heading,length,width\n", "csv") == []
 
 
 def test_csv_single_row():
-    ticks = parse_csv(io.StringIO(
-        "tick,id,x,y,heading,length,width\n0,a,0,0,0,5,1.8\n"))
+    ticks = read_trace(
+        "tick,id,x,y,heading,length,width\n0,a,0,0,0,5,1.8\n", "csv")
     assert ticks == [TraceTick(0, (VehicleState("a", 0.0, 0.0, 0.0, 5.0, 1.8),))]
 
 
 def test_csv_heading_normalized():
-    ticks = parse_csv(io.StringIO(
-        "tick,id,x,y,heading,length,width\n0,a,0,0,7.0,5,1.8\n"))
+    ticks = read_trace(
+        "tick,id,x,y,heading,length,width\n0,a,0,0,7.0,5,1.8\n", "csv")
     assert ticks[0].states[0].heading == 7.0 - TAU
 
 
 def test_csv_missing_column_named():
     with pytest.raises(SchemaError) as exc:
-        parse_csv(io.StringIO("tick,id,x,y,heading,length\n"))
+        read_trace("tick,id,x,y,heading,length\n", "csv")
     assert "width" in str(exc.value)
 
 
 def test_csv_non_monotonic():
     body = "tick,id,x,y,heading,length,width\n2,a,0,0,0,5,2\n1,a,0,0,0,5,2\n"
     with pytest.raises(ValidationError):
-        parse_csv(io.StringIO(body))
+        read_trace(body, "csv")
 
 
 def test_csv_blank_dimensions_defaulted():
-    ticks = parse_csv(io.StringIO(
-        "tick,id,x,y,heading,length,width\n0,a,1,2,0,,\n"))
+    ticks = read_trace(
+        "tick,id,x,y,heading,length,width\n0,a,1,2,0,,\n", "csv")
     s = ticks[0].states[0]
     assert s.length == 5.0 and s.width == 1.8
 
 
 def test_csv_roundtrip_of_parsed_fcd():
-    ticks = parse_fcd(io.StringIO(FCD_ONE))
+    ticks = read_trace(FCD_ONE, "fcd")
     buf = io.StringIO()
     write_csv(ticks, buf)
-    buf.seek(0)
-    assert parse_csv(buf) == ticks
+    assert read_trace(buf.getvalue(), "csv") == ticks
 
 
 @given(st.integers(0, 2 ** 32), st.integers(0, 30), st.integers(0, 5))
@@ -159,9 +159,9 @@ def test_synth_roundtrip_and_headings(seed, n, ticks):
             assert -math.pi < s.heading <= math.pi
     buf = io.StringIO()
     write_csv(trace, buf)
-    buf.seek(0)
     # vehicle-less ticks are not expressible in the row-based CSV schema
-    assert parse_csv(buf) == [tt for tt in trace if tt.states]
+    assert read_trace(buf.getvalue(), "csv") == [tt for tt in trace
+                                                 if tt.states]
 
 
 def test_synth_zero_vehicles():
@@ -219,9 +219,9 @@ def fcd_doc(time="0", **override):
 
 
 def test_valid_rows_parse():
-    (tick,) = parse_csv(io.StringIO(csv_doc()))
+    (tick,) = read_trace(csv_doc(), "csv")
     assert tick.states[0] == VehicleState("a", 1.5, -2.0, 0.5, 4.0, 1.8)
-    (tick,) = parse_fcd(io.StringIO(fcd_doc()))
+    (tick,) = read_trace(fcd_doc(), "fcd")
     assert (tick.states[0].x, tick.states[0].length) == (1.5, 4.0)
 
 
@@ -229,7 +229,7 @@ def test_valid_rows_parse():
 @pytest.mark.parametrize("column", ["x", "y", "heading", "length", "width"])
 def test_csv_non_finite_rejected(column, value):
     with pytest.raises(ValidationError) as exc:
-        parse_csv(io.StringIO(csv_doc(**{column: value})))
+        read_trace(csv_doc(**{column: value}), "csv")
     assert "row 2" in str(exc.value)
 
 
@@ -237,33 +237,33 @@ def test_csv_non_finite_rejected(column, value):
 @pytest.mark.parametrize("attr", ["x", "y", "angle", "length", "width"])
 def test_fcd_non_finite_rejected(attr, value):
     with pytest.raises(ValidationError):
-        parse_fcd(io.StringIO(fcd_doc(**{attr: value})))
+        read_trace(fcd_doc(**{attr: value}), "fcd")
 
 
 @pytest.mark.parametrize("attr", ["x", "y", "angle", "length", "width"])
 def test_fcd_non_numeric_rejected(attr):
     with pytest.raises(ValidationError) as exc:
-        parse_fcd(io.StringIO(fcd_doc(**{attr: "abc"})))
+        read_trace(fcd_doc(**{attr: "abc"}), "fcd")
     assert "'a'" in str(exc.value)
 
 
 @pytest.mark.parametrize("time", ["abc", "", "nan", "inf"])
 def test_fcd_bad_time_rejected(time):
     with pytest.raises(ValidationError) as exc:
-        parse_fcd(io.StringIO(fcd_doc(time=time)))
+        read_trace(fcd_doc(time=time), "fcd")
     assert "time" in str(exc.value)
 
 
 def test_empty_id_rejected_in_both_formats():
     with pytest.raises(ValidationError, match="^row 2: empty vehicle id$"):
-        parse_csv(io.StringIO(csv_doc(id="")))
+        read_trace(csv_doc(id=""), "csv")
     with pytest.raises(ValidationError,
                        match="^vehicle '': empty vehicle id$"):
-        parse_fcd(io.StringIO(fcd_doc().replace('id="a"', 'id=""')))
+        read_trace(fcd_doc().replace('id="a"', 'id=""'), "fcd")
     # an entity the parser cannot expand leaves the id empty
     with pytest.raises(ValidationError,
                        match="^vehicle '': empty vehicle id$"):
-        parse_fcd(io.StringIO(ODD_FCD["external-dtd-entity-attr"]))
+        read_trace(ODD_FCD["external-dtd-entity-attr"], "fcd")
 
 
 @pytest.mark.parametrize("name, doc", [
@@ -377,7 +377,7 @@ def test_csv_matches_dictreader_oracle(tmp_path):
     for seed in range(300):
         doc = random_csv(random.Random(seed))
         want = reference_parse_csv(io.StringIO(doc))
-        got = parse_csv(io.StringIO(doc))
+        got = read_trace(doc, "csv")
         assert float_reprs(got) == float_reprs(want), (seed, doc)
         if seed % 20 == 0:
             path = tmp_path / f"t{seed}.csv"
@@ -389,8 +389,8 @@ def test_csv_matches_dictreader_oracle(tmp_path):
 def test_csv_padded_header_names():
     padded = "tick, id, x, y, heading, length, width\n0,a,1,2,0.5,4,1.8\n"
     plain = "tick,id,x,y,heading,length,width\n0,a,1,2,0.5,4,1.8\n"
-    assert parse_csv(io.StringIO(padded)) == parse_csv(io.StringIO(plain))
-    assert parse_csv(io.StringIO(padded))[0].states[0].x == 1.0
+    assert read_trace(padded, "csv") == read_trace(plain, "csv")
+    assert read_trace(padded, "csv")[0].states[0].x == 1.0
 
 
 @pytest.mark.parametrize("row, count", [("0,b,1,2,0,4,1.8,EXTRA", 8),
@@ -399,13 +399,13 @@ def test_csv_padded_header_names():
 def test_csv_field_count_must_match_header(row, count):
     doc = f"{','.join(CSV_COLUMNS)}\n0,a,1,2,0,4,1.8\n\n{row}\n"
     with pytest.raises(ValidationError) as exc:
-        parse_csv(io.StringIO(doc))
+        read_trace(doc, "csv")
     assert str(exc.value).startswith(f"row 4: {count} fields")
 
 
 def test_csv_duplicate_column_rejected():
     with pytest.raises(SchemaError) as exc:
-        parse_csv(io.StringIO(",".join(CSV_COLUMNS) + ",x\n"))
+        read_trace(",".join(CSV_COLUMNS) + ",x\n", "csv")
     assert "'x'" in str(exc.value)
 
 
@@ -654,7 +654,7 @@ def test_shared_csv_matches_oracle():
         doc = random_shared_csv(random.Random(seed))
         defaults = DEFAULTS[seed % 2]
         want = reference_parse_csv(io.StringIO(doc), **defaults)
-        got = parse_csv(io.StringIO(doc), **defaults)
+        got = read_trace(doc, "csv", **defaults)
         assert float_reprs(got) == float_reprs(want), (seed, doc)
 
 
@@ -663,7 +663,7 @@ def test_shared_fcd_matches_oracle():
         doc = random_shared_fcd(random.Random(seed))
         defaults = DEFAULTS[seed % 2]
         want = reference_parse_fcd(io.StringIO(doc), **defaults)
-        got = parse_fcd(io.StringIO(doc), **defaults)
+        got = read_trace(doc, "fcd", **defaults)
         assert float_reprs(got) == float_reprs(want), (seed, doc)
 
 
@@ -695,7 +695,7 @@ def test_unchanged_vehicle_values_are_the_same_objects():
     for seed in range(50):
         rng = random.Random(seed)
         doc = random_shared_csv(rng)
-        ticks = parse_csv(io.StringIO(doc))
+        ticks = read_trace(doc, "csv")
         texts = {}
         for row in csv.DictReader(io.StringIO(doc)):
             texts.setdefault(int(row["tick"]), {})[row["id"]] = (
@@ -708,7 +708,7 @@ def test_unchanged_fcd_vehicle_values_are_the_same_objects():
     shared = 0
     for seed in range(50):
         doc = random_shared_fcd(random.Random(seed))
-        ticks = parse_fcd(io.StringIO(doc))
+        ticks = read_trace(doc, "fcd")
         texts = {}
         last = None
         for elem in ET.fromstring(doc):
@@ -725,7 +725,7 @@ def test_unchanged_fcd_vehicle_values_are_the_same_objects():
 def test_zero_and_negative_zero_are_not_shared():
     doc = (",".join(CSV_COLUMNS) + "\n0,a,0,0,0.0,,\n1,a,0,0,-0.0,,\n"
            "2,a,0,0,-0.0,,\n3,a,0,0,0.0,,\n")
-    headings = [repr(tt.states[0].heading) for tt in parse_csv(io.StringIO(doc))]
+    headings = [repr(tt.states[0].heading) for tt in read_trace(doc, "csv")]
     assert headings == ["0.0", "-0.0", "-0.0", "0.0"]
 
 
@@ -742,7 +742,7 @@ def test_shared_row_still_checks_position(tmp_path, value):
     doc = (f"{','.join(CSV_COLUMNS)}\n0,a,1,2,0.5,4,1.8\n"
            f"1,a,{value},2,0.5,4,1.8\n")
     with pytest.raises(ValidationError) as exc:
-        parse_csv(io.StringIO(doc))
+        read_trace(doc, "csv")
     assert str(exc.value).startswith("row 3: ")
     fcd = fcd_doc().replace("</fcd-export>", "") + (
         f'<timestep time="1"><vehicle id="a" x="{value}" y="-2.0" '
@@ -887,12 +887,12 @@ def test_cli_tick_outside_wire_range(tmp_path, capsys, tick):
 def test_csv_tick_range_bounds():
     head = ",".join(CSV_COLUMNS) + "\n"
     top = 2 ** 32 - 1
-    ticks = parse_csv(io.StringIO(f"{head}0,a,1,2,0,4,1.8\n"
-                                  f"{top},a,1,2,0,4,1.8\n"))
+    ticks = read_trace(f"{head}0,a,1,2,0,4,1.8\n"
+                       f"{top},a,1,2,0,4,1.8\n", "csv")
     assert [tt.tick for tt in ticks] == [0, top]
     with pytest.raises(ValidationError, match=r"row 3: tick 4294967296 "):
-        parse_csv(io.StringIO(f"{head}0,a,1,2,0,4,1.8\n"
-                              f"{top + 1},a,1,2,0,4,1.8\n"))
+        read_trace(f"{head}0,a,1,2,0,4,1.8\n"
+                   f"{top + 1},a,1,2,0,4,1.8\n", "csv")
 
 
 @pytest.mark.parametrize("time, tick", [("-0.5", -1), ("4294967296.0", 2 ** 32)])
@@ -901,6 +901,6 @@ def test_fcd_tick_outside_wire_range(time, tick):
            f'<vehicle id="a" x="0" y="0" angle="0"/></timestep></fcd-export>')
     with pytest.raises(ValidationError,
                        match=f"timestep time '{time}': tick {tick} is outside"):
-        parse_fcd(io.StringIO(doc))
+        read_trace(doc, "fcd")
     top = '<fcd-export><timestep time="4294967295.9"/></fcd-export>'
-    assert [tt.tick for tt in parse_fcd(io.StringIO(top))] == [2 ** 32 - 1]
+    assert [tt.tick for tt in read_trace(top, "fcd")] == [2 ** 32 - 1]
