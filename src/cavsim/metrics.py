@@ -7,15 +7,16 @@ index file maps every tick to the byte offset and length of its line so
 individual ticks can be read without scanning.  Keys and float formatting
 are fixed, so identical runs produce byte-identical files.
 
-The aggregations take any iterable of decoded tick lines.  The whole-run
-reports stream metrics.jsonl through scan_bandwidth and scan_ttv_total,
-which read a line in the writer's own form with regular expressions,
-without building a dict per record, and decode any other line as JSON, so
-the result and the errors are those of the aggregation over iter_ticks.
-These three refuse a line that is not ASCII, and name it.  A
-one-tick report reads its one line through the index (load_run with a
-tick), and refuses it, naming the tick, when it is not ASCII.  Either way
-a report holds one tick line in memory, not the run.
+A finished run is read one tick line at a time.  The whole-run reports
+stream metrics.jsonl through scan_bandwidth and scan_ttv_total, which read
+a line in the writer's own form with regular expressions, without building
+a dict per record, and decode any other line as JSON, so the result and
+the errors are those of avg_bandwidth and the TTV sum over each decoded
+line.  Both refuse a line that is not ASCII, and name it.  A one-tick
+report reads its one line through the index (load_run), refuses it,
+naming the tick, when it is not ASCII, and hands the decoded line to
+ttv_distribution or cpr.  Either way a report holds one tick line in
+memory, not the run.
 
 Per-vehicle record keys, in order:
     id, bytes_sent, local_objects, received_objects, all_objects,
@@ -191,9 +192,18 @@ def read_index(stream: IO[str]) -> list[tuple[int, int, int]]:
 
 def seek_tick(index: list[tuple[int, int, int]], data: IO[bytes],
               tick: int) -> dict:
-    """Read one tick's line through the index: O(1) reads after lookup."""
+    """Read one tick's line through the index: O(1) reads after lookup.
+    The entry is refused before the seek unless its offset lies in the
+    data file and its length is positive and no longer than the file, so
+    a read never asks for more bytes than the file holds; a line that the
+    file cuts short is read as far as the file goes."""
     for t, offset, length in index:
         if t == tick:
+            size = data.seek(0, os.SEEK_END)
+            if not (0 <= offset < size and 0 < length <= size):
+                raise ValidationError(f"{INDEX_FILE}: the entry of tick "
+                                      f"{tick} frames no line of "
+                                      f"{METRICS_FILE}")
             data.seek(offset)
             line = data.read(length)
             if not line.isascii():
@@ -228,12 +238,6 @@ def _lines(stream: IO[str]):
         yield n, line
 
 
-def iter_ticks(stream: IO[str]):
-    """Linear scan over a metrics JSONL stream."""
-    for n, line in _lines(stream):
-        yield from _decoded(line, n)
-
-
 def open_run_file(run_dir: str, name: str, mode: str = "r") -> IO:
     """Open one file of a run directory; a missing file is a NotFoundError
     that names it.  Text files read as ASCII, each other byte as a
@@ -254,15 +258,11 @@ def run_index(run_dir: str) -> list[tuple[int, int, int]]:
         return read_index(f)
 
 
-def load_run(run_dir: str, tick: int | None = None) -> list[dict]:
-    """Load all tick lines of a run directory or, given a tick, only that
-    tick's line, read through the index."""
-    if tick is None:
-        with open_run_file(run_dir, METRICS_FILE) as f:
-            return list(iter_ticks(f))
+def load_run(run_dir: str, tick: int) -> dict:
+    """One tick's line of a run directory, read through the index."""
     index = run_index(run_dir)
     with open_run_file(run_dir, METRICS_FILE, "rb") as f:
-        return [seek_tick(index, f, tick)]
+        return seek_tick(index, f, tick)
 
 
 def avg_bandwidth(run: Iterable[dict]) -> list[tuple[int, float]]:
@@ -293,21 +293,13 @@ def scan_bandwidth(stream: IO[str]) -> list[tuple[int, float]]:
     return out
 
 
-def ttv_distribution(run: list[dict], tick: int) -> dict[int, int]:
-    """Element-wise sum of the vehicles' TTV histograms at one tick."""
-    for entry in run:
-        if entry["tick"] == tick:
-            return ttv_distribution_total((entry,))
-    raise NotFoundError(f"tick {tick} not in run data")
-
-
-def ttv_distribution_total(run: Iterable[dict]) -> dict[int, int]:
-    """TTV histogram summed over the whole run."""
-    return _add_ttv({}, _ttv_pairs(run))
+def ttv_distribution(entry: dict) -> dict[int, int]:
+    """Element-wise sum of the vehicles' TTV histograms in one tick line."""
+    return _add_ttv({}, _ttv_pairs((entry,)))
 
 
 def scan_ttv_total(stream: IO[str]) -> dict[int, int]:
-    """ttv_distribution_total over the tick lines of a metrics JSONL
+    """The TTV histogram summed over the tick lines of a metrics JSONL
     stream, each read by scan_line or, where that refuses it, as JSON."""
     total: dict[int, int] = {}
     for n, line in _lines(stream):
@@ -341,9 +333,8 @@ def check_cell_size(cell_size: float) -> None:
                           f"finite reciprocal, not {cell_size!r}")
 
 
-def cpr(run: list[dict], tick: int,
-        cell_size: float) -> dict[tuple[int, int], float]:
-    """Cooperative perception ratio heatmap for one tick.
+def cpr(entry: dict, cell_size: float) -> dict[tuple[int, int], float]:
+    """Cooperative perception ratio heatmap of one tick line.
 
     Per spatial cell: sum of objects not perceived locally divided by the
     sum of locally perceived objects, over the vehicles positioned in the
@@ -352,23 +343,19 @@ def cpr(run: list[dict], tick: int,
     ConfigError on the cell size.
     """
     check_cell_size(cell_size)
-    for entry in run:
-        if entry["tick"] == tick:
-            remote: dict[tuple[int, int], int] = {}
-            local: dict[tuple[int, int], int] = {}
-            inv = 1.0 / cell_size
-            for v in entry["vehicles"]:
-                try:
-                    key = (math.floor(v["x"] * inv), math.floor(v["y"] * inv))
-                except OverflowError:
-                    if math.isinf(v["x"]) or math.isinf(v["y"]):
-                        raise
-                    raise ConfigError(
-                        f"cell size {cell_size!r} is too small: position "
-                        f"({v['x']!r}, {v['y']!r}) has no cell") from None
-                remote[key] = remote.get(key, 0) + (v["all_objects"]
-                                                    - v["local_objects"])
-                local[key] = local.get(key, 0) + v["local_objects"]
-            return {key: remote[key] / local[key]
-                    for key in local if local[key] > 0}
-    raise NotFoundError(f"tick {tick} not in run data")
+    remote: dict[tuple[int, int], int] = {}
+    local: dict[tuple[int, int], int] = {}
+    inv = 1.0 / cell_size
+    for v in entry["vehicles"]:
+        try:
+            key = (math.floor(v["x"] * inv), math.floor(v["y"] * inv))
+        except OverflowError:
+            if math.isinf(v["x"]) or math.isinf(v["y"]):
+                raise
+            raise ConfigError(
+                f"cell size {cell_size!r} is too small: position "
+                f"({v['x']!r}, {v['y']!r}) has no cell") from None
+        remote[key] = remote.get(key, 0) + (v["all_objects"]
+                                            - v["local_objects"])
+        local[key] = local.get(key, 0) + v["local_objects"]
+    return {key: remote[key] / local[key] for key in local if local[key] > 0}

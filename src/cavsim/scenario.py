@@ -67,6 +67,8 @@ TIMING_COLUMNS = ("tick", "position_rebuild", "perception", "agent_ticks",
                   "network_step", "metrics_write")
 
 REPORT_KINDS = ("bandwidth", "ttv", "cpr", "timing")
+PERCEPTION_KEYS = ("fov_half_angle_deg", "max_range", "max_plate_angle_deg",
+                   "plate_width")
 
 
 @dataclass
@@ -373,7 +375,7 @@ def _aggregate(run_dir: str, kind: str, tick: int | None,
             return "tick,avg_bytes_sent\n", scan_bandwidth(f)
     if kind == "ttv":
         if tick is not None:
-            hist = ttv_distribution(load_run(run_dir, tick), tick)
+            hist = ttv_distribution(load_run(run_dir, tick))
         else:
             with open_run_file(run_dir, METRICS_FILE) as f:
                 hist = scan_ttv_total(f)
@@ -385,7 +387,7 @@ def _aggregate(run_dir: str, kind: str, tick: int | None,
         if not index:
             raise NotFoundError("run has no ticks")
         tick = index[-1][0]
-    heat = cpr(load_run(run_dir, tick), tick, cell_size)
+    heat = cpr(load_run(run_dir, tick), cell_size)
     return "cell_x,cell_y,ratio\n", [(*k, heat[k]) for k in sorted(heat)]
 
 
@@ -504,7 +506,9 @@ def parse_config(stream: IO[str]) -> ScenarioConfig:
     [mix] type-name = weight, and one [vehicle_type.NAME] per custom type
     (keys: modules, edges, entry, connected, plus module.param entries).
     """
-    parser = configparser.ConfigParser(interpolation=None)
+    # no section header is empty, so [DEFAULT] is an unknown section below
+    # instead of keys merged into every other section
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     parser.optionxform = str  # keep case of type and module names
     try:
         parser.read_file(stream)
@@ -533,6 +537,10 @@ def parse_config(stream: IO[str]) -> ScenarioConfig:
 
     if parser.has_section("perception"):
         p = parser["perception"]
+        for key in p:
+            if key not in PERCEPTION_KEYS:
+                raise ConfigError(f"[perception] {key!r} is not one of its "
+                                  f"keys ({', '.join(PERCEPTION_KEYS)})")
         base = PerceptionConfig()
         cfg.perception = PerceptionConfig(
             fov_half_angle=math.radians(_number(
@@ -550,6 +558,9 @@ def parse_config(stream: IO[str]) -> ScenarioConfig:
             name = section[len("vehicle_type."):]
             cfg.extra_types[name] = _parse_vehicle_type(
                 name, parser[section], builtin)
+        elif section not in ("scenario", "perception", "mix"):
+            raise ConfigError(f"unknown section [{section}] (want scenario, "
+                              f"perception, mix or vehicle_type.NAME)")
 
     if parser.has_section("mix"):
         mix = []

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import random
@@ -45,6 +46,13 @@ def read_trace(text: str, fmt: str, **defaults):
         with open(path, "w", encoding="utf-8", newline="") as f:
             f.write(text)
         return load_trace(path, fmt, **defaults)
+
+
+def read_run(run_dir: str) -> list[dict]:
+    """Every tick line of a run directory's metrics.jsonl, each read by a
+    plain json.loads, in file order."""
+    with open(os.path.join(run_dir, "metrics.jsonl"), encoding="ascii") as f:
+        return [json.loads(line) for line in f]
 
 
 def table_of(stations_by_plate):

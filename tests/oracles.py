@@ -7,6 +7,8 @@ tests compare `metrics.record_json` with `json.dumps` of it.
 explicit station -> position table, against which the run's sweep-based
 delivery is checked.  `decode_cpm` reads a wire payload back by the
 format the README defines, against which `serialize_cpm` is checked.
+`ttv_distribution_total` sums the TTV histograms of decoded tick lines,
+against which the whole-run `ttv` report is checked.
 """
 
 from __future__ import annotations
@@ -77,6 +79,16 @@ def full_scan_locator(positions: dict[int, tuple[float, float]],
         return out
 
     return locate
+
+
+def ttv_distribution_total(run) -> dict[int, int]:
+    """The TTV histogram summed over decoded tick lines: delay -> count."""
+    total: dict[int, int] = {}
+    for line in run:
+        for v in line["vehicles"]:
+            for delay, count in v["ttv"].items():
+                total[int(delay)] = total.get(int(delay), 0) + count
+    return total
 
 
 _WIRE_HEADER = struct.Struct("<IIdddH")

@@ -6,8 +6,8 @@ import math
 import random
 import time
 
-from cavsim.metrics import (avg_bandwidth, cpr, load_run, read_index,
-                            seek_tick, ttv_distribution)
+from cavsim.metrics import (avg_bandwidth, cpr, read_index, seek_tick,
+                            ttv_distribution)
 from cavsim.perception import (CameraPose, PerceptionConfig, box_to_camera,
                                fov_relevant, get_visible_lines,
                                get_visible_lines_naive, normalize_heading,
@@ -17,7 +17,7 @@ from cavsim.spatial import get_nearby_vehicles, rebuild
 from cavsim.trace import TraceTick, VehicleState, normalize_angle, synth_traffic
 from cavsim.errors import GeometryError
 
-from conftest import LANDMARKS, camera_to_world, random_scene
+from conftest import LANDMARKS, camera_to_world, random_scene, read_run
 
 
 def _pass(num, name):
@@ -152,11 +152,11 @@ def test_criterion_05_metric_semantics(tmp_path):
     cfg = ScenarioConfig(seed=55, out_dir=str(tmp_path / "unconnected"),
                          mix=(("UnconnectedVehicle", 1.0),))
     run(cfg, trace=trace)
-    data = load_run(cfg.out_dir)
+    data = read_run(cfg.out_dir)
     assert all(mean == 0.0 for _, mean in avg_bandwidth(data))
     cells_seen = 0
     for line in data:
-        heat = cpr(data, line["tick"], 100.0)
+        heat = cpr(line, 100.0)
         assert all(ratio == 0.0 for ratio in heat.values())
         cells_seen += len(heat)
     assert cells_seen > 0  # some vehicles did perceive locally
@@ -164,7 +164,7 @@ def test_criterion_05_metric_semantics(tmp_path):
     cfg2 = ScenarioConfig(seed=55, out_dir=str(tmp_path / "silent"),
                           mix=(("SilenceAttacker", 1.0),))
     run(cfg2, trace=trace)
-    for line in load_run(cfg2.out_dir):
+    for line in read_run(cfg2.out_dir):
         for v in line["vehicles"]:
             assert v["bytes_sent"] == 0
     _pass(5, "all-unconnected CPR/bandwidth zero; all-silent bytes zero")
@@ -190,7 +190,7 @@ def test_criterion_06_cooperative_perception_hand_stepped(tmp_path):
     cfg = ScenarioConfig(seed=6, out_dir=str(tmp_path / "coop"), mix=MIX_CU)
     run(cfg, trace=rows)
     recs = {line["tick"]: {v["id"]: v for v in line["vehicles"]}
-            for line in load_run(cfg.out_dir)}
+            for line in read_run(cfg.out_dir)}
 
     def expect(tick, vid, bytes_sent, local, received, total, x):
         assert recs[tick][vid] == {
@@ -238,12 +238,13 @@ def test_criterion_07_pot_time_to_verify_hand_stepped(tmp_path):
     rows = [tick_states(t) for t in range(4)]
     cfg = ScenarioConfig(seed=7, out_dir=str(tmp_path / "pot"), mix=MIX_POT)
     run(cfg, trace=rows)
-    data = load_run(cfg.out_dir)
+    data = read_run(cfg.out_dir)
 
-    assert ttv_distribution(data, 0) == {}
-    assert ttv_distribution(data, 1) == {}
-    assert ttv_distribution(data, 2) == {1: 1, 2: 2}
-    assert ttv_distribution(data, 3) == {}
+    assert [line["tick"] for line in data] == [0, 1, 2, 3]
+    assert ttv_distribution(data[0]) == {}
+    assert ttv_distribution(data[1]) == {}
+    assert ttv_distribution(data[2]) == {1: 1, 2: 2}
+    assert ttv_distribution(data[3]) == {}
 
     per_vehicle = {v["id"]: v["ttv"]
                    for v in data[2]["vehicles"] if v["ttv"]}
@@ -278,12 +279,7 @@ def test_criterion_09_index_correctness(tmp_path):
                          mix=(("ConnectedVehicle", 1.0),))
     summary = run(cfg, trace=trace)
     assert summary.ticks_executed == 1000
-    by_scan = {}
-    import json
-    with open(summary.metrics_path, "r", encoding="ascii") as f:
-        for line in f:
-            obj = json.loads(line)
-            by_scan[obj["tick"]] = obj
+    by_scan = {obj["tick"]: obj for obj in read_run(cfg.out_dir)}
     with open(summary.index_path, "r", encoding="ascii") as f:
         index = read_index(f)
     assert len(index) == 1000
@@ -312,7 +308,7 @@ def test_criterion_10_spam_attack_inflates_received(tmp_path):
     assert len(attackers) >= 2 and len(honest) >= 20  # sensible mix draw
 
     def honest_received(run_dir):
-        final = load_run(run_dir)[-1]
+        final = read_run(run_dir)[-1]
         return sum(v["received_objects"] for v in final["vehicles"]
                    if v["id"] in honest)
 

@@ -1,23 +1,38 @@
-"""The benchmark's output checks (`perfbench/checks.py`) still fit the
-package: its perception oracle, built from the public stage functions,
-names the same plates as `perceive` on random scenes."""
+"""The benchmark still fits the package: its perception oracle
+(`perfbench/checks.py`), built from the public stage functions, names the
+same plates as `perceive` on random scenes, and the config of every
+workload (`perfbench/workloads.py`) parses and validates."""
 
 import importlib.util
 import math
 import os
 import random
+import sys
 
 import pytest
 
 import cavsim
 from cavsim.perception import PerceptionConfig, perceive
+from cavsim.scenario import load_config
 from conftest import random_scene
 
-CHECKS = os.path.join(os.path.dirname(os.path.dirname(
-    os.path.abspath(__file__))), "perfbench", "checks.py")
-spec = importlib.util.spec_from_file_location("checks", CHECKS)
-checks = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(checks)
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "perfbench")
+
+
+def load_module(name):
+    """perfbench/<name>.py as a module; it is entered in sys.modules, as
+    its dataclasses need, under a name no other module has."""
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", os.path.join(PERFBENCH, f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+checks = load_module("checks")
+workloads = load_module("workloads")
 
 
 @pytest.mark.parametrize("cfg", [
@@ -40,3 +55,13 @@ def test_oracle_perceive_equals_perceive(cfg):
                                                  radius), ego.id
             egos += 1
     assert egos >= 200
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_workload_config_parses_and_validates(tmp_path, name):
+    truth = workloads.generate(workloads.WORKLOADS[name], 1, str(tmp_path))
+    config = load_config(truth.config_path)
+    config.validate()
+    w = workloads.WORKLOADS[name]
+    assert config.mix == w.mix
+    assert config.perception_radius == config.comm_range == workloads.RADIUS

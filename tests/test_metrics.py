@@ -8,12 +8,12 @@ from hypothesis import given, strategies as st
 
 from cavsim.errors import ContractViolation, NotFoundError
 from cavsim.metrics import (WRITE_CHUNK, MetricsWriter, avg_bandwidth, cpr,
-                            iter_ticks, load_run, read_index, record_json,
-                            seek_tick, ttv_distribution,
-                            ttv_distribution_total)
+                            read_index, record_json, seek_tick,
+                            ttv_distribution)
 from cavsim.sandbox import SandboxContext
 from cavsim.trace import VehicleState
-from oracles import MetricsRecord, finish_record
+from conftest import read_run
+from oracles import MetricsRecord, finish_record, ttv_distribution_total
 
 
 def rec(tick, vid, bytes_sent=0, local=0, received=0, total=0, ttv=None,
@@ -97,8 +97,7 @@ def test_seek_equals_linear_scan(tmp_path):
     out = write_run(tmp_path, ticks)
     with open(os.path.join(out, "metrics.idx")) as f:
         index = read_index(f)
-    with open(os.path.join(out, "metrics.jsonl"), "r") as f:
-        by_scan = {line["tick"]: line for line in iter_ticks(f)}
+    by_scan = {line["tick"]: line for line in read_run(out)}
     with open(os.path.join(out, "metrics.jsonl"), "rb") as data:
         assert seek_tick(index, data, 0) == by_scan[0]
         for t in (2, 34, 98):
@@ -112,7 +111,7 @@ def test_seek_equals_linear_scan(tmp_path):
 def test_roundtrip_record(tmp_path):
     r = rec(5, "a", 10, 1, 2, 3, {4: 2}, (0.5, 1.5))
     out = write_run(tmp_path, [(5, [r])])
-    line = load_run(out)[0]
+    line = read_run(out)[0]
     back = MetricsRecord.from_json_obj(line["tick"], line["vehicles"][0])
     assert back == finish_record(r)
 
@@ -235,24 +234,22 @@ def test_ttv_distribution():
         (0, [rec(0, "a")]),
         (1, [rec(1, "a", ttv={1: 2}), rec(1, "b", ttv={1: 1, 4: 1})]),
     ])
-    assert ttv_distribution(data, 0) == {}
-    assert ttv_distribution(data, 1) == {1: 3, 4: 1}
+    assert ttv_distribution(data[0]) == {}
+    assert ttv_distribution(data[1]) == {1: 3, 4: 1}
     assert ttv_distribution_total(data) == {1: 3, 4: 1}
-    with pytest.raises(NotFoundError):
-        ttv_distribution(data, 9)
 
 
 def test_cpr_all_unconnected_is_zero():
     data = run_data([(0, [rec(0, "a", local=3, total=3, pos=(10, 10)),
                           rec(0, "b", local=2, total=2, pos=(500, 10))])])
-    heat = cpr(data, 0, 100.0)
+    heat = cpr(data[0], 100.0)
     assert heat == {(0, 0): 0.0, (5, 0): 0.0}
 
 
 def test_cpr_ratio_one():
     data = run_data([(0, [rec(0, "a", local=3, received=3, total=6,
                               pos=(50, 50))])])
-    assert cpr(data, 0, 100.0) == {(0, 0): 1.0}
+    assert cpr(data[0], 100.0) == {(0, 0): 1.0}
 
 
 def test_cpr_two_cells_hand_computed():
@@ -265,7 +262,7 @@ def test_cpr_two_cells_hand_computed():
         rec(7, "c", local=4, total=6, pos=(310.0, 0.0)),
         rec(7, "d", local=0, total=3, pos=(950.0, 950.0)),
     ])])
-    assert cpr(data, 7, 100.0) == {(0, 0): 2.0, (3, 0): 0.5}
+    assert cpr(data[0], 100.0) == {(0, 0): 2.0, (3, 0): 0.5}
 
 
 def test_encoded_records_give_the_json_dumps_line_and_index(tmp_path):

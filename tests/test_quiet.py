@@ -10,11 +10,11 @@ from contextlib import contextmanager
 import pytest
 
 import cavsim.scenario as scenario
-from cavsim.metrics import load_run
 from cavsim.sandbox import (MODULES, FlowGraph, VehicleTypeSpec,
                             register_module)
 from cavsim.scenario import ScenarioConfig, assign_type, run
 from cavsim.trace import TraceTick, VehicleState, synth_traffic
+from conftest import read_run
 from oracles import MetricsRecord
 from test_scenario import find_id
 
@@ -43,7 +43,7 @@ def registered(name, factory):
 
 
 def records_by_tick(out_dir, plate):
-    return {line["tick"]: v for line in load_run(out_dir)
+    return {line["tick"]: v for line in read_run(out_dir)
             for v in line["vehicles"] if v["id"] == plate}
 
 
@@ -90,7 +90,7 @@ def test_spam_attacker_broadcasts_every_tick(tmp_path, dag_runs):
     cfg = ScenarioConfig(out_dir=str(tmp_path / "out"),
                          mix=(("SpamAttacker", 1.0),))
     run(cfg, trace=trace)
-    sent = [v["bytes_sent"] for line in load_run(cfg.out_dir)
+    sent = [v["bytes_sent"] for line in read_run(cfg.out_dir)
             for v in line["vehicles"]]
     assert len(sent) == 24 and min(sent) > 0
     assert len(dag_runs) == 24

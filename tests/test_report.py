@@ -3,9 +3,8 @@ errors of the read path.
 
 Whole-run reports stream metrics.jsonl; `ttv --tick` and `cpr` read one
 line through metrics.idx.  The oracle is the aggregation functions applied
-to the whole run loaded into memory with `load_run(run_dir)`, and, for the
-whole-run reports' scan of the writer's own line form, to json.loads of
-each line.
+to each line of metrics.jsonl read by a plain json.loads (`read_run`), with
+the whole-run TTV sum from `oracles.ttv_distribution_total`.
 """
 
 import io
@@ -24,11 +23,13 @@ from cavsim import metrics
 from cavsim.cli import main
 from cavsim.errors import (ConfigError, NotFoundError, SimError,
                            ValidationError)
-from cavsim.metrics import (MetricsWriter, avg_bandwidth, cpr, iter_ticks,
-                            load_run, record_at, record_counters, scan_line,
-                            ttv_distribution, ttv_distribution_total)
+from cavsim.metrics import (MetricsWriter, avg_bandwidth, cpr, load_run,
+                            record_at, record_counters, scan_line,
+                            ttv_distribution)
 from cavsim.scenario import ScenarioConfig, report, run
 from cavsim.trace import synth_traffic, write_csv
+from conftest import read_run
+from oracles import ttv_distribution_total
 from test_golden import ALL_TYPES, churned
 
 
@@ -49,7 +50,7 @@ def mixed_run(tmp_path_factory):
 
 
 def test_reports_equal_in_memory_aggregations(mixed_run):
-    data = load_run(mixed_run)
+    data = read_run(mixed_run)
     assert [line["tick"] for line in data] == list(range(10))
 
     want = "tick,avg_bytes_sent\n" + "".join(
@@ -64,29 +65,28 @@ def test_reports_equal_in_memory_aggregations(mixed_run):
     assert total, "the fixture must have TTV events"
     assert report_text(mixed_run, "ttv") == ttv_csv(total)
     ticks_with_ttv = [line["tick"] for line in data
-                      if ttv_distribution(data, line["tick"])]
+                      if ttv_distribution(line)]
     assert ticks_with_ttv
     for t in (ticks_with_ttv[0], 0, 9):
         assert (report_text(mixed_run, "ttv", tick=t)
-                == ttv_csv(ttv_distribution(data, t)))
+                == ttv_csv(ttv_distribution(data[t])))
 
     def cpr_csv(heat):
         return "cell_x,cell_y,ratio\n" + "".join(
             f"{k[0]},{k[1]},{heat[k]!r}\n" for k in sorted(heat))
 
-    last = cpr(data, 9, 100.0)
+    last = cpr(data[9], 100.0)
     assert last
     assert report_text(mixed_run, "cpr") == cpr_csv(last)
-    at_4 = cpr(data, 4, 50.0)
-    assert at_4 and at_4 != cpr(data, 4, 100.0)
+    at_4 = cpr(data[4], 50.0)
+    assert at_4 and at_4 != cpr(data[4], 100.0)
     assert report_text(mixed_run, "cpr", tick=4, cell_size=50.0) \
         == cpr_csv(at_4)
 
 
 def test_load_run_one_tick_equals_whole_run_line(mixed_run):
-    data = load_run(mixed_run)
-    for line in data:
-        assert load_run(mixed_run, line["tick"]) == [line]
+    for line in read_run(mixed_run):
+        assert load_run(mixed_run, line["tick"]) == line
     with pytest.raises(NotFoundError, match="tick 10 "):
         load_run(mixed_run, 10)
 
@@ -148,7 +148,7 @@ def test_cpr_bad_cell_size(small_run, cell):
     with pytest.raises(ConfigError):
         report(small_run, "cpr", io.StringIO(), cell_size=cell)
     with pytest.raises(ConfigError):
-        cpr(load_run(small_run), 0, cell)
+        cpr(load_run(small_run, 0), cell)
 
 
 def test_cli_cpr_cell_size_with_infinite_reciprocal(small_run, capsys):
@@ -271,14 +271,10 @@ def test_cli_one_tick_not_ascii_names_the_tick(small_run, capsys, kind):
 
 def test_load_run_not_ascii_names_the_line(small_run):
     put_non_ascii_in_line_2(small_run)
-    with pytest.raises(ValidationError,
-                       match="^metrics.jsonl: line 2 is not ASCII text$"):
-        load_run(small_run)
-    with metrics.open_run_file(small_run, "metrics.jsonl") as f:
-        ticks = iter_ticks(f)
-        assert next(ticks)["tick"] == 0
-        with pytest.raises(ValidationError, match="line 2 is not ASCII"):
-            next(ticks)
+    assert load_run(small_run, 0)["tick"] == 0
+    with pytest.raises(ValidationError, match="^metrics.jsonl: the line of "
+                       "tick 1 is not ASCII text$"):
+        load_run(small_run, 1)
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -346,6 +342,30 @@ def test_cli_malformed_index(small_run, capsys, entry):
         assert "metrics.idx line 5" in err
 
 
+@pytest.mark.parametrize("field,value", [
+    (2, 2 ** 40), (2, 2 ** 70), (2, 0), (2, -1), (1, -5), (1, 2 ** 70),
+    (1, 10 ** 399), (2, 10 ** 399)],
+    ids=["length-2**40", "length-2**70", "length-0", "length-negative",
+         "offset-negative", "offset-2**70", "offset-400-digits",
+         "length-400-digits"])
+def test_cli_index_entry_outside_the_metrics_file(small_run, capsys, field,
+                                                  value):
+    # every entry gets the value; the reads it asks for are never made
+    path = os.path.join(small_run, "metrics.idx")
+    with open(path) as f:
+        entries = [line.split() for line in f]
+    with open(path, "w") as f:
+        for entry in entries:
+            entry[field] = str(value)
+            f.write(" ".join(entry) + "\n")
+    for argv, tick in ((["--kind", "ttv", "--tick", "1"], 1),
+                       (["--kind", "cpr", "--tick", "1"], 1),
+                       (["--kind", "cpr"], 3)):
+        err = cli_error(capsys, "--run", small_run, *argv)
+        assert err == (f"error: metrics.idx: the entry of tick {tick} frames "
+                       f"no line of metrics.jsonl\n")
+
+
 def test_cli_truncated_metrics(small_run, capsys):
     path = os.path.join(small_run, "metrics.jsonl")
     with open(path, "rb") as f:
@@ -390,9 +410,9 @@ def test_cli_metrics_line_of_the_wrong_shape(small_run, capsys, line, kinds):
 
 # --- whole-run reports: the scan of the writer's own line form ---------------
 #
-# The oracle is avg_bandwidth and ttv_distribution_total over json.loads of
-# every non-blank line, or the error the JSON path gives at the first line
-# json.loads cannot read.
+# The oracle is avg_bandwidth and oracles.ttv_distribution_total over
+# json.loads of every non-blank line, or the error the JSON path gives at
+# the first line json.loads cannot read.
 
 def json_reports(text):
     """The bandwidth and ttv CSVs (or error lines) of a metrics.jsonl

@@ -11,12 +11,12 @@ from dataclasses import replace
 import pytest
 
 from cavsim.errors import ConfigError, ValidationError
-from cavsim.metrics import load_run
 from cavsim.perception import PerceptionConfig
 from cavsim.sandbox import MODULES, FlowGraph, VehicleTypeSpec, register_module
 from cavsim.scenario import (ScenarioConfig, assign_type, parse_config,
                              parse_tick_range, report, run)
 from cavsim.trace import TraceTick, VehicleState, synth_traffic, write_csv
+from conftest import read_run
 
 MIX_CU = (("ConnectedVehicle", 0.9), ("UnconnectedVehicle", 0.1))
 
@@ -107,6 +107,8 @@ def test_parse_config_full():
 seed = 11
 ticks = 2:9
 cell_size = 250
+; [scenario] ignores a key it does not read
+not_a_key = 1
 perception_radius = 90
 comm_range = 200
 workers = 4
@@ -225,7 +227,7 @@ def test_alive_count_matches_trace(tmp_path):
                          comm_range=300.0,
                          mix=MIX_CU)
     run(cfg, trace=trace)
-    data = load_run(cfg.out_dir)
+    data = read_run(cfg.out_dir)
     assert len(data) == 10
     for line, tt in zip(data, trace):
         assert line["tick"] == tt.tick
@@ -239,7 +241,7 @@ def test_tick_range_filter(tmp_path):
     cfg = ScenarioConfig(out_dir=str(tmp_path / "out"), tick_range=(3, 6))
     summary = run(cfg, trace=trace)
     assert summary.ticks_executed == 3
-    assert [line["tick"] for line in load_run(cfg.out_dir)] == [3, 4, 5]
+    assert [line["tick"] for line in read_run(cfg.out_dir)] == [3, 4, 5]
 
 
 def test_deterministic_across_runs_and_workers(tmp_path):
@@ -272,7 +274,7 @@ def test_respawned_vehicle_is_fresh(tmp_path):
         rows.append(TraceTick(t, tuple(states)))
     cfg = ScenarioConfig(seed=0, out_dir=str(tmp_path / "out"), mix=MIX_CU)
     run(cfg, trace=rows)
-    data = load_run(cfg.out_dir)
+    data = read_run(cfg.out_dir)
 
     def rec_of(line, who):
         match = [v for v in line["vehicles"] if v["id"] == who]
@@ -295,7 +297,7 @@ def test_counter_monotonicity(tmp_path):
                          mix=(("ConnectedVehicle", 0.8),
                               ("SilenceAttacker", 0.2)))
     run(cfg, trace=trace)
-    data = load_run(cfg.out_dir)
+    data = read_run(cfg.out_dir)
     last = {}
     for line in data:
         for v in line["vehicles"]:
@@ -323,7 +325,7 @@ def test_occluded_target_learned_via_network(tmp_path):
     rows, cid, aid, bid = coop_trace_and_ids()
     cfg = ScenarioConfig(seed=0, out_dir=str(tmp_path / "out"), mix=MIX_CU)
     run(cfg, trace=rows)
-    data = load_run(cfg.out_dir)
+    data = read_run(cfg.out_dir)
     recs = {line["tick"]: {v["id"]: v for v in line["vehicles"]}
             for line in data}
     # tick 0: A perceives C and broadcasts; B perceives only A (C occluded)
@@ -369,7 +371,9 @@ def test_reports(tmp_path):
     assert lines[0] == "cell_x,cell_y,ratio"
     # single cell around the three vehicles: B contributes 1 remote object
     from cavsim.metrics import cpr as cpr_fn
-    heat = cpr_fn(load_run(cfg.out_dir), 1, 100.0)
+    line = read_run(cfg.out_dir)[1]
+    assert line["tick"] == 1
+    heat = cpr_fn(line, 100.0)
     got = {tuple(map(int, l.split(",")[:2])): float(l.split(",")[2])
            for l in lines[1:]}
     assert got == heat
@@ -451,7 +455,7 @@ def test_cli_fcd_trace(tmp_path, capsys):
     rc = main(["run", "--config", str(config_path), "--trace", str(fcd),
                "--out", str(tmp_path / "out")])
     assert rc == 0
-    data = load_run(str(tmp_path / "out"))
+    data = read_run(str(tmp_path / "out"))
     assert len(data) == 2
 
 
@@ -665,6 +669,51 @@ def test_vehicle_type_keys_in_use_still_parse():
     assert cfg.extra_types["Lurker"].entry == ("camera",)
 
 
+# --- sections and [perception] keys -------------------------------------------
+
+@pytest.mark.parametrize("key", ["fov_half_angle", "maxrange", "Max_Range",
+                                 "plate_width_m"])
+def test_perception_key_it_does_not_read(key):
+    with pytest.raises(ConfigError) as exc:
+        parse_config(io.StringIO(f"[perception]\nmax_range = 50\n"
+                                 f"{key} = 30\n"))
+    assert "[perception]" in str(exc.value) and repr(key) in str(exc.value)
+
+
+@pytest.mark.parametrize("section", ["mixx", "Scenario", "perceptoin",
+                                     "vehicle_types.Lurker", "camera",
+                                     "DEFAULT"])
+def test_section_it_does_not_read(section):
+    with pytest.raises(ConfigError) as exc:
+        parse_config(io.StringIO(f"[mix]\nConnectedVehicle = 1\n"
+                                 f"[{section}]\nSpamAttacker = 1\n"))
+    assert f"[{section}]" in str(exc.value)
+
+
+@pytest.mark.parametrize("text,names", [
+    ("[perception]\nfov_half_angle = 30\n", ["[perception]",
+                                              "fov_half_angle"]),
+    ("[mixx]\nSpamAttacker = 1\n", ["[mixx]"]),
+], ids=["perception-key", "section"])
+def test_cli_config_typo_is_one_error_line(tmp_path, capsys, text, names):
+    from cavsim.cli import main
+
+    trace_path = tmp_path / "t.csv"
+    with open(trace_path, "w") as f:
+        write_csv(synth_traffic(1, 2, 2, 100.0), f)
+    config_path = tmp_path / "c.ini"
+    config_path.write_text(text)
+    rc = main(["run", "--config", str(config_path), "--trace", str(trace_path),
+               "--out", str(tmp_path / "o")])
+    assert rc == 1
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert all(name in err[0] for name in names)
+    assert captured.out == ""
+    assert sorted(os.listdir(tmp_path)) == ["c.ini", "t.csv"]
+
+
 # --- perception radius rules -------------------------------------------------
 
 @pytest.mark.parametrize("cfg", [
@@ -763,7 +812,7 @@ def test_old_cell_size_key_changes_nothing(tmp_path):
             read_bytes(run(cfg).metrics_path)).hexdigest())
     assert len(digests) == 1
     # the runs perceived and delivered something
-    last = load_run(cfg.out_dir)[-1]["vehicles"]
+    last = read_run(cfg.out_dir)[-1]["vehicles"]
     assert any(v["local_objects"] for v in last)
     assert any(v["received_objects"] for v in last)
 
@@ -850,7 +899,7 @@ def test_proof_gen_changes_no_output(tmp_path, seed):
     assert b'"ttv":{"' in got[True]
     assert any(assign_type(seed, v["id"], ALL_TYPES + (("Prover", 2.0),))
                == "Prover" and v["bytes_sent"]
-               for line in load_run(str(tmp_path / "True"))
+               for line in read_run(str(tmp_path / "True"))
                for v in line["vehicles"])
 
 
