@@ -252,15 +252,15 @@ def open_run_file(run_dir: str, name: str, mode: str = "r") -> IO:
         raise NotFoundError(f"no {name} in {run_dir!r}") from None
 
 
-def run_index(run_dir: str) -> list[tuple[int, int, int]]:
-    """The parsed metrics.idx of a run directory."""
+def load_run(run_dir: str, tick: int | None) -> dict:
+    """One tick's line of a run directory, read through the index: the
+    last indexed tick's when tick is None."""
     with open_run_file(run_dir, INDEX_FILE) as f:
-        return read_index(f)
-
-
-def load_run(run_dir: str, tick: int) -> dict:
-    """One tick's line of a run directory, read through the index."""
-    index = run_index(run_dir)
+        index = read_index(f)
+    if tick is None:
+        if not index:
+            raise NotFoundError("run has no ticks")
+        tick = index[-1][0]
     with open_run_file(run_dir, METRICS_FILE, "rb") as f:
         return seek_tick(index, f, tick)
 

@@ -204,15 +204,18 @@ class ObjectStoreModule:
     """Accumulates distinct plates known locally and via the network.
 
     The vehicle's own plate never counts.  The union size is maintained
-    incrementally so per-tick cost stays proportional to new plates.
+    incrementally so per-tick cost stays proportional to new plates.  Each
+    plate map is a dict used as a set (plate -> None): it takes less memory
+    than a set, and with str keys and None values the cyclic collector
+    never tracks it.
     """
 
     idle = True
     __slots__ = ("local", "received", "_union")
 
     def __init__(self):
-        self.local = set()
-        self.received = set()
+        self.local = {}
+        self.received = {}
         self._union = 0
 
     def process(self, inbox, ctx):
@@ -225,7 +228,7 @@ class ObjectStoreModule:
                     p = obj.plate
                     if p == own or p in local:
                         continue
-                    local.add(p)
+                    local[p] = None
                     if p not in received:
                         self._union += 1
             else:
@@ -233,7 +236,7 @@ class ObjectStoreModule:
                     p = obj.plate
                     if p == own or p in received:
                         continue
-                    received.add(p)
+                    received[p] = None
                     if p not in local:
                         self._union += 1
         ctx.set_object_counts(len(local), len(received), self._union)
@@ -291,6 +294,11 @@ class ProofVerifyModule:
     the recorded delay is verification tick minus the tick the plate was
     first seen (locally or via the network).  Proofs about the vehicle's
     own plate are ignored.
+
+    `verified` is a dict used as a set (plate -> None).  `provers` holds,
+    per plate proved but not yet verified, its one prover's station, or
+    the set of its provers once there are more; a plate's entry goes when
+    it is verified.
     """
 
     PROVERS_REQUIRED = 2
@@ -303,7 +311,7 @@ class ProofVerifyModule:
                                        provers_required, 1)
         self.first_seen = {}
         self.provers = {}
-        self.verified = set()
+        self.verified = {}
 
     def process(self, inbox, ctx):
         own = ctx.plate
@@ -323,13 +331,18 @@ class ProofVerifyModule:
                     self.first_seen[plate] = tick
                 if plate in self.verified:
                     continue
-                provers = self.provers.get(plate)
-                if provers is None:
-                    provers = self.provers[plate] = set()
-                provers.add(sender)
-                if len(provers) >= self.provers_required:
-                    self.verified.add(plate)
+                held = self.provers.get(plate, sender)
+                if type(held) is set:
+                    held.add(sender)
+                elif held != sender:
+                    held = {held, sender}
+                n = len(held) if type(held) is set else 1
+                if n >= self.provers_required:
+                    self.provers.pop(plate, None)
+                    self.verified[plate] = None
                     ctx.record_ttv(tick - self.first_seen[plate])
+                else:
+                    self.provers[plate] = held
         return []
 
 

@@ -46,11 +46,11 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import IO, Iterable, Iterator
 
-from .errors import ConfigError, NotFoundError, ValidationError
+from .errors import ConfigError, ValidationError
 from .identity import MatchTable, PlateRegistry
 from .metrics import (INDEX_FILE, METRICS_FILE, MetricsWriter,
                       check_cell_size, cpr, load_run, open_run_file,
-                      record_at, record_counters, run_index, scan_bandwidth,
+                      record_at, record_counters, scan_bandwidth,
                       scan_ttv_total, ttv_distribution)
 from .network import NetworkSim
 from .perception import PerceptionConfig, perceive
@@ -382,11 +382,6 @@ def _aggregate(run_dir: str, kind: str, tick: int | None,
         return "delay,count\n", sorted(hist.items())
     cell_size = 100.0 if cell_size is None else cell_size  # cpr
     check_cell_size(cell_size)
-    if tick is None:
-        index = run_index(run_dir)
-        if not index:
-            raise NotFoundError("run has no ticks")
-        tick = index[-1][0]
     heat = cpr(load_run(run_dir, tick), cell_size)
     return "cell_x,cell_y,ratio\n", [(*k, heat[k]) for k in sorted(heat)]
 

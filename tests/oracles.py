@@ -8,7 +8,10 @@ explicit station -> position table, against which the run's sweep-based
 delivery is checked.  `decode_cpm` reads a wire payload back by the
 format the README defines, against which `serialize_cpm` is checked.
 `ttv_distribution_total` sums the TTV histograms of decoded tick lines,
-against which the whole-run `ttv` report is checked.
+against which the whole-run `ttv` report is checked.  `plate_modules`
+follows the documented plate bookkeeping of `object_store` and
+`proof_verify` with plain sets, against which the two modules are
+checked.
 """
 
 from __future__ import annotations
@@ -89,6 +92,37 @@ def ttv_distribution_total(run) -> dict[int, int]:
             for delay, count in v["ttv"].items():
                 total[int(delay)] = total.get(int(delay), 0) + count
     return total
+
+
+def plate_modules(own: str, provers_required: int, stream):
+    """Per (tick, inbox) of `stream`, what `object_store` and
+    `proof_verify` report: (local, received, union counts, TTV events as
+    a list of (delay, count) in insertion order).  Plates come from every
+    object of every CPM but the vehicle's own; a wire CPM is a proof of
+    each of its plates by its sender, and a plate is verified, once, when
+    it holds `provers_required` distinct provers."""
+    local, received = set(), set()
+    first_seen, provers, verified = {}, {}, set()
+    out = []
+    for tick, inbox in stream:
+        ttv: dict[int, int] = {}
+        for cpm in inbox:
+            for obj in cpm.objects:
+                plate = obj.plate
+                if plate == own:
+                    continue
+                (local if cpm.local else received).add(plate)
+                first_seen.setdefault(plate, tick)
+                if cpm.local or plate in verified:
+                    continue
+                provers.setdefault(plate, set()).add(cpm.sender_station)
+                if len(provers[plate]) >= provers_required:
+                    verified.add(plate)
+                    delay = tick - first_seen[plate]
+                    ttv[delay] = ttv.get(delay, 0) + 1
+        out.append((len(local), len(received), len(local | received),
+                    list(ttv.items())))
+    return out
 
 
 _WIRE_HEADER = struct.Struct("<IIdddH")

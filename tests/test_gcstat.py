@@ -11,7 +11,7 @@ gcstat = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(gcstat)
 
 LINE = re.compile(r"run (\d+): gen0=(\d+) gen1=(\d+) full=(\d+) "
-                  r"gc_ms_per_tick=(\d+\.\d{3})")
+                  r"gc_ms_per_tick=(\d+\.\d{3}) vmhwm_kb=(\d+|n/a)")
 
 
 def test_prints_one_line_per_run_and_writes_nothing(tmp_path, capsys):
@@ -23,6 +23,11 @@ def test_prints_one_line_per_run_and_writes_nothing(tmp_path, capsys):
     assert gcstat.main([str(config), "--reps", "2"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert [LINE.fullmatch(line).group(1) for line in lines] == ["1", "2"]
+    hwm = [LINE.fullmatch(line).group(6) for line in lines]
+    if os.path.exists("/proc/self/status"):
+        assert 0 < int(hwm[0]) <= int(hwm[1])  # a high-water mark
+    else:
+        assert hwm == ["n/a", "n/a"]
     assert sorted(os.listdir(tmp_path)) == ["c.ini", "t.csv"]
 
 
@@ -32,3 +37,13 @@ def test_gc_counts_counts_collections():
     counts, spent, result = gcstat.gc_counts(lambda: gc.collect(1) or "done")
     assert result == "done"
     assert counts == [0, 1, 0] and spent >= 0.0
+
+
+def test_vm_hwm_kb_reads_the_field_or_says_n_a(tmp_path):
+    status = tmp_path / "status"
+    status.write_text("Name:\tpython3\nVmPeak:\t  99 kB\n"
+                      "VmHWM:\t   23588 kB\nVmRSS:\t 1 kB\n")
+    assert gcstat.vm_hwm_kb(str(status)) == "23588"
+    assert gcstat.vm_hwm_kb(str(tmp_path / "absent")) == "n/a"
+    status.write_text("Name:\tpython3\n")
+    assert gcstat.vm_hwm_kb(str(status)) == "n/a"

@@ -89,6 +89,20 @@ def test_load_run_one_tick_equals_whole_run_line(mixed_run):
         assert load_run(mixed_run, line["tick"]) == line
     with pytest.raises(NotFoundError, match="tick 10 "):
         load_run(mixed_run, 10)
+    assert load_run(mixed_run, None) == read_run(mixed_run)[-1]
+
+
+def test_default_cpr_parses_the_index_once(mixed_run, monkeypatch):
+    calls = []
+    read_index = metrics.read_index
+
+    def counted(stream):
+        calls.append(stream)
+        return read_index(stream)
+
+    monkeypatch.setattr(metrics, "read_index", counted)
+    assert report_text(mixed_run, "cpr").startswith("cell_x,cell_y,ratio\n")
+    assert len(calls) == 1
 
 
 def report_peak(run_dir, kind):

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -12,13 +13,15 @@ from cavsim.errors import SchemaError, SimError
 from cavsim.identity import PlateRegistry
 from cavsim.messages import Cpm, PerceivedObject, local_cpm
 from cavsim.network import NetworkSim, serialize_cpm
-from cavsim.sandbox import (MODULES, FlowGraph, SandboxContext,
+from cavsim.sandbox import (MODULES, FlowGraph, ObjectStoreModule,
+                            ProofVerifyModule, SandboxContext,
                             VehicleTypeSpec, build_vehicle,
                             builtin_vehicle_types, predecessors,
                             register_module, tick_vehicle, validate_flow)
 from cavsim.trace import VehicleState
 from conftest import table_of
-from oracles import decode_cpm, finish_record, full_scan_locator
+from oracles import (decode_cpm, finish_record, full_scan_locator,
+                     plate_modules)
 
 
 def obj(plate, tick=0):
@@ -380,6 +383,61 @@ def test_object_store_union_and_self_exclusion():
     ctx2 = make_ctx(1, "me", 1, percept=(obj("z"),))
     _, rec2 = run_vehicle(v, (), ctx2)
     assert rec2.local_objects == 2 and rec2.all_objects == 3
+
+
+def random_inboxes(rng, own, ticks):
+    """(tick, inbox) pairs of local and wire CPMs in random order, over a
+    small pool of plates that holds `own` and of senders, so that plates
+    and senders repeat within and across ticks."""
+    plates = [own] + [f"p{i}" for i in range(rng.randint(1, 12))]
+    senders = range(2, 3 + rng.randint(0, 4))
+    tick = rng.randint(0, 3)
+    for _ in range(ticks):
+        tick += rng.randint(1, 3)
+        inbox = []
+        for _ in range(rng.randint(0, 5)):
+            objects = [obj(rng.choice(plates), tick)
+                       for _ in range(rng.randint(0, 6))]
+            if rng.random() < 0.4:
+                inbox.append(local_cpm(1, tick, (0.0, 0.0, 0.0),
+                                       tuple(objects)))
+            else:
+                inbox.append(wire_cpm(rng.choice(senders), tick - 1, objects))
+        yield tick, inbox
+
+
+@pytest.mark.parametrize("required", [1, 2, 3, 4])
+def test_plate_modules_match_set_reference(required):
+    verified = 0
+    for seed in range(15):
+        rng = random.Random(required * 1000 + seed)
+        stream = list(random_inboxes(rng, "me", 25))
+        store, verify = ObjectStoreModule(), ProofVerifyModule(required)
+        got = []
+        for tick, inbox in stream:
+            ctx = make_ctx(tick, "me", 1)
+            assert store.process(inbox, ctx) == []
+            assert verify.process(inbox, ctx) == []
+            got.append((ctx.local_objects, ctx.received_objects,
+                        ctx.all_objects, list(ctx.ttv_events.items())))
+        assert got == plate_modules("me", required, stream), seed
+        verified += len(verify.verified)
+    assert verified  # the streams do reach verification
+
+
+def test_plate_maps_are_not_tracked_by_the_collector():
+    v = build_vehicle(builtin_vehicle_types()["PoTVehicle"], "me", 1)
+    ctx = make_ctx(0, "me", 1, percept=(obj("x"), obj("y"), obj("me")))
+    inbox = [wire_cpm(9, 0, [obj("x"), obj("z")]), wire_cpm(8, 0, [obj("x")])]
+    run_vehicle(v, inbox, ctx)
+    store, verify = v.modules["object_store"], v.modules["proof_verify"]
+    assert sorted(store.local) == ["x", "y"]
+    assert sorted(store.received) == ["x", "z"]
+    assert sorted(verify.verified) == ["x"]
+    for plates in (store.local, store.received, verify.verified):
+        assert not gc.is_tracked(plates)
+    # a verified plate keeps no provers; one prover is held as its station
+    assert verify.provers == {"z": 9}
 
 
 def test_spam_attacker_emits_k_objects():

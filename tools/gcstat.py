@@ -5,8 +5,11 @@
 Loads the config and its trace once, then runs the scenario N times
 (default 1) into a temporary directory that is removed afterwards.  Each
 run starts from a full collection, which is not counted.  Prints one line
-per run: the collections of each generation (gen0, gen1, full) and the
-collector's time in milliseconds per tick, timed through gc.callbacks.
+per run: the collections of each generation (gen0, gen1, full), the
+collector's time in milliseconds per tick, timed through gc.callbacks, and
+the process's peak resident set so far in kB (VmHWM, read from
+/proc/self/status; n/a where that file is absent).  Unlike a child's
+ru_maxrss, VmHWM starts afresh at exec, so it measures this process alone.
 """
 
 from __future__ import annotations
@@ -46,6 +49,18 @@ def gc_counts(action) -> tuple[list[int], float, object]:
     return counts, spent, result
 
 
+def vm_hwm_kb(status: str = "/proc/self/status") -> str:
+    """The VmHWM field of a /proc status file, in kB, or "n/a"."""
+    try:
+        with open(status) as f:
+            for line in f:
+                if line.startswith("VmHWM:"):
+                    return line.split()[1]
+    except OSError:
+        pass
+    return "n/a"
+
+
 def main(argv: list[str]) -> int:
     from cavsim import SimError, load_config, load_trace, run
 
@@ -71,7 +86,7 @@ def main(argv: list[str]) -> int:
                 lambda: run(config, trace))
             ms = 1e3 * spent / max(summary.ticks_executed, 1)
             print(f"run {rep}: gen0={gen0} gen1={gen1} full={full} "
-                  f"gc_ms_per_tick={ms:.3f}")
+                  f"gc_ms_per_tick={ms:.3f} vmhwm_kb={vm_hwm_kb()}")
     return 0
 
 
