@@ -35,6 +35,7 @@ import re
 from functools import cache
 from itertools import islice
 from json.encoder import encode_basestring_ascii
+from time import perf_counter
 from typing import IO, Iterable
 
 from .errors import (ConfigError, ContractViolation, NotFoundError,
@@ -133,17 +134,23 @@ def scan_line(line: str) -> tuple[int, tuple[str, ...], list] | None:
 class MetricsWriter:
     """Append-only sink writing one JSON line and one index entry per tick.
 
-    It takes each tick's records already encoded (record_json, or
-    record_at for a run) and writes the line WRITE_CHUNK records at a
-    time."""
+    It draws each tick's records, already encoded (record_json, or
+    record_at for a run), from any iterable and writes them WRITE_CHUNK
+    at a time.  `write_s` is the last record_tick's time spent writing,
+    which leaves out the drawing of records (a run's agent phase)."""
 
     def __init__(self, directory: str):
         os.makedirs(directory, exist_ok=True)
         self._data: IO[bytes] = open(os.path.join(directory, METRICS_FILE), "wb")
-        self._index: IO[str] = open(os.path.join(directory, INDEX_FILE), "w",
-                                    encoding="ascii")
+        try:
+            self._index: IO[str] = open(os.path.join(directory, INDEX_FILE),
+                                        "w", encoding="ascii")
+        except BaseException:
+            self._data.close()
+            raise
         self._offset = 0
         self._last_tick = None
+        self.write_s = 0.0
 
     def record_tick(self, tick: int, records: Iterable[str]) -> None:
         if self._last_tick is not None and tick <= self._last_tick:
@@ -152,16 +159,22 @@ class MetricsWriter:
                 f"({tick} after {self._last_tick})")
         self._last_tick = tick
         write = self._data.write
+        start = perf_counter()
         length = write(f'{{"tick":{tick},"vehicles":['.encode("ascii"))
+        spent = perf_counter() - start
         records = iter(records)
         sep = ""
         # a record is never empty, so an empty chunk means the end
         while chunk := ",".join(islice(records, WRITE_CHUNK)):
+            start = perf_counter()
             length += write((sep + chunk).encode("ascii"))
+            spent += perf_counter() - start
             sep = ","
+        start = perf_counter()
         length += write(b"]}\n")
         self._index.write(f"{tick} {self._offset} {length}\n")
         self._offset += length
+        self.write_s = spent + perf_counter() - start
 
     def close(self) -> None:
         self._data.close()

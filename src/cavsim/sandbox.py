@@ -8,6 +8,10 @@ each other except through delivered messages.  Vehicle types are
 declarative: a list of modules, an adjacency list of edges, the entry
 modules that receive the network inbox, and per-module parameters.
 
+A module that holds no state (no __dict__, no slots) is built once per
+vehicle type and shared by its vehicles; any other is built fresh for
+each vehicle, a respawned one included.
+
 A module class may declare `idle = True`.  It promises that when its
 inbox is empty and its vehicle perceives nothing, `process()` returns
 nothing, broadcasts nothing, records no TTV, raises nothing and leaves
@@ -438,6 +442,8 @@ class VehicleTypeSpec:
         object.__setattr__(self, "_steps", tuple(
             (name, name in self.entry, tuple(at[p] for p in preds[name]))
             for name in order))
+        # the shared modules: name -> (factory, instance)
+        object.__setattr__(self, "_shared", {})
 
 
 def builtin_vehicle_types() -> dict[str, VehicleTypeSpec]:
@@ -488,36 +494,52 @@ def builtin_vehicle_types() -> dict[str, VehicleTypeSpec]:
 
 
 class Vehicle:
-    """One instantiated vehicle: module instances plus its type's steps.
+    """One instantiated vehicle: its modules, in a tuple in its type's step
+    order, plus the type's steps.
 
     `idle` is true when every module declares `idle`; `quiet` is the
     metrics.record_counters part of the vehicle's last record when that
     tick was quiet and ended without error, else None."""
 
-    __slots__ = ("plate", "station", "type_name", "modules", "steps",
+    __slots__ = ("plate", "station", "type_name", "parts", "steps",
                  "uses_camera", "idle", "quiet")
 
     def __init__(self, plate, station, type_name, modules, steps):
         self.plate = plate
         self.station = station
         self.type_name = type_name
-        self.modules = modules
+        self.parts = tuple([modules[name] for name, _, _ in steps])
         self.steps = steps
         self.uses_camera = "camera" in modules
-        self.idle = all(getattr(m, "idle", False) for m in modules.values())
+        self.idle = all(getattr(m, "idle", False) for m in self.parts)
         self.quiet = None
+
+    @property
+    def modules(self) -> dict[str, Any]:
+        """Module name -> the instance tick_vehicle runs, in step order."""
+        return {name: m for (name, _, _), m in zip(self.steps, self.parts)}
 
 
 def build_vehicle(spec: VehicleTypeSpec, plate: str,
                   station: int | None) -> Vehicle:
-    """Instantiate a vehicle with fresh module state; the step table is
-    the type's own, shared by all its vehicles."""
+    """Instantiate a vehicle with fresh state in every module that holds
+    state; the others, built once while their factory stays registered,
+    and the step table are the type's own."""
     modules = {}
     for name in spec.graph.nodes:
         factory = MODULES.get(name)
         if factory is None:
             raise SchemaError(f"unknown module {name!r}")
-        modules[name] = factory(**spec.params.get(name, {}))
+        held = spec._shared.get(name)
+        if held is not None and held[0] is factory:
+            modules[name] = held[1]
+            continue
+        modules[name] = module = factory(**spec.params.get(name, {}))
+        # no __dict__, and no slot or built-in base field in its class's
+        # MRO (any would make it larger than an object): no state to share
+        cls = type(module)
+        if not cls.__dictoffset__ and cls.__basicsize__ == object.__basicsize__:
+            spec._shared[name] = (factory, module)
     return Vehicle(plate, station, spec.name, modules, spec._steps)
 
 
@@ -533,13 +555,14 @@ def tick_vehicle(vehicle: Vehicle, network_inbox,
     failure stand and go out next tick.
     """
     outboxes: list[list] = []
-    modules = vehicle.modules
+    parts = vehicle.parts
     try:
-        for name, is_entry, preds in vehicle.steps:
+        for _, is_entry, preds in vehicle.steps:
             inbox = list(network_inbox) if is_entry else []
             for i in preds:
                 inbox.extend(outboxes[i])
-            out = modules[name].process(inbox, ctx)
+            # steps and parts share their order
+            out = parts[len(outboxes)].process(inbox, ctx)
             outboxes.append(out if out is not None else [])
     except Exception:
         ctx.errors += 1

@@ -6,30 +6,33 @@ wide as the larger of the perception radius and the communication range,
 despawning vehicles absent from it and spawning new ones with a
 seed-hashed type draw (the run's one match table follows both), and
 sweep the index once for every vehicle's neighbors within perception and
-communication range; (3) compute perception, then run every vehicle's
-module DAG and encode its metrics record, except for a quiet vehicle:
-one whose modules all declare `idle` (see sandbox.py), with no inbox and
-no percept, whose last tick was quiet too and ended without error.  Its
-modules would change nothing, so it writes its last record again at its
-new position, with no context, DAG or counter encoding; (4) seal the
-tick's broadcasts: their recipients are resolved now, from this tick's
-sweep (the sender's neighbors within comm range), and receive them next
-tick, one tick of latency; (5) write metrics and phase timings.  Every
-phase runs in the calling thread, and all outputs are a pure function of
+communication range; (3) compute perception; (4) run every vehicle's
+module DAG and encode its metrics record, while the metrics writer draws
+the records WRITE_CHUNK at a time and writes the tick's line.  A quiet
+vehicle, one whose modules all declare `idle` (see sandbox.py), with no
+inbox and no percept, whose last tick was quiet too and ended without
+error, skips its DAG: its modules would change nothing, so it writes its
+last record again at its new position, with no context, DAG or counter
+encoding; (5) seal the tick's broadcasts: their recipients are resolved
+now, from this tick's sweep (the sender's neighbors within comm range),
+and receive them next tick, one tick of latency; (6) write the phase
+timings (the writer's time in phase 4 is metrics_write).  Every phase
+runs in the calling thread, and all outputs are a pure function of
 (seed, config, trace).  The `workers` setting is validated but has no
 effect.
 
 A run reads its trace once, tick by tick: from a trace file it holds one
 tick of the trace at a time.  Besides that it holds each vehicle's
-module state and match-table entry (and, after a quiet tick, its
+module state (one shared instance per vehicle type for each module
+without state) and match-table entry (and, after a quiet tick, its
 record's counters as a string shared among equal ones), the inboxes
 sealed for the next tick, and one tick's structures (sweep maps,
-percepts, inboxes, encoded records), which are freed as the tick ends,
-and the index's cells only until the sweep has run; a tick's metrics
-line is written in chunks.  It writes into a fresh staging directory
-next to the output directory and moves the three output files into place
-only when every tick has run, so a run that fails (a malformed trace row
-found mid-run, an interrupt) leaves the output directory as it was.
+percepts, inboxes), which are freed as the tick ends, the index's cells
+only until the sweep has run, and at most one WRITE_CHUNK of encoded
+records.  It writes into a fresh staging directory next to the output
+directory and moves the three output files into place only when every
+tick has run, so a run that fails (a malformed trace row found mid-run,
+an interrupt) leaves the output directory as it was.
 """
 
 from __future__ import annotations
@@ -239,12 +242,35 @@ def _run_ticks(config: ScenarioConfig, trace: Iterable[TraceTick],
     shared: dict[str, str] = {}
     perf = time.perf_counter
 
+    def agent_records(tick, order, states, inboxes, percepts):
+        """Each vehicle's record of the tick, in plate order, encoded as
+        soon as its vehicle has ticked."""
+        for plate in order:
+            v = vehicles[plate]
+            state = states[plate]
+            # no inbox has the key None, which an unconnected vehicle has
+            inbox = inboxes.get(v.station, ())
+            percept = percepts.get(plate, ())
+            quiet = v.idle and not inbox and not percept
+            if quiet and v.quiet is not None:
+                yield record_at(plate, v.quiet, state)
+                continue
+            ctx = SandboxContext(tick, plate, v.station, state, percept, net,
+                                 match, comm_range, seed)
+            tick_vehicle(v, inbox, ctx)
+            counters = record_counters(ctx)
+            # a quiet tick with no error leaves the modules as they were,
+            # so each following quiet tick has these counters too
+            v.quiet = (shared.setdefault(counters, counters)
+                       if quiet and not ctx.errors else None)
+            yield record_at(plate, counters, state)
+
     def run_tick(tt: TraceTick) -> None:
-        """One tick.  Its sweep maps, percepts, inboxes and records are
-        locals, freed when it returns (the grid's cells as soon as the
-        sweep has run, the perception map, percepts and inboxes before
-        the seal).  Each record is encoded as soon as its vehicle has
-        ticked, so the tick holds plain strings, which the garbage
+        """One tick.  Its sweep maps, percepts and inboxes are locals,
+        freed when it returns (the grid's cells as soon as the sweep has
+        run, the perception map, percepts and inboxes before the seal).
+        The writer draws the records from agent_records, so the tick holds
+        one WRITE_CHUNK of them, as plain strings, which the garbage
         collector does not track."""
         tick = tt.tick
 
@@ -280,26 +306,8 @@ def _run_ticks(config: ScenarioConfig, trace: Iterable[TraceTick],
                     percepts[plate] = objs
         t3 = perf()
 
-        records = []
-        for plate in order:
-            v = vehicles[plate]
-            state = states[plate]
-            # no inbox has the key None, which an unconnected vehicle has
-            inbox = inboxes.get(v.station, ())
-            percept = percepts.get(plate, ())
-            quiet = v.idle and not inbox and not percept
-            if quiet and v.quiet is not None:
-                records.append(record_at(plate, v.quiet, state))
-                continue
-            ctx = SandboxContext(tick, plate, v.station, state, percept, net,
-                                 match, comm_range, seed)
-            tick_vehicle(v, inbox, ctx)
-            counters = record_counters(ctx)
-            # a quiet tick with no error leaves the modules as they were,
-            # so each following quiet tick has these counters too
-            v.quiet = (shared.setdefault(counters, counters)
-                       if quiet and not ctx.errors else None)
-            records.append(record_at(plate, counters, state))
+        writer.record_tick(tick, agent_records(tick, order, states, inboxes,
+                                               percepts))
         t4 = perf()
 
         del near, percepts, inboxes
@@ -307,12 +315,10 @@ def _run_ticks(config: ScenarioConfig, trace: Iterable[TraceTick],
             comm[match.plate_of(origin)]))
         t5 = perf()
 
-        writer.record_tick(tick, records)
-        t6 = perf()
-
+        write_s = writer.write_s
         timings.write(f"{tick},{t2 - t1:.6f},{t3 - t2:.6f},"
-                      f"{t4 - t3:.6f},{(t1 - t0) + (t5 - t4):.6f},"
-                      f"{t6 - t5:.6f}\n")
+                      f"{t4 - t3 - write_s:.6f},{(t1 - t0) + (t5 - t4):.6f},"
+                      f"{write_s:.6f}\n")
 
     ticks = 0
     with MetricsWriter(out_dir) as writer, \

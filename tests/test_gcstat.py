@@ -2,6 +2,8 @@ import importlib.util
 import os
 import re
 
+import pytest
+
 from cavsim.trace import synth_traffic, write_csv
 
 GCSTAT = os.path.join(os.path.dirname(os.path.dirname(
@@ -29,6 +31,46 @@ def test_prints_one_line_per_run_and_writes_nothing(tmp_path, capsys):
     else:
         assert hwm == ["n/a", "n/a"]
     assert sorted(os.listdir(tmp_path)) == ["c.ini", "t.csv"]
+
+
+def test_each_run_streams_the_trace_file(tmp_path, capsys, monkeypatch):
+    import cavsim
+    from cavsim import scenario
+
+    trace = tmp_path / "t.csv"
+    with open(trace, "w") as f:
+        write_csv(synth_traffic(1, 3, 4, 100.0), f)
+    config = tmp_path / "c.ini"
+    config.write_text(f"[scenario]\ntrace = {trace}\n")
+    opened = []
+    iter_trace = scenario.iter_trace
+
+    def streamed(path, *args, **kwargs):
+        opened.append(path)
+        return iter_trace(path, *args, **kwargs)
+
+    def whole(*args, **kwargs):
+        raise AssertionError("the whole trace was loaded")
+
+    monkeypatch.setattr(scenario, "iter_trace", streamed)
+    monkeypatch.setattr(cavsim, "load_trace", whole)
+    assert gcstat.main([str(config), "--reps", "3"]) == 0
+    assert opened == [str(trace)] * 3
+    assert len(capsys.readouterr().out.splitlines()) == 3
+
+
+def test_a_bad_trace_row_is_a_usage_error(tmp_path, capsys):
+    trace = tmp_path / "t.csv"
+    with open(trace, "w") as f:
+        write_csv(synth_traffic(1, 3, 4, 100.0), f)
+    with open(trace, "a") as f:
+        f.write("9,x,not-a-number,0,0,5.0,1.8\n")
+    config = tmp_path / "c.ini"
+    config.write_text(f"[scenario]\ntrace = {trace}\n")
+    with pytest.raises(SystemExit) as exit_:
+        gcstat.main([str(config)])
+    assert exit_.value.code == 2
+    assert "error: " in capsys.readouterr().err
 
 
 def test_gc_counts_counts_collections():

@@ -1,6 +1,7 @@
 import gc
 import json
 import os
+import time
 import tracemalloc
 
 import pytest
@@ -204,6 +205,28 @@ def test_record_tick_peak_is_a_fraction_of_the_line(tmp_path):
             tracemalloc.stop()
     length = len(reference_line(1, records))
     assert peak < 0.5 * length, (peak, length)
+
+
+def test_writer_closes_its_data_file_when_the_index_cannot_open(tmp_path):
+    # a directory in the index's place: the data file, opened first, is
+    # closed before the error goes on, so no ResourceWarning follows
+    (tmp_path / "run" / "metrics.idx").mkdir(parents=True)
+    with pytest.raises(OSError):
+        MetricsWriter(str(tmp_path / "run"))
+    gc.collect()
+
+
+def test_writer_times_its_own_work_not_the_records(tmp_path):
+    def slow(n):
+        for k in range(n):
+            time.sleep(0.002)
+            yield record_json(rec(0, f"v{k}"))
+
+    with MetricsWriter(str(tmp_path / "run")) as w:
+        start = time.perf_counter()
+        w.record_tick(0, slow(20))
+        whole = time.perf_counter() - start
+    assert 0.0 <= w.write_s < whole - 0.035, (w.write_s, whole)
 
 
 # --- aggregations ----------------------------------------------------------

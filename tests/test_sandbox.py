@@ -723,3 +723,98 @@ def test_step_table_is_the_types_and_in_topological_order():
     assert list(a.steps) == [(name, name in spec.entry,
                               tuple(order.index(p) for p in preds[name]))
                              for name in order]
+
+
+STATELESS = {"camera", "cpm_tx", "rx", "proof_gen"}
+
+
+@pytest.mark.parametrize("type_name", sorted(builtin_vehicle_types()))
+def test_vehicles_share_stateless_modules_only(type_name):
+    spec = builtin_vehicle_types()[type_name]
+    a = build_vehicle(spec, "a", 1).modules
+    b = build_vehicle(spec, "b", 2).modules
+    assert a.keys() == b.keys() == set(spec.graph.nodes)
+    for name in spec.graph.nodes:
+        assert (a[name] is b[name]) == (name in STATELESS), name
+        assert type(a[name]) is type(b[name]) is MODULES[name]
+
+
+class SlotModule:
+    __slots__ = ("seen",)
+
+    def __init__(self):
+        self.seen = 0
+
+    def process(self, inbox, ctx):
+        self.seen += 1
+        return []
+
+
+class EmptyModule:
+    __slots__ = ()
+
+    def process(self, inbox, ctx):
+        return []
+
+
+class EmptyChild(EmptyModule):
+    pass  # no __slots__ of its own, so its instances have a __dict__
+
+
+class SlottedChild(EmptyModule):
+    __slots__ = ("extra",)
+
+
+@pytest.mark.parametrize("factory,shared", [
+    (EmptyModule, True), (SlotModule, False), (EmptyChild, False),
+    (SlottedChild, False), (RecordingModule, False)])
+def test_only_a_module_without_state_is_shared(factory, shared):
+    register_module("probe", factory)
+    try:
+        spec = VehicleTypeSpec("P", FlowGraph(("probe",), {}))
+        a, b = (build_vehicle(spec, p, None).modules["probe"]
+                for p in "ab")
+        assert (a is b) == shared
+        assert type(a) is factory
+    finally:
+        del MODULES["probe"]
+
+
+class EmptyTwin(EmptyModule):
+    __slots__ = ()
+
+
+def test_reregistered_module_is_not_served_from_the_old_instance():
+    # a shared instance serves only while its factory is the registered one
+    spec = VehicleTypeSpec("P", FlowGraph(("probe",), {}))
+
+    def built(plate):
+        return build_vehicle(spec, plate, None).modules["probe"]
+
+    try:
+        for factory in (EmptyModule, EmptyTwin, EmptyChild, EmptyModule):
+            register_module("probe", factory)
+            a, b = built("a"), built("b")
+            assert type(a) is type(b) is factory
+            assert (a is b) == (factory is not EmptyChild)
+    finally:
+        del MODULES["probe"]
+
+
+@pytest.mark.parametrize("type_name", ["PoTVehicle", "ReplayAttacker"])
+def test_modules_maps_each_name_to_the_instance_that_runs(type_name,
+                                                          monkeypatch):
+    ran = []
+    for name, cls in MODULES.items():
+        def spy(self, inbox, ctx, process=cls.process, name=name):
+            ran.append((name, self))
+            return process(self, inbox, ctx)
+        monkeypatch.setattr(cls, "process", spy)
+    spec = builtin_vehicle_types()[type_name]
+    build_vehicle(spec, "other", 2)  # a second vehicle shares some modules
+    v = build_vehicle(spec, "me", 1)
+    tick_vehicle(v, [wire_cpm(9, 0, [obj("a")])],
+                 make_ctx(0, "me", 1, percept=(obj("b"),)))
+    assert [name for name, _ in ran] == validate_flow(spec.graph)
+    assert all(v.modules[name] is module for name, module in ran)
+    assert list(v.modules) == [name for name, _ in ran]

@@ -384,6 +384,8 @@ def test_reports(tmp_path):
     assert lines[0] == ("tick,position_rebuild,perception,agent_ticks,"
                         "network_step,metrics_write")
     assert len(lines) == 4  # header + 3 ticks
+    for line in lines[1:]:  # the writer's own time is not agent time
+        assert all(float(v) >= 0.0 for v in line.split(",")[1:]), line
 
     with pytest.raises(ConfigError):
         report(cfg.out_dir, "nope", io.StringIO())
@@ -1016,8 +1018,10 @@ def test_vehicles_seen_counts_distinct_trace_ids(tmp_path):
 
 def test_run_memory_per_vehicle(tmp_path):
     # what run() allocates on top of a held trace: per-vehicle module state
-    # plus one tick's structures, about 2.6 KB a vehicle; holding the last
-    # tick's index, maps and records through the next tick took 3.8 KB
+    # plus one tick's structures, about 1.5 KB a vehicle; a fresh instance
+    # of every module per vehicle and a list of the tick's records took
+    # 1.8 KB, and holding the last tick's index, maps and records through
+    # the next tick 3.8 KB
     n = 2000
     trace = synth_traffic(1, n, 8, 6000.0)
     run(ScenarioConfig(seed=1, out_dir=str(tmp_path / "warm")),
@@ -1029,7 +1033,46 @@ def test_run_memory_per_vehicle(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / n < 3200, peak / n
+    assert peak / n < 1700, peak / n
+
+
+def test_run_encodes_records_while_writing(tmp_path, monkeypatch):
+    # the writer draws each record as its vehicle ticks, so a tick holds
+    # one WRITE_CHUNK of records, never the whole line: holding the
+    # tick's records in a list took more than the line itself
+    from cavsim import scenario
+    from cavsim.metrics import MetricsWriter
+
+    n = 2000
+    trace = synth_traffic(1, n, 3, 6000.0)
+    encoded = [0]
+    record_at = scenario.record_at
+
+    def counted(*args):
+        encoded[0] += 1
+        return record_at(*args)
+
+    record_tick = MetricsWriter.record_tick
+    ticks = []
+
+    def measured(self, tick, records):
+        before, offset = encoded[0], self._offset
+        tracemalloc.reset_peak()
+        record_tick(self, tick, records)
+        held, peak = tracemalloc.get_traced_memory()
+        ticks.append((before, encoded[0], peak - held, self._offset - offset))
+
+    monkeypatch.setattr(scenario, "record_at", counted)
+    monkeypatch.setattr(MetricsWriter, "record_tick", measured)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        run(ScenarioConfig(seed=1, out_dir=str(tmp_path / "out")), trace=trace)
+    finally:
+        tracemalloc.stop()
+    assert [t[:2] for t in ticks] == [(k * n, (k + 1) * n) for k in range(3)]
+    for _, _, peak, length in ticks:
+        assert peak < 0.5 * length, (peak, length)
 
 
 def test_run_collector_pressure(tmp_path):

@@ -2,13 +2,14 @@
 
     python3 tools/gcstat.py CONFIG [--reps N]
 
-Loads the config and its trace once, then runs the scenario N times
-(default 1) into a temporary directory that is removed afterwards.  Each
-run starts from a full collection, which is not counted.  Prints one line
-per run: the collections of each generation (gen0, gen1, full), the
-collector's time in milliseconds per tick, timed through gc.callbacks, and
-the process's peak resident set so far in kB (VmHWM, read from
-/proc/self/status; n/a where that file is absent).  Unlike a child's
+Loads the config, then runs the scenario N times (default 1) into a
+temporary directory that is removed afterwards.  Each run streams the
+config's trace file tick by tick, as `cavsim run` does, so no run holds a
+whole trace, and starts from a full collection, which is not counted.
+Prints one line per run: the collections of each generation (gen0, gen1,
+full), the collector's time in milliseconds per tick, timed through
+gc.callbacks, and the process's peak resident set so far in kB (VmHWM,
+read from /proc/self/status; n/a where that file is absent).  Unlike a child's
 ru_maxrss, VmHWM starts afresh at exec, so it measures this process alone.
 """
 
@@ -62,7 +63,7 @@ def vm_hwm_kb(status: str = "/proc/self/status") -> str:
 
 
 def main(argv: list[str]) -> int:
-    from cavsim import SimError, load_config, load_trace, run
+    from cavsim import SimError, load_config, run
 
     parser = argparse.ArgumentParser(prog="gcstat.py")
     parser.add_argument("config")
@@ -74,19 +75,16 @@ def main(argv: list[str]) -> int:
         config = load_config(args.config)
         if config.trace_path is None:
             parser.error("the config names no trace")
-        trace = load_trace(config.trace_path, config.trace_format,
-                           default_length=config.default_length,
-                           default_width=config.default_width)
+        with tempfile.TemporaryDirectory() as tmp:
+            config.out_dir = os.path.join(tmp, "run")
+            for rep in range(1, args.reps + 1):
+                (gen0, gen1, full), spent, summary = gc_counts(
+                    lambda: run(config))
+                ms = 1e3 * spent / max(summary.ticks_executed, 1)
+                print(f"run {rep}: gen0={gen0} gen1={gen1} full={full} "
+                      f"gc_ms_per_tick={ms:.3f} vmhwm_kb={vm_hwm_kb()}")
     except (SimError, OSError) as exc:
         parser.error(str(exc))
-    with tempfile.TemporaryDirectory() as tmp:
-        config.out_dir = os.path.join(tmp, "run")
-        for rep in range(1, args.reps + 1):
-            (gen0, gen1, full), spent, summary = gc_counts(
-                lambda: run(config, trace))
-            ms = 1e3 * spent / max(summary.ticks_executed, 1)
-            print(f"run {rep}: gen0={gen0} gen1={gen1} full={full} "
-                  f"gc_ms_per_tick={ms:.3f} vmhwm_kb={vm_hwm_kb()}")
     return 0
 
 
