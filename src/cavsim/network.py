@@ -5,9 +5,10 @@ within communication range of the sender's position at send time
 (inclusive boundary), exactly one tick later.  The network holds no
 positions: recipients are resolved when the tick's broadcasts are
 sealed, by a locator that a run answers from that tick's neighbour
-sweep, and the next step hands the inboxes out.  There is no channel
-model, contention, or loss; the point is deterministic data flow and
-byte accounting, not radio realism.
+sweep, and the next step hands the inboxes out, as a mapping on which a
+station with no inbox is a KeyError.  There is no channel model,
+contention, or loss; the point is deterministic data flow and byte
+accounting, not radio realism.
 
 Wire format (little-endian, bit-exact):
     u32 sender_station, u32 gen_tick, f64 x, f64 y, f64 heading,
@@ -22,6 +23,7 @@ cpm_wire_size; serialize_cpm defines the bytes it counts.
 from __future__ import annotations
 
 import struct
+from collections import defaultdict
 
 from .errors import ValidationError
 from .identity import PlateRegistry
@@ -62,14 +64,15 @@ def serialize_cpm(cpm: Cpm, registry: PlateRegistry) -> bytes:
 class NetworkSim:
     """Collects a tick's broadcasts and delivers them the next tick.
 
-    Broadcast calls only append to a buffer.  seal(locator) resolves the
-    buffered broadcasts' recipients into inboxes; step() hands out, and
-    clears, the inboxes sealed since the last step.
+    Broadcast calls only append to a buffer.  seal(locator) files each
+    delivery of a buffered broadcast into its recipient's inbox, a list
+    in a defaultdict; step() hands out, and clears, the inboxes sealed
+    since the last step, as a mapping with no default.
     """
 
     def __init__(self):
         self._buffer: list[tuple[int, Cpm]] = []
-        self._inboxes: dict[int, list[Cpm]] = {}
+        self._inboxes: defaultdict[int, list[Cpm]] = defaultdict(list)
 
     def shb_broadcast(self, sender: int, cpm: Cpm) -> int:
         """Buffer a single-hop broadcast; returns the wire byte length.
@@ -96,16 +99,13 @@ class NetworkSim:
         for origin, cpm in buffered:
             _check_object_count(cpm)
             for station in locator(origin):
-                if station == origin:
-                    continue
-                box = inboxes.get(station)
-                if box is None:
-                    inboxes[station] = [cpm]
-                else:
-                    box.append(cpm)
+                if station != origin:
+                    inboxes[station].append(cpm)
 
     def step(self) -> dict[int, list[Cpm]]:
-        """The inboxes sealed since the last step, {station: [Cpm, ...]}."""
+        """The inboxes sealed since the last step, {station: [Cpm, ...]};
+        a station with no inbox is a KeyError."""
         inboxes = self._inboxes
-        self._inboxes = {}
+        self._inboxes = defaultdict(list)
+        inboxes.default_factory = None
         return inboxes

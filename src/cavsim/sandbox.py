@@ -12,6 +12,11 @@ A module that holds no state (no __dict__, no slots) is built once per
 vehicle type and shared by its vehicles; any other is built fresh for
 each vehicle, a respawned one included.
 
+Each module's inbox is a list built fresh for it, so a module may pass
+it on as its outbox (rx and proof_gen do).  A vehicle perceives when one
+of its modules is not of a built-in class that never calls
+ctx.perceive(); the name a module is registered under plays no part.
+
 A module class may declare `idle = True`.  It promises that when its
 inbox is empty and its vehicle perceives nothing, `process()` returns
 nothing, broadcasts nothing, records no TTV, raises nothing and leaves
@@ -227,22 +232,18 @@ class ObjectStoreModule:
         local = self.local
         received = self.received
         for cpm in inbox:
+            # the CPM's own plate map, and the other one
             if cpm.local:
-                for obj in cpm.objects:
-                    p = obj.plate
-                    if p == own or p in local:
-                        continue
-                    local[p] = None
-                    if p not in received:
-                        self._union += 1
+                mine, other = local, received
             else:
-                for obj in cpm.objects:
-                    p = obj.plate
-                    if p == own or p in received:
-                        continue
-                    received[p] = None
-                    if p not in local:
-                        self._union += 1
+                mine, other = received, local
+            for obj in cpm.objects:
+                p = obj.plate
+                if p == own or p in mine:
+                    continue
+                mine[p] = None
+                if p not in other:
+                    self._union += 1
         ctx.set_object_counts(len(local), len(received), self._union)
         return []
 
@@ -273,7 +274,7 @@ class RxModule:
     __slots__ = ()
 
     def process(self, inbox, ctx):
-        return list(inbox)
+        return inbox
 
 
 class ProofGenModule:
@@ -286,7 +287,7 @@ class ProofGenModule:
     __slots__ = ()
 
     def process(self, inbox, ctx):
-        return list(inbox)
+        return inbox
 
 
 class ProofVerifyModule:
@@ -299,54 +300,50 @@ class ProofVerifyModule:
     first seen (locally or via the network).  Proofs about the vehicle's
     own plate are ignored.
 
-    `verified` is a dict used as a set (plate -> None).  `provers` holds,
-    per plate proved but not yet verified, its one prover's station, or
-    the set of its provers once there are more; a plate's entry goes when
-    it is verified.
+    `first_seen` maps each plate seen to the tick it was first seen, or
+    to None once it is verified.  `provers` holds, per plate proved but
+    not yet verified, its one prover's station, or the set of its provers
+    once there are more; a plate's entry goes when it is verified.
     """
 
     PROVERS_REQUIRED = 2
 
     idle = True
-    __slots__ = ("provers_required", "first_seen", "provers", "verified")
+    __slots__ = ("provers_required", "first_seen", "provers")
 
     def __init__(self, provers_required: int = PROVERS_REQUIRED):
         self.provers_required = _whole("provers_required",
                                        provers_required, 1)
         self.first_seen = {}
         self.provers = {}
-        self.verified = {}
 
     def process(self, inbox, ctx):
         own = ctx.plate
         tick = ctx.tick
+        first_seen = self.first_seen
+        provers = self.provers
         for cpm in inbox:
-            if cpm.local:
-                for obj in cpm.objects:
-                    if obj.plate != own and obj.plate not in self.first_seen:
-                        self.first_seen[obj.plate] = tick
-                continue
-            sender = cpm.sender_station
+            # a local CPM is a CPM with no sender: it proves nothing
+            sender = None if cpm.local else cpm.sender_station
             for obj in cpm.objects:
                 plate = obj.plate
                 if plate == own:
                     continue
-                if plate not in self.first_seen:
-                    self.first_seen[plate] = tick
-                if plate in self.verified:
+                seen = first_seen.setdefault(plate, tick)
+                if sender is None or seen is None:
                     continue
-                held = self.provers.get(plate, sender)
+                held = provers.get(plate, sender)
                 if type(held) is set:
                     held.add(sender)
                 elif held != sender:
                     held = {held, sender}
                 n = len(held) if type(held) is set else 1
                 if n >= self.provers_required:
-                    self.provers.pop(plate, None)
-                    self.verified[plate] = None
-                    ctx.record_ttv(tick - self.first_seen[plate])
+                    provers.pop(plate, None)
+                    first_seen[plate] = None
+                    ctx.record_ttv(tick - seen)
                 else:
-                    self.provers[plate] = held
+                    provers[plate] = held
         return []
 
 
@@ -416,6 +413,11 @@ MODULES: dict[str, Callable[..., Any]] = {
 def register_module(name: str, factory: Callable[..., Any]) -> None:
     """Register an additional OBU module implementation."""
     MODULES[name] = factory
+
+
+# the built-in module classes that never call ctx.perceive()
+_BLIND = frozenset({ObjectStoreModule, CpmTxModule, RxModule, ProofGenModule,
+                    ProofVerifyModule, SpamTxModule, ReplayTxModule})
 
 
 # ---------------------------------------------------------------------------
@@ -497,12 +499,14 @@ class Vehicle:
     """One instantiated vehicle: its modules, in a tuple in its type's step
     order, plus the type's steps.
 
-    `idle` is true when every module declares `idle`; `quiet` is the
-    metrics.record_counters part of the vehicle's last record when that
-    tick was quiet and ended without error, else None."""
+    `perceives` is true when some module is not of a built-in class that
+    never calls ctx.perceive(); `idle` is true when every module declares
+    `idle`; `quiet` is the metrics.record_counters part of the vehicle's
+    last record when that tick was quiet and ended without error, else
+    None."""
 
     __slots__ = ("plate", "station", "type_name", "parts", "steps",
-                 "uses_camera", "idle", "quiet")
+                 "perceives", "idle", "quiet")
 
     def __init__(self, plate, station, type_name, modules, steps):
         self.plate = plate
@@ -510,7 +514,7 @@ class Vehicle:
         self.type_name = type_name
         self.parts = tuple([modules[name] for name, _, _ in steps])
         self.steps = steps
-        self.uses_camera = "camera" in modules
+        self.perceives = any(type(m) not in _BLIND for m in self.parts)
         self.idle = all(getattr(m, "idle", False) for m in self.parts)
         self.quiet = None
 

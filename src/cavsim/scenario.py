@@ -99,6 +99,12 @@ class ScenarioConfig:
         for key in ("comm_range", "default_length", "default_width"):
             if not getattr(self, key) > 0.0:
                 raise ConfigError(f"{key} must be positive")
+        # the grid's cells are as wide as the larger radius, and rebuild
+        # multiplies positions by its reciprocal
+        cell = max(self.perception_radius, self.comm_range)
+        if 1.0 / cell == math.inf:
+            raise ConfigError(f"max(perception_radius, comm_range) must "
+                              f"have a finite reciprocal, not {cell!r}")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
         if self.tick_range is not None and self.tick_range[0] >= self.tick_range[1]:
@@ -300,7 +306,7 @@ def _run_ticks(config: ScenarioConfig, trace: Iterable[TraceTick],
         order = sorted(vehicles)
         percepts: dict[str, tuple] = {}  # only the non-empty ones
         for plate in order:
-            if vehicles[plate].uses_camera:
+            if vehicles[plate].perceives:
                 objs = perceive(states[plate], near[plate], pcfg, tick)
                 if objs:
                     percepts[plate] = objs

@@ -36,7 +36,8 @@ class GridIndex:
 
 
 def rebuild(states: Iterable[VehicleState], cell_size: float) -> GridIndex:
-    """Build the index in a single pass over the states."""
+    """Build the index in a single pass over the states.  A position whose
+    cell index overflows a float is a ConfigError."""
     if cell_size <= 0:
         raise ConfigError("cell_size must be positive")
     inv = 1.0 / cell_size
@@ -44,15 +45,19 @@ def rebuild(states: Iterable[VehicleState], cell_size: float) -> GridIndex:
     state_map: dict[str, VehicleState] = {}
     floor = math.floor
     n = 0
-    for s in states:
-        key = floor(s.x * inv) * _STRIDE + floor(s.y * inv)
-        bucket = packed.get(key)
-        if bucket is None:
-            packed[key] = [s]
-        else:
-            bucket.append(s)
-        state_map[s.id] = s
-        n += 1
+    try:
+        for s in states:
+            key = floor(s.x * inv) * _STRIDE + floor(s.y * inv)
+            bucket = packed.get(key)
+            if bucket is None:
+                packed[key] = [s]
+            else:
+                bucket.append(s)
+            state_map[s.id] = s
+            n += 1
+    except OverflowError:
+        raise ConfigError(f"vehicle {s.id!r} at ({s.x!r}, {s.y!r}) has no "
+                          f"cell of size {cell_size!r}") from None
     if len(state_map) != n:
         raise ValidationError("duplicate vehicle id in grid rebuild")
     return GridIndex(cell_size, state_map, packed)

@@ -1,8 +1,12 @@
 """The benchmark still fits the package: its perception oracle
 (`perfbench/checks.py`), built from the public stage functions, names the
-same plates as `perceive` on random scenes, and the config of every
-workload (`perfbench/workloads.py`) parses and validates."""
+same plates as `perceive` on random scenes, the config of every workload
+(`perfbench/workloads.py`) parses and validates, and every workload's
+seed-1 run passes the benchmark's own output checks with its reference
+digest."""
 
+import dataclasses
+import hashlib
 import importlib.util
 import math
 import os
@@ -13,7 +17,7 @@ import pytest
 
 import cavsim
 from cavsim.perception import PerceptionConfig, perceive
-from cavsim.scenario import load_config
+from cavsim.scenario import load_config, report, run
 from conftest import random_scene
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(
@@ -65,3 +69,34 @@ def test_workload_config_parses_and_validates(tmp_path, name):
     w = workloads.WORKLOADS[name]
     assert config.mix == w.mix
     assert config.perception_radius == config.comm_range == workloads.RADIUS
+
+
+# sha256 of each workload's metrics.jsonl at seed 1
+REFERENCE_DIGESTS = {
+    "sparse": "8aafeb87260d59b9ed2fcc387107df8aee404184c0223383aee5244ab233c870",
+    "dense": "1bd2b74d0e17726bae0d1a6a2ef0b0b20d93c6c11e60e09eb94e3e423ad1e5b4",
+    "mixed_churn":
+        "b3ffacc5cc67f95bff2b6b0853bbe81c6063e573fa62c2576f76308a9452ff4f",
+}
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_workload_run_passes_the_benchmark_checks(tmp_path, name):
+    """A streamed run and its bandwidth, ttv and cpr reports, checked the
+    way the benchmark checks them: perception against the full-scan
+    oracle, object counts consistent and never falling within a life,
+    spam bytes, TTV and the reports against its own aggregation."""
+    truth = workloads.generate(workloads.WORKLOADS[name], 1,
+                               str(tmp_path / "inputs"))
+    run_dir, csv_dir = tmp_path / "run", tmp_path / "csv"
+    config = dataclasses.replace(load_config(truth.config_path),
+                                 out_dir=str(run_dir))
+    run(config)
+    csv_dir.mkdir()
+    for kind in ("bandwidth", "ttv", "cpr"):
+        with open(csv_dir / f"{kind}.csv", "w", encoding="ascii") as out:
+            report(str(run_dir), kind, out)
+    fails, _ = checks.check_run(cavsim, truth, 1, str(run_dir), str(csv_dir))
+    assert fails == []
+    with open(run_dir / "metrics.jsonl", "rb") as f:
+        assert hashlib.sha256(f.read()).hexdigest() == REFERENCE_DIGESTS[name]

@@ -267,3 +267,26 @@ def test_malformed_run_inputs_exit_cleanly(tmp_path, capsys):
             assert main(["report", "--run", str(out), "--kind", kind]) == 0
             assert capsys.readouterr().err == "", (case, kind)
     assert outcomes[0] and outcomes[1], outcomes  # both outcomes were seen
+
+
+@pytest.mark.parametrize("radius, x", [("1e-320", 1.0), ("1e-300", 1e10)],
+                         ids=["no-finite-reciprocal", "cell-index-overflows"])
+def test_tiny_radius_exits_cleanly(tmp_path, capsys, radius, x):
+    """A radius whose reciprocal is infinite fails validation; one whose
+    cell index overflows for a vehicle's position fails at the grid
+    rebuild.  Either way: one `error: ` line, and no output or staging
+    directory."""
+    (tmp_path / "t.csv").write_text(
+        "tick,id,x,y,heading,length,width\n"
+        f"0,a,{x!r},0.0,0.0,4.5,1.8\n0,b,{x + 1.0!r},0.0,0.0,4.5,1.8\n",
+        encoding="ascii")
+    (tmp_path / "c.ini").write_text(
+        f"[scenario]\ntrace = {tmp_path / 't.csv'}\n"
+        f"perception_radius = {radius}\ncomm_range = {radius}\n\n"
+        f"[perception]\nmax_range = {radius}\n", encoding="ascii")
+    rc = main(["run", "--config", str(tmp_path / "c.ini"),
+               "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert sorted(os.listdir(tmp_path)) == ["c.ini", "t.csv"]

@@ -421,7 +421,8 @@ def test_plate_modules_match_set_reference(required):
             got.append((ctx.local_objects, ctx.received_objects,
                         ctx.all_objects, list(ctx.ttv_events.items())))
         assert got == plate_modules("me", required, stream), seed
-        verified += len(verify.verified)
+        # a verified plate is marked None in first_seen
+        verified += list(verify.first_seen.values()).count(None)
     assert verified  # the streams do reach verification
 
 
@@ -433,8 +434,8 @@ def test_plate_maps_are_not_tracked_by_the_collector():
     store, verify = v.modules["object_store"], v.modules["proof_verify"]
     assert sorted(store.local) == ["x", "y"]
     assert sorted(store.received) == ["x", "z"]
-    assert sorted(verify.verified) == ["x"]
-    for plates in (store.local, store.received, verify.verified):
+    assert verify.first_seen == {"x": None, "y": 0, "z": 0}  # x verified
+    for plates in (store.local, store.received, verify.first_seen):
         assert not gc.is_tracked(plates)
     # a verified plate keeps no provers; one prover is held as its station
     assert verify.provers == {"z": 9}

@@ -12,7 +12,8 @@ import pytest
 
 from cavsim.errors import ConfigError, ValidationError
 from cavsim.perception import PerceptionConfig
-from cavsim.sandbox import MODULES, FlowGraph, VehicleTypeSpec, register_module
+from cavsim.sandbox import (MODULES, CameraModule, FlowGraph, VehicleTypeSpec,
+                            register_module)
 from cavsim.scenario import (ScenarioConfig, assign_type, parse_config,
                              parse_tick_range, report, run)
 from cavsim.trace import TraceTick, VehicleState, synth_traffic, write_csv
@@ -840,6 +841,32 @@ def test_interrupt_mid_run_leaves_no_output(tmp_path):
     finally:
         del MODULES["interrupt"]
     assert os.listdir(tmp_path) == []
+
+
+class LidarModule:
+    """A registered sensor that is not named `camera`."""
+
+    __slots__ = ()
+    process = CameraModule.process
+
+
+def test_any_registered_sensor_perceives(tmp_path, monkeypatch):
+    """Whether a vehicle perceives follows its modules' classes, not their
+    names: a `lidar` that runs the camera's code sees what `camera` does."""
+    monkeypatch.setitem(MODULES, "lidar", LidarModule)
+    local = {}
+    for sensor in ("camera", "lidar"):
+        spec = VehicleTypeSpec("Sensing", FlowGraph(
+            (sensor, "object_store"), {sensor: ("object_store",)}),
+            connected=False)
+        cfg = ScenarioConfig(out_dir=str(tmp_path / sensor),
+                             extra_types={"Sensing": spec},
+                             mix=(("Sensing", 1.0),))
+        run(cfg, trace=synth_traffic(3, 200, 4, 300.0))
+        local[sensor] = [v["local_objects"]
+                         for v in read_run(cfg.out_dir)[-1]["vehicles"]]
+    assert sum(local["camera"]) == 1670
+    assert local["lidar"] == local["camera"]
 
 
 def test_existing_out_dir(tmp_path):
