@@ -3,8 +3,8 @@
 A collective perception message (CPM) is the single data shape flowing
 both on the V2X network and between in-vehicle modules.  One part of a
 CPM is in-vehicle only: the `local` flag, set on a CPM the vehicle's own
-camera produced.  It is cleared before a CPM is broadcast, so it never
-reaches a recipient or the wire.
+camera produced.  The network clears it as it takes a CPM in, so it
+never reaches a recipient or the wire.
 
 PerceivedObject and Cpm are plain slots dataclasses, not frozen ones:
 a frozen dataclass costs several times as much to build, and these are
@@ -16,8 +16,6 @@ frozen, neither is hashable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-NO_STATION = 0  # sender_station sentinel for messages that never hit the wire
 
 
 @dataclass(slots=True)
@@ -47,18 +45,3 @@ class Cpm:
     sender_pose: tuple[float, float, float]
     objects: tuple[PerceivedObject, ...] = ()
     local: bool = False
-
-    def without_local(self) -> "Cpm":
-        """This CPM as it goes on the wire: the same, not local."""
-        if not self.local:
-            return self
-        return Cpm(self.sender_station, self.gen_tick, self.sender_pose,
-                   self.objects)
-
-
-def local_cpm(station: int | None, tick: int,
-              pose: tuple[float, float, float],
-              objects: tuple[PerceivedObject, ...]) -> Cpm:
-    """A CPM produced inside the vehicle, flagged as locally sourced."""
-    return Cpm(station if station is not None else NO_STATION,
-               tick, pose, objects, True)

@@ -14,10 +14,13 @@ Wire format (little-endian, bit-exact):
     u32 sender_station, u32 gen_tick, f64 x, f64 y, f64 heading,
     u16 object_count, then per object:
     u32 plate_code, f64 x, f64 y, f64 heading, u32 observed_tick.
-A CPM's `local` flag is in-vehicle only: shb_broadcast clears it, so it
-never reaches a recipient or the wire.  Plate strings map to dense u32
-codes through a plate registry.  A run needs only the encoded length,
-cpm_wire_size; serialize_cpm defines the bytes it counts.
+shb_broadcast is the network's one intake: it refuses a CPM with more
+objects than the u16 count can hold (ValidationError, raised in the
+sending module, so it is that vehicle's error) and clears the
+in-vehicle `local` flag, so the flag never reaches a recipient or the
+wire.  Past it, a buffered CPM is only filed.  Plate strings map to
+dense u32 codes through a plate registry.  A run needs only the encoded
+length, cpm_wire_size; serialize_cpm defines the bytes it counts.
 """
 
 from __future__ import annotations
@@ -64,10 +67,11 @@ def serialize_cpm(cpm: Cpm, registry: PlateRegistry) -> bytes:
 class NetworkSim:
     """Collects a tick's broadcasts and delivers them the next tick.
 
-    Broadcast calls only append to a buffer.  seal(locator) files each
-    delivery of a buffered broadcast into its recipient's inbox, a list
-    in a defaultdict; step() hands out, and clears, the inboxes sealed
-    since the last step, as a mapping with no default.
+    A broadcast is checked and cleared as it is taken in, then appended
+    to a buffer.  seal(locator) files each delivery of a buffered
+    broadcast into its recipient's inbox, a list in a defaultdict; step()
+    hands out, and clears, the inboxes sealed since the last step, as a
+    mapping with no default.
     """
 
     def __init__(self):
@@ -77,16 +81,20 @@ class NetworkSim:
     def shb_broadcast(self, sender: int, cpm: Cpm) -> int:
         """Buffer a single-hop broadcast; returns the wire byte length.
 
-        The local flag is cleared.  Recipients are resolved at the seal.
+        A CPM with more objects than the wire can count raises
+        ValidationError and buffers nothing.  The local flag is cleared.
+        Recipients are resolved at the seal.
         """
-        cpm = cpm.without_local()
+        _check_object_count(cpm)
+        if cpm.local:
+            cpm = Cpm(cpm.sender_station, cpm.gen_tick, cpm.sender_pose,
+                      cpm.objects)
         self._buffer.append((sender, cpm))
         return cpm_wire_size(cpm)
 
     def seal(self, locator) -> None:
         """Resolve the buffered broadcasts' recipients, in order of sender
-        station and then send order; a CPM with more objects than the
-        wire can count fails here.
+        station and then send order.
 
         locator(origin) must yield the stations within comm_range of
         station origin at send time; the sender itself is excluded.
@@ -97,7 +105,6 @@ class NetworkSim:
         buffered.sort(key=lambda b: b[0])
         inboxes = self._inboxes
         for origin, cpm in buffered:
-            _check_object_count(cpm)
             for station in locator(origin):
                 if station != origin:
                     inboxes[station].append(cpm)

@@ -12,10 +12,13 @@ A module that holds no state (no __dict__, no slots) is built once per
 vehicle type and shared by its vehicles; any other is built fresh for
 each vehicle, a respawned one included.
 
-Each module's inbox is a list built fresh for it, so a module may pass
-it on as its outbox (rx and proof_gen do).  A vehicle perceives when one
-of its modules is not of a built-in class that never calls
-ctx.perceive(); the name a module is registered under plays no part.
+A module's process(inbox, ctx) returns its outbox: a list, or None for
+no messages; anything else fails the module, as does a broadcast that
+the network refuses (more objects than the wire can count).  Each
+module's inbox is a list built fresh for it, so a module may pass it on
+as its outbox (rx and proof_gen do).  A vehicle perceives when one of
+its modules is not of a built-in class that never calls ctx.perceive();
+the name a module is registered under plays no part.
 
 A module class may declare `idle = True`.  It promises that when its
 inbox is empty and its vehicle perceives nothing, `process()` returns
@@ -36,7 +39,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from .errors import SchemaError, SimError
-from .messages import Cpm, PerceivedObject, local_cpm
+from .messages import Cpm, PerceivedObject
 from .network import MAX_OBJECTS
 from .trace import normalize_angle
 
@@ -206,7 +209,8 @@ class CameraModule:
         if not objs:
             return []
         pose = (ctx.state.x, ctx.state.y, ctx.state.heading)
-        return [local_cpm(ctx.station, ctx.tick, pose, objs)]
+        # station 0 stands for none: a local CPM never reaches the wire
+        return [Cpm(ctx.station or 0, ctx.tick, pose, objs, True)]
 
 
 class ObjectStoreModule:
@@ -378,7 +382,8 @@ class ReplayTxModule:
     """Stores the last `history` CPMs seen and rebroadcasts `replays` per tick.
 
     Both received messages and the vehicle's own perception CPMs are
-    candidates; replayed payloads are byte-identical to the stored message.
+    candidates, stored as given; replayed payloads are byte-identical to
+    the stored message, since the network clears a local CPM's flag.
     """
 
     __slots__ = ("buffer", "replays")
@@ -388,8 +393,7 @@ class ReplayTxModule:
         self.replays = _whole("replays", replays, 0)
 
     def process(self, inbox, ctx):
-        for cpm in inbox:
-            self.buffer.append(cpm.without_local())
+        self.buffer.extend(inbox)
         if self.buffer:
             count = min(self.replays, len(self.buffer))
             picks = ctx.rng.sample(range(len(self.buffer)), count)
@@ -553,10 +557,12 @@ def tick_vehicle(vehicle: Vehicle, network_inbox,
 
     Each module's inbox is a fresh list: the concatenation of its
     predecessors' outboxes, with the network inbox prepended for entry
-    modules.  The tick's counters land in ctx.  A module failure aborts
-    this vehicle's tick only: the error is counted in ctx.errors and the
-    simulation carries on.  Broadcasts that modules made before the
-    failure stand and go out next tick.
+    modules.  A module's outbox is a list or None (no messages); anything
+    else is that module's failure.  The tick's counters land in ctx.  A
+    module failure aborts this vehicle's tick only: the error is counted
+    in ctx.errors and the simulation carries on.  Broadcasts that modules
+    made before the failure stand and go out next tick; one that the
+    network refused (too many objects) is that module's failure.
     """
     outboxes: list[list] = []
     parts = vehicle.parts
@@ -567,6 +573,10 @@ def tick_vehicle(vehicle: Vehicle, network_inbox,
                 inbox.extend(outboxes[i])
             # steps and parts share their order
             out = parts[len(outboxes)].process(inbox, ctx)
-            outboxes.append(out if out is not None else [])
+            if out.__class__ is not list:
+                if out is not None:
+                    raise TypeError("an outbox is a list or None")
+                out = []
+            outboxes.append(out)
     except Exception:
         ctx.errors += 1

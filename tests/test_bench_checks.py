@@ -2,8 +2,8 @@
 (`perfbench/checks.py`), built from the public stage functions, names the
 same plates as `perceive` on random scenes, the config of every workload
 (`perfbench/workloads.py`) parses and validates, and every workload's
-seed-1 run passes the benchmark's own output checks with its reference
-digest."""
+runs at seeds 1, 2 and 4 pass the benchmark's own output checks, the
+seed-1 run with its reference digest."""
 
 import dataclasses
 import hashlib
@@ -80,13 +80,13 @@ REFERENCE_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
-def test_workload_run_passes_the_benchmark_checks(tmp_path, name):
-    """A streamed run and its bandwidth, ttv and cpr reports, checked the
-    way the benchmark checks them: perception against the full-scan
-    oracle, object counts consistent and never falling within a life,
-    spam bytes, TTV and the reports against its own aggregation."""
-    truth = workloads.generate(workloads.WORKLOADS[name], 1,
+def checked_run(tmp_path, name, seed):
+    """A streamed run of workload `name` at `seed` and its bandwidth, ttv
+    and cpr reports, checked the way the benchmark checks them:
+    perception against the full-scan oracle, object counts consistent and
+    never falling within a life, spam bytes, TTV and the reports against
+    its own aggregation.  Returns the run directory."""
+    truth = workloads.generate(workloads.WORKLOADS[name], seed,
                                str(tmp_path / "inputs"))
     run_dir, csv_dir = tmp_path / "run", tmp_path / "csv"
     config = dataclasses.replace(load_config(truth.config_path),
@@ -96,7 +96,22 @@ def test_workload_run_passes_the_benchmark_checks(tmp_path, name):
     for kind in ("bandwidth", "ttv", "cpr"):
         with open(csv_dir / f"{kind}.csv", "w", encoding="ascii") as out:
             report(str(run_dir), kind, out)
-    fails, _ = checks.check_run(cavsim, truth, 1, str(run_dir), str(csv_dir))
+    fails, _ = checks.check_run(cavsim, truth, seed, str(run_dir),
+                                str(csv_dir))
     assert fails == []
+    return run_dir
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_workload_run_passes_the_benchmark_checks(tmp_path, name):
+    run_dir = checked_run(tmp_path, name, 1)
     with open(run_dir / "metrics.jsonl", "rb") as f:
         assert hashlib.sha256(f.read()).hexdigest() == REFERENCE_DIGESTS[name]
+
+
+# benchmark pairs run seeds 1-10; two more of them, checks only
+@pytest.mark.parametrize("seed", [2, 4])
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_workload_run_at_another_seed_passes_the_benchmark_checks(
+        tmp_path, name, seed):
+    checked_run(tmp_path, name, seed)

@@ -55,7 +55,7 @@ def test_summary_of_canned_pairs():
 
 def test_runs_without_a_result_or_with_failures_are_counted():
     broken = benchpairs.parse_output(1, "perfbench: sim child failed\n")
-    assert broken == {"record": None, "result": None}
+    assert broken == {"record": None, "result": None, "perfbench": []}
     nan = stdout(20.0).replace("30.0", "NaN")
     assert benchpairs.parse_output(0, nan)["result"] is None
     assert benchpairs.parse_output(1, stdout(20.0))["result"] is None
@@ -70,3 +70,28 @@ def test_runs_without_a_result_or_with_failures_are_counted():
     assert benchpairs.digests(pairs) == {
         "seeds_identical_parent_vs_change": [3],
         "seeds_different": [1, 2]}
+
+
+def test_failed_runs_keep_their_perfbench_lines():
+    noise = "a warning\nperfbench: check failed: round 2: tick stamps leave"
+    checked = benchpairs.parse_output(0, stdout(20.0, correct=False),
+                                      noise + "\n")
+    assert checked["perfbench"] == [
+        "perfbench: check failed: round 2: tick stamps leave"]
+    crashed = benchpairs.parse_output(
+        1, "", "perfbench: sim child failed (exit 1):\nTraceback\n")
+    assert crashed["perfbench"] == ["perfbench: sim child failed (exit 1):"]
+    # a run that ended correct with 0 failed keeps none
+    assert benchpairs.parse_output(0, stdout(20.0), noise)["perfbench"] == []
+    silent = benchpairs.parse_output(0, stdout(21.0, failed=2), "")
+    pairs = [(1, checked, run(tick_ms=19.0)), (2, run(tick_ms=20.0), crashed),
+             (3, silent, run(tick_ms=18.0))]
+    text = benchpairs.report(
+        benchpairs.summarise(pairs, END_TO_END), pairs)
+    assert text.splitlines()[-6:] == [
+        "seed 1 parent not correct with 0 failed:",
+        "  perfbench: check failed: round 2: tick stamps leave",
+        "seed 2 change not correct with 0 failed:",
+        "  perfbench: sim child failed (exit 1):",
+        "seed 3 parent not correct with 0 failed:",
+        "  (no perfbench: line on stderr)"]

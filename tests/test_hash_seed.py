@@ -1,11 +1,14 @@
-"""`error:` output does not depend on the hash seed.
+"""Neither `error:` output nor a run's bytes depend on the hash seed.
 
 Each malformed input runs through `cavsim run` in child processes under
 several PYTHONHASHSEED values; stderr must be byte for byte the same and
 the exit code 1.  An error built by iterating a set or a dict of strings
-in hash order would name different things under different seeds.
+in hash order would name different things under different seeds.  Each
+benchmark round is a process of its own, so a whole run, too, must write
+the same metrics.jsonl and metrics.idx under every hash seed.
 """
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -13,6 +16,7 @@ import sys
 import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TESTS = os.path.join(ROOT, "tests")
 
 HEADER = "tick,id,x,y,heading,length,width\n"
 TRACE = HEADER + "0,a,0,0,0,,\n0,b,10,0,0,,\n1,a,1,0,0,,\n"
@@ -55,3 +59,31 @@ def test_error_output_is_the_same_under_every_hash_seed(tmp_path, case):
         outputs.add(proc.stderr)
     assert len(outputs) == 1, outputs
     assert not (tmp_path / "out").exists()
+
+
+# runs test_golden's mixed_churn fixture, as test_golden_digest does, into
+# the directory named by its one argument
+GOLDEN_RUN = """
+import sys
+from cavsim.scenario import ScenarioConfig, run
+from test_golden import FIXTURES
+make_trace, options = FIXTURES["mixed_churn"]
+run(ScenarioConfig(out_dir=sys.argv[1], perception_radius=100.0,
+                   comm_range=100.0, **options), trace=make_trace())
+"""
+
+
+def test_run_bytes_are_the_same_under_every_hash_seed(tmp_path):
+    digests = set()
+    for seed in (0, 1, 2):
+        out = tmp_path / str(seed)
+        env = dict(os.environ, PYTHONHASHSEED=str(seed),
+                   PYTHONPATH=os.pathsep.join([os.path.join(ROOT, "src"),
+                                               TESTS]))
+        proc = subprocess.run([sys.executable, "-c", GOLDEN_RUN, str(out)],
+                              capture_output=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        digests.add(tuple(
+            hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in ("metrics.jsonl", "metrics.idx")))
+    assert len(digests) == 1, digests

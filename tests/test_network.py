@@ -208,13 +208,20 @@ def test_send_time_positions_used():
     assert list(net.step()) == [2]
 
 
-def test_seal_rejects_too_many_objects():
+def test_shb_broadcast_rejects_too_many_objects():
     net = NetworkSim()
-    objects = tuple(obj(f"p{i}") for i in range(MAX_OBJECTS + 1))
-    # the broadcast is buffered; the seal refuses it
-    assert net.shb_broadcast(1, make_cpm(station=1, objects=objects)) > 0
+    one = obj("p")
+    # the intake refuses the broadcast, and buffers nothing
     with pytest.raises(ValidationError):
-        net.seal(full_scan_locator({1: (0.0, 0.0), 2: (10.0, 0.0)}, 300.0))
+        net.shb_broadcast(1, make_cpm(station=1,
+                                      objects=(one,) * (MAX_OBJECTS + 1)))
+    net.seal(full_scan_locator({1: (0.0, 0.0), 2: (10.0, 0.0)}, 300.0))
+    assert net.step() == {}
+    # a CPM at the limit goes out
+    full = make_cpm(station=1, objects=(one,) * MAX_OBJECTS)
+    assert net.shb_broadcast(1, full) == 34 + 32 * 65535
+    net.seal(full_scan_locator({1: (0.0, 0.0), 2: (10.0, 0.0)}, 300.0))
+    assert net.step() == {2: [full]}
 
 
 def test_too_many_objects_rejected():

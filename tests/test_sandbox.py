@@ -11,7 +11,7 @@ import pytest
 
 from cavsim.errors import SchemaError, SimError
 from cavsim.identity import PlateRegistry
-from cavsim.messages import Cpm, PerceivedObject, local_cpm
+from cavsim.messages import Cpm, PerceivedObject
 from cavsim.network import NetworkSim, serialize_cpm
 from cavsim.sandbox import (MODULES, FlowGraph, ObjectStoreModule,
                             ProofVerifyModule, SandboxContext,
@@ -30,6 +30,11 @@ def obj(plate, tick=0):
 
 def wire_cpm(station, tick, objects):
     return Cpm(station, tick, (0.0, 0.0, 0.0), tuple(objects))
+
+
+def camera_cpm(station, tick, objects):
+    """A CPM as the camera module produces it: flagged local."""
+    return Cpm(station, tick, (0.0, 0.0, 0.0), tuple(objects), True)
 
 
 class CountingNet(NetworkSim):
@@ -399,8 +404,7 @@ def random_inboxes(rng, own, ticks):
             objects = [obj(rng.choice(plates), tick)
                        for _ in range(rng.randint(0, 6))]
             if rng.random() < 0.4:
-                inbox.append(local_cpm(1, tick, (0.0, 0.0, 0.0),
-                                       tuple(objects)))
+                inbox.append(camera_cpm(1, tick, objects))
             else:
                 inbox.append(wire_cpm(rng.choice(senders), tick - 1, objects))
         yield tick, inbox
@@ -497,10 +501,9 @@ def test_replay_attacker_byte_identical():
     n, rec = run_vehicle(v, [seen], ctx)
     assert n == 1  # replays = 1 per tick
     (cpm,) = delivered(net)
+    assert cpm.local is False
     candidates = {original_payload,
-                  serialize_cpm(local_cpm(7, 1, (0.0, 0.0, 0.0),
-                                          (obj("c"),)).without_local(),
-                                reg)}
+                  serialize_cpm(wire_cpm(7, 1, [obj("c")]), reg)}
     assert serialize_cpm(cpm, reg) in candidates
 
 
@@ -511,8 +514,9 @@ def test_replay_attacker_replays_own_camera_cpm_as_wire_cpm():
     ctx = make_ctx(1, "r", 7, percept=(obj("c"),), net=net)
     n, _ = run_vehicle(v, (), ctx)  # the camera CPM is the only candidate
     assert n == 1
+    # the buffer holds the camera CPM as given; the network clears its flag
     (stored,) = v.modules["replay_tx"].buffer
-    assert stored.local is False
+    assert stored.local is True
     net.seal(full_scan_locator({7: (0.0, 0.0), 8: (5.0, 0.0)}, 300.0))
     (got,) = net.step()[8]
     assert got.local is False
@@ -584,7 +588,7 @@ def test_pot_first_seen_via_network():
 def test_proof_gen_forwards_its_inbox_unchanged():
     gen = build_vehicle(builtin_vehicle_types()["PoTVehicle"], "me",
                         1).modules["proof_gen"]
-    inbox = [local_cpm(1, 0, (0, 0, 0), (obj("a"), obj("b"))),
+    inbox = [camera_cpm(1, 0, [obj("a"), obj("b")]),
              wire_cpm(9, 0, [obj("c")])]
     out = gen.process(inbox, make_ctx(0, "me", 1))
     assert len(out) == len(inbox)
@@ -595,17 +599,17 @@ def test_proof_gen_forwards_its_inbox_unchanged():
 def test_local_cpm_broadcast_arrives_plain():
     net = NetworkSim()
     ctx = make_ctx(0, "ego", 1, net=net)
-    cpm = local_cpm(1, 0, (0.0, 0.0, 0.0), (obj("a"),))
-    assert cpm.local is True
+    cpm = camera_cpm(1, 0, [obj("a")])
     assert ctx.broadcast(cpm) == 34 + 32
+    # a CPM with nothing to clear goes out as it is
+    plain = wire_cpm(1, 0, [obj("b")])
+    assert ctx.broadcast(plain) == 34 + 32
     net.seal(full_scan_locator({1: (0.0, 0.0), 2: (5.0, 0.0)}, 300.0))
-    inboxes = net.step()
-    (got,) = inboxes[2]
+    got, same = net.step()[2]
     assert got.local is False
     assert got == wire_cpm(1, 0, [obj("a")])
-    # a CPM with nothing to clear goes out as it is
-    plain = wire_cpm(1, 0, [obj("a")])
-    assert plain.without_local() is plain
+    assert cpm.local is True  # the sender's own CPM is left as it was
+    assert same is plain
 
 
 class BoomModule:
@@ -680,6 +684,35 @@ def test_inbox_is_concatenation_of_predecessor_outboxes():
         assert v.modules["record"].sizes == [3]
     finally:
         del MODULES["record"]
+
+
+class GenModule:
+    """Returns its outbox as a generator, or as a tuple."""
+
+    def __init__(self, kind="generator"):
+        self.kind = kind
+
+    def process(self, inbox, ctx):
+        cpms = [wire_cpm(9, 0, [obj("a")])]
+        return (c for c in cpms) if self.kind == "generator" else tuple(cpms)
+
+
+@pytest.mark.parametrize("kind", ["generator", "tuple"])
+def test_outbox_that_is_not_a_list_is_its_module_error(monkeypatch, kind):
+    """A generator would feed only the first successor that drains it: an
+    outbox is a list or None, and anything else fails its module."""
+    for name, factory in (("gen", GenModule), ("sink1", RecordingModule),
+                          ("sink2", RecordingModule)):
+        monkeypatch.setitem(MODULES, name, factory)
+    spec = VehicleTypeSpec(
+        "Gen", FlowGraph(("gen", "sink1", "sink2"),
+                         {"gen": ("sink1", "sink2")}),
+        params={"gen": {"kind": kind}})
+    v = build_vehicle(spec, "x", 1)
+    ctx = make_ctx(0, "x", 1)
+    tick_vehicle(v, (), ctx)
+    assert ctx.errors == 1
+    assert v.modules["sink1"].sizes == v.modules["sink2"].sizes == []
 
 
 def test_broadcast_without_station_raises():

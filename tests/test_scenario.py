@@ -11,6 +11,7 @@ from dataclasses import replace
 import pytest
 
 from cavsim.errors import ConfigError, ValidationError
+from cavsim.messages import Cpm, PerceivedObject
 from cavsim.perception import PerceptionConfig
 from cavsim.sandbox import (MODULES, CameraModule, FlowGraph, VehicleTypeSpec,
                             register_module)
@@ -841,6 +842,58 @@ def test_interrupt_mid_run_leaves_no_output(tmp_path):
     finally:
         del MODULES["interrupt"]
     assert os.listdir(tmp_path) == []
+
+
+class WideTxModule:
+    """Broadcasts one CPM of `n` copies of one object per tick; with n = 0
+    it broadcasts nothing."""
+
+    __slots__ = ("n",)
+
+    def __init__(self, n=0):
+        self.n = n
+
+    def process(self, inbox, ctx):
+        if self.n:
+            pose = (ctx.state.x, ctx.state.y, ctx.state.heading)
+            seen = PerceivedObject("wide", ctx.state.x, ctx.state.y, 0.0,
+                                   ctx.tick)
+            ctx.broadcast(Cpm(ctx.station, ctx.tick, pose, (seen,) * self.n))
+        return []
+
+
+def test_oversize_broadcast_is_only_its_senders_error(tmp_path, monkeypatch):
+    """A CPM with more objects than the wire's u16 count is refused when
+    it is broadcast: its sender's tick fails and counts an error, and every
+    other vehicle's record is the one of a run whose sender is silent.  A
+    CPM at the limit is delivered."""
+    monkeypatch.setitem(MODULES, "wide_tx", WideTxModule)
+    mix = (("ConnectedVehicle", 0.9), ("Wide", 0.1))
+    trace = synth_traffic(3, 20, 3, 200.0)
+    ticks = {}
+    for n in (0, 70_000, 65_535):
+        spec = VehicleTypeSpec("Wide", FlowGraph(("wide_tx",)),
+                               params={"wide_tx": {"n": n}})
+        cfg = ScenarioConfig(out_dir=str(tmp_path / str(n)), seed=2,
+                             mix=mix, extra_types={"Wide": spec})
+        run(cfg, trace=trace)
+        ticks[n] = read_run(cfg.out_dir)
+    senders = {s.id for tt in trace for s in tt.states
+               if assign_type(2, s.id, mix) == "Wide"}
+    assert len(senders) == 3 and len(ticks[0]) == 3
+    for control, oversize, full in zip(ticks[0], ticks[70_000],
+                                       ticks[65_535]):
+        for a, b, c in zip(control["vehicles"], oversize["vehicles"],
+                           full["vehicles"]):
+            if a["id"] in senders:
+                assert (a["errors"], b["errors"], c["errors"]) == (0, 1, 0)
+                assert (b["bytes_sent"], c["bytes_sent"]) == \
+                    (0, 34 + 32 * 65_535)
+            else:
+                assert b == a
+    # the CPM at the limit reached the senders' neighbours
+    assert sum(v["received_objects"] for v in ticks[65_535][-1]["vehicles"]) \
+        > sum(v["received_objects"] for v in ticks[0][-1]["vehicles"])
 
 
 class LidarModule:

@@ -11,8 +11,11 @@ BENCHMARK.json declares, it prints the median and interquartile range of
 each side, the change's median against the parent's in %, and the pairs
 the change won; then whether every run ended in a result that was correct
 with 0 failed operations, and whether each seed wrote the same metrics
-digest on both sides.  --json writes the summary, with every run's record
-and result, in the shape of the repository's BENCH_<workload>.json files.
+digest on both sides.  Each run that did not end correct with 0 failed is
+listed below that with the `perfbench:` lines of its stderr, which say
+why: a check that failed, or a child process that did.  --json writes
+the summary, with every run's record, result and those lines, in the
+shape of the repository's BENCH_<workload>.json files.
 Standard library only.
 """
 
@@ -26,9 +29,11 @@ import sys
 from statistics import median, quantiles
 
 
-def parse_output(returncode: int, stdout: str) -> dict:
-    """A run.py run as {"record": ..., "result": ...}, from its last two
-    stdout lines; `result` is None when the run did not end in one."""
+def parse_output(returncode: int, stdout: str, stderr: str = "") -> dict:
+    """A run.py run as {"record": ..., "result": ..., "perfbench": ...},
+    from its last two stdout lines; `result` is None when the run did not
+    end in one.  `perfbench` holds the `perfbench:` lines of its stderr
+    when the run did not end correct with 0 failed, else nothing."""
     lines = stdout.strip().splitlines()
     record = result = None
     try:
@@ -39,7 +44,11 @@ def parse_output(returncode: int, stdout: str) -> dict:
     if returncode != 0 or not isinstance(result, dict) \
             or "metrics" not in result:
         result = None
-    return {"record": record, "result": result}
+    run = {"record": record, "result": result, "perfbench": []}
+    if not ok(run):
+        run["perfbench"] = [line for line in stderr.splitlines()
+                            if line.startswith("perfbench:")]
+    return run
 
 
 def _no_constant(name):
@@ -52,7 +61,7 @@ def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
          "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds)],
         cwd=checkout, capture_output=True, text=True)
-    return parse_output(proc.returncode, proc.stdout)
+    return parse_output(proc.returncode, proc.stdout, proc.stderr)
 
 
 def iqr(values: list[float]) -> float:
@@ -148,6 +157,12 @@ def report(summary: dict, pairs: list[tuple[int, dict, dict]]) -> str:
     lines.append(f"metrics digest equal on seeds "
                  f"{d['seeds_identical_parent_vs_change']}, different on "
                  f"{d['seeds_different']}")
+    for seed, parent, change in pairs:
+        for side, run in (("parent", parent), ("change", change)):
+            if not ok(run):
+                lines.append(f"seed {seed} {side} not correct with 0 failed:")
+                lines += [f"  {line}" for line in run["perfbench"]
+                          or ["(no perfbench: line on stderr)"]]
     return "\n".join(lines)
 
 
