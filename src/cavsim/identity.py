@@ -6,8 +6,11 @@ that a run keeps for its whole length: a vehicle is added when it spawns
 and removed when it despawns.  Plates are the opaque trace
 vehicle ids; stations are dense integers assigned at spawn (0 is reserved
 for "no station").  The plate registry gives every plate string a dense
-integer code, its order of first interning, which the wire format
-carries; a run reads only its size, the number of distinct plates seen.
+integer code, its order of first interning: a run keeps one, interns each
+trace id at its vehicle's first spawn and any other plate (a fabricated
+one) when a CPM first carries it, so one string has one code whenever it
+first appears.  The wire format carries the codes, and a CPM's plate
+mask has bit c set for each of its plates of code c.
 """
 
 from __future__ import annotations
@@ -26,6 +29,18 @@ class PlateRegistry:
         if code is None:
             code = self._codes[plate] = len(self._codes)
         return code
+
+    def mask(self, objects) -> int:
+        """The plate mask of `objects` (PerceivedObjects): bit c set for
+        each plate of code c; plates not seen yet are interned."""
+        codes = self._codes
+        mask = 0
+        for o in objects:
+            code = codes.get(o.plate)
+            if code is None:
+                code = self.intern(o.plate)
+            mask |= 1 << code
+        return mask
 
     def __len__(self) -> int:
         return len(self._codes)

@@ -6,6 +6,13 @@ CPM is in-vehicle only: the `local` flag, set on a CPM the vehicle's own
 camera produced.  The network clears it as it takes a CPM in, so it
 never reaches a recipient or the wire.
 
+A CPM also carries `mask`, derived data that no module sets: an int
+with bit c set for each object whose plate has code c in the run's plate
+registry (identity.py).  The camera builds it for its local CPM, cpm_tx
+ORs its inbox's masks, and the network's intake builds it for any CPM
+that arrives without one, so every delivered CPM has one.  It plays no
+part in equality, repr or the wire.
+
 PerceivedObject and Cpm are plain slots dataclasses, not frozen ones:
 a frozen dataclass costs several times as much to build, and these are
 built per perceived object and per broadcast.  A value may be shared by
@@ -15,7 +22,7 @@ frozen, neither is hashable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 
 @dataclass(slots=True)
@@ -37,7 +44,8 @@ class Cpm:
     """Collective perception message.
 
     Read-only by convention (see the module docstring).  `local` marks a
-    CPM produced inside the vehicle; it never leaves the vehicle.
+    CPM produced inside the vehicle; it never leaves the vehicle.  `mask`
+    is the objects' plate mask, None until it is built; do not set it.
     """
 
     sender_station: int
@@ -45,3 +53,4 @@ class Cpm:
     sender_pose: tuple[float, float, float]
     objects: tuple[PerceivedObject, ...] = ()
     local: bool = False
+    mask: int | None = field(default=None, compare=False, repr=False)

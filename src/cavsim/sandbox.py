@@ -20,6 +20,13 @@ as its outbox (rx and proof_gen do).  A vehicle perceives when one of
 its modules is not of a built-in class that never calls ctx.perceive();
 the name a module is registered under plays no part.
 
+Plates reach the object store as the plate masks CPMs carry (see
+messages.py), built where a CPM is made or at the network's intake and
+never read back from its objects, so a module that edits the objects of
+a CPM it received changes no other vehicle's object counts; the proof
+verifier still reads each object's plate.  ctx.plate_mask() and
+ctx.plate_code() answer from the run's one plate registry.
+
 A module class may declare `idle = True`.  It promises that when its
 inbox is empty and its vehicle perceives nothing, `process()` returns
 nothing, broadcasts nothing, records no TTV, raises nothing and leaves
@@ -166,6 +173,16 @@ class SandboxContext:
     def station_of(self, plate: str):
         return self._match.station_of(plate)
 
+    def plate_code(self, plate: str) -> int:
+        """The plate's code in the run's plate registry (interned if
+        new)."""
+        return self._net.registry.intern(plate)
+
+    def plate_mask(self, objects) -> int:
+        """The plate mask of `objects` in the run's plate registry: bit c
+        set for each plate of code c (see messages.py)."""
+        return self._net.registry.mask(objects)
+
     def plate_of(self, station: int) -> str:
         return self._match.plate_of(station)
 
@@ -196,7 +213,8 @@ def _whole(key: str, value, least: int, most: int = sys.maxsize) -> int:
 
 
 class CameraModule:
-    """Wraps the perception result of the tick into a local CPM.
+    """Wraps the perception result of the tick into a local CPM, with its
+    plate mask.
 
     Emits nothing on ticks without perceived objects.
     """
@@ -210,50 +228,51 @@ class CameraModule:
             return []
         pose = (ctx.state.x, ctx.state.y, ctx.state.heading)
         # station 0 stands for none: a local CPM never reaches the wire
-        return [Cpm(ctx.station or 0, ctx.tick, pose, objs, True)]
+        return [Cpm(ctx.station or 0, ctx.tick, pose, objs, True,
+                    ctx.plate_mask(objs))]
 
 
 class ObjectStoreModule:
     """Accumulates distinct plates known locally and via the network.
 
-    The vehicle's own plate never counts.  The union size is maintained
-    incrementally so per-tick cost stays proportional to new plates.  Each
-    plate map is a dict used as a set (plate -> None): it takes less memory
-    than a set, and with str keys and None values the cyclic collector
-    never tracks it.
+    `local` and `received` are plate masks (see messages.py): one OR per
+    CPM, never a walk over its objects, and a store's size follows the
+    highest code it knows.  A CPM without a mask (a local one that a
+    custom sensor built) gets one here.  The vehicle's own plate never
+    counts: its bit is set in both masks from the first call on (0 in
+    both stands for a store that knows nothing yet), and each count is
+    one less than its mask's bits.
     """
 
     idle = True
-    __slots__ = ("local", "received", "_union")
+    __slots__ = ("local", "received")
 
     def __init__(self):
-        self.local = {}
-        self.received = {}
-        self._union = 0
+        self.local = 0
+        self.received = 0
 
     def process(self, inbox, ctx):
-        own = ctx.plate
-        local = self.local
-        received = self.received
+        local, received = self.local, self.received
+        if not local:
+            local = received = 1 << ctx.plate_code(ctx.plate)
         for cpm in inbox:
-            # the CPM's own plate map, and the other one
+            mask = cpm.mask
+            if mask is None:
+                mask = ctx.plate_mask(cpm.objects)
             if cpm.local:
-                mine, other = local, received
+                local |= mask
             else:
-                mine, other = received, local
-            for obj in cpm.objects:
-                p = obj.plate
-                if p == own or p in mine:
-                    continue
-                mine[p] = None
-                if p not in other:
-                    self._union += 1
-        ctx.set_object_counts(len(local), len(received), self._union)
+                received |= mask
+        self.local = local
+        self.received = received
+        ctx.set_object_counts(local.bit_count() - 1, received.bit_count() - 1,
+                              (local | received).bit_count() - 1)
         return []
 
 
 class CpmTxModule:
-    """Assembles one wire CPM per tick from local perceptions.
+    """Assembles one wire CPM per tick from local perceptions, its mask
+    the OR of theirs.
 
     Broadcasts only on ticks with at least one locally perceived object.
     """
@@ -263,11 +282,15 @@ class CpmTxModule:
 
     def process(self, inbox, ctx):
         objects = []
+        mask = 0
         for cpm in inbox:
             objects.extend(cpm.objects)
+            m = cpm.mask
+            mask |= ctx.plate_mask(cpm.objects) if m is None else m
         if objects:
             pose = (ctx.state.x, ctx.state.y, ctx.state.heading)
-            ctx.broadcast(Cpm(ctx.station, ctx.tick, pose, tuple(objects)))
+            ctx.broadcast(Cpm(ctx.station, ctx.tick, pose, tuple(objects),
+                              False, mask))
         return []
 
 

@@ -231,9 +231,11 @@ def _run_ticks(config: ScenarioConfig, trace: Iterable[TraceTick],
     """The tick loop; writes the three output files into out_dir and
     returns (ticks executed, vehicles seen)."""
     types = config.vehicle_types()
-    # counts the vehicles seen: it interns each trace id at its first spawn
+    # the run's one plate-code table: it interns each trace id at its
+    # first spawn, and the network any other plate a CPM first carries
     registry = PlateRegistry()
-    net = NetworkSim()
+    net = NetworkSim(registry)
+    seen = 0  # the codes of the trace ids spawned, as a plate mask
     pcfg = config.perception
     seed, comm_range = config.seed, config.comm_range
     # the sweep is exact for any cell at least as wide as both radii, and
@@ -278,6 +280,7 @@ def _run_ticks(config: ScenarioConfig, trace: Iterable[TraceTick],
         The writer draws the records from agent_records, so the tick holds
         one WRITE_CHUNK of them, as plain strings, which the garbage
         collector does not track."""
+        nonlocal seen
         tick = tt.tick
 
         t0 = perf()
@@ -295,7 +298,7 @@ def _run_ticks(config: ScenarioConfig, trace: Iterable[TraceTick],
             if s.id not in vehicles:
                 spec = types[assign_type(seed, s.id, config.mix)]
                 station = next(stations) if spec.connected else None
-                registry.intern(s.id)
+                seen |= 1 << registry.intern(s.id)
                 vehicles[s.id] = build_vehicle(spec, s.id, station)
                 match.add(s.id, station)
         near, comm = sweep_neighbors(grid, config.perception_radius,
@@ -334,7 +337,7 @@ def _run_ticks(config: ScenarioConfig, trace: Iterable[TraceTick],
         for tt in trace:
             run_tick(tt)
             ticks += 1
-    return ticks, len(registry)
+    return ticks, seen.bit_count()
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@
 (`perfbench/checks.py`), built from the public stage functions, names the
 same plates as `perceive` on random scenes, the config of every workload
 (`perfbench/workloads.py`) parses and validates, and every workload's
-runs at seeds 1, 2 and 4 pass the benchmark's own output checks, the
-seed-1 run with its reference digest."""
+runs at seeds 1 to 4 pass the benchmark's own output checks, the seed-1
+run with its reference digest."""
 
 import dataclasses
 import hashlib
@@ -109,8 +109,8 @@ def test_workload_run_passes_the_benchmark_checks(tmp_path, name):
         assert hashlib.sha256(f.read()).hexdigest() == REFERENCE_DIGESTS[name]
 
 
-# benchmark pairs run seeds 1-10; two more of them, checks only
-@pytest.mark.parametrize("seed", [2, 4])
+# benchmark pairs run seeds 1-10; three more of them, checks only
+@pytest.mark.parametrize("seed", [2, 3, 4])
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
 def test_workload_run_at_another_seed_passes_the_benchmark_checks(
         tmp_path, name, seed):

@@ -37,11 +37,16 @@ def camera_cpm(station, tick, objects):
     return Cpm(station, tick, (0.0, 0.0, 0.0), tuple(objects), True)
 
 
+# the plate registry of the run that a test's contexts stand for: a
+# vehicle's plate masks hold across its ticks only under one registry
+CODES = PlateRegistry()
+
+
 class CountingNet(NetworkSim):
     """A network that counts the broadcasts sent through it."""
 
     def __init__(self):
-        super().__init__()
+        super().__init__(CODES)
         self.sent = 0
 
     def shb_broadcast(self, sender, cpm):
@@ -430,19 +435,51 @@ def test_plate_modules_match_set_reference(required):
     assert verified  # the streams do reach verification
 
 
+def plates_in(mask, plates):
+    """The ones among `plates` whose bit in CODES is set in `mask`."""
+    return {p for p in plates if mask >> CODES.intern(p) & 1}
+
+
 def test_plate_maps_are_not_tracked_by_the_collector():
     v = build_vehicle(builtin_vehicle_types()["PoTVehicle"], "me", 1)
     ctx = make_ctx(0, "me", 1, percept=(obj("x"), obj("y"), obj("me")))
     inbox = [wire_cpm(9, 0, [obj("x"), obj("z")]), wire_cpm(8, 0, [obj("x")])]
-    run_vehicle(v, inbox, ctx)
+    _, rec = run_vehicle(v, inbox, ctx)
     store, verify = v.modules["object_store"], v.modules["proof_verify"]
-    assert sorted(store.local) == ["x", "y"]
-    assert sorted(store.received) == ["x", "z"]
+    # the own plate's bit is set in both masks and never counts
+    plates = ("me", "x", "y", "z")
+    assert plates_in(store.local, plates) == {"me", "x", "y"}
+    assert plates_in(store.received, plates) == {"me", "x", "z"}
+    assert (rec.local_objects, rec.received_objects, rec.all_objects) == \
+        (2, 2, 3)
     assert verify.first_seen == {"x": None, "y": 0, "z": 0}  # x verified
     for plates in (store.local, store.received, verify.first_seen):
         assert not gc.is_tracked(plates)
     # a verified plate keeps no provers; one prover is held as its station
     assert verify.provers == {"z": 9}
+
+
+def test_store_size_follows_the_codes_it_knows():
+    """A store's masks are as wide as the highest plate code it knows, not
+    an entry per plate: knowing 4,000 plates takes what knowing the one
+    with the highest code does, about a byte per 8 codes."""
+    reg = PlateRegistry()
+    plates = [f"p{i}" for i in range(4000)]
+    for plate in ["me"] + plates:
+        reg.intern(plate)
+    net = NetworkSim(reg)
+
+    def store_bytes(known):
+        store = ObjectStoreModule()
+        ctx = make_ctx(0, "me", 1, net=net)
+        store.process([wire_cpm(9, 0, [obj(p) for p in known])], ctx)
+        assert ctx.received_objects == len(known)
+        return sys.getsizeof(store.local) + sys.getsizeof(store.received)
+
+    full, one = store_bytes(plates), store_bytes(plates[-1:])
+    assert full == one
+    assert full < 4001 // 8 + 100
+    assert store_bytes(plates[:1]) < 100
 
 
 def test_spam_attacker_emits_k_objects():

@@ -896,6 +896,141 @@ def test_oversize_broadcast_is_only_its_senders_error(tmp_path, monkeypatch):
         > sum(v["received_objects"] for v in ticks[0][-1]["vehicles"])
 
 
+class TamperModule:
+    """Sets the plate of every object in its inbox to "forged"."""
+
+    __slots__ = ()
+
+    def process(self, inbox, ctx):
+        for cpm in inbox:
+            for o in cpm.objects:
+                o.plate = "forged"
+        return []
+
+
+class SinkModule:
+    __slots__ = ()
+
+    def process(self, inbox, ctx):
+        return []
+
+
+def test_tampered_inbox_changes_no_other_vehicles_counts(tmp_path,
+                                                          monkeypatch):
+    """A module that edits the objects of the CPMs it received changes
+    what its own vehicle holds, not what the other recipients of those
+    CPMs count: their stores read the masks built at the intake.  With
+    the stores reading each object's plate, the other vehicles'
+    received_objects sum on the last tick fell from 30,274 to 1,600."""
+    mix = (("ConnectedVehicle", 0.8), ("Tamper", 0.2))
+    spec = VehicleTypeSpec("Tamper", FlowGraph(("rx", "tamper"),
+                                               {"rx": ("tamper",)}), ("rx",))
+    trace = synth_traffic(3, 200, 6, 400.0)
+    received = {}
+    for name, module in (("control", SinkModule), ("tamper", TamperModule)):
+        monkeypatch.setitem(MODULES, "tamper", module)
+        cfg = ScenarioConfig(out_dir=str(tmp_path / name), seed=3, mix=mix,
+                             extra_types={"Tamper": spec})
+        run(cfg, trace=trace)
+        received[name] = sum(
+            v["received_objects"] for v in read_run(cfg.out_dir)[-1]["vehicles"]
+            if assign_type(3, v["id"], mix) == "ConnectedVehicle")
+    assert received["control"] == 30_274
+    assert received["tamper"] == received["control"]
+
+
+class JunkTxModule:
+    """Broadcasts a CPM whose one object is a str, not a PerceivedObject;
+    with junk = False it broadcasts nothing."""
+
+    __slots__ = ("junk",)
+
+    def __init__(self, junk=True):
+        self.junk = junk
+
+    def process(self, inbox, ctx):
+        if self.junk:
+            pose = (ctx.state.x, ctx.state.y, ctx.state.heading)
+            ctx.broadcast(Cpm(ctx.station, ctx.tick, pose, ("junk",)))
+        return []
+
+
+def test_junk_object_is_only_its_senders_error(tmp_path, monkeypatch):
+    """A broadcast object that is not a PerceivedObject fails its sender
+    at the network's intake, every tick, with no bytes sent; no recipient
+    gets it, so every ConnectedVehicle's record is the one of a run whose
+    junk senders are silent.  With the stores reading each object's
+    plate, all 55 ConnectedVehicles counted an error on the last tick."""
+    monkeypatch.setitem(MODULES, "junk_tx", JunkTxModule)
+    mix = (("ConnectedVehicle", 0.9), ("Junk", 0.1))
+    trace = synth_traffic(3, 60, 4, 300.0)
+    ticks = {}
+    for junk in (False, True):
+        spec = VehicleTypeSpec("Junk", FlowGraph(("junk_tx",)),
+                               params={"junk_tx": {"junk": junk}})
+        cfg = ScenarioConfig(out_dir=str(tmp_path / str(junk)), seed=1,
+                             mix=mix, extra_types={"Junk": spec})
+        run(cfg, trace=trace)
+        ticks[junk] = read_run(cfg.out_dir)
+    senders = {s.id for tt in trace for s in tt.states
+               if assign_type(1, s.id, mix) == "Junk"}
+    assert senders and len(ticks[True]) == 4
+    for control, junk in zip(ticks[False], ticks[True]):
+        for a, b in zip(control["vehicles"], junk["vehicles"]):
+            if a["id"] in senders:
+                assert (b["errors"], b["bytes_sent"]) == (1, 0)
+            else:
+                assert b == a and b["errors"] == 0
+    assert sum(v["received_objects"] for v in ticks[True][-1]["vehicles"]) \
+        == 2_959
+
+
+class ForgeTxModule:
+    """Broadcasts one CPM a tick naming the fabricated plate `plate`."""
+
+    __slots__ = ("plate",)
+
+    def __init__(self, plate="x"):
+        self.plate = plate
+
+    def process(self, inbox, ctx):
+        pose = (ctx.state.x, ctx.state.y, ctx.state.heading)
+        seen = PerceivedObject(self.plate, 0.0, 0.0, 0.0, ctx.tick)
+        ctx.broadcast(Cpm(ctx.station, ctx.tick, pose, (seen,)))
+        return []
+
+
+@pytest.mark.parametrize("spawns_at", [0, 2])
+def test_fabricated_plate_equal_to_a_trace_id_counts_once(
+        tmp_path, monkeypatch, spawns_at):
+    """A forger names vehicle t's plate from tick 0; t spawns at tick 0
+    (before the fabricated plate first appears) or at tick 2 (after).
+    Either way one string has one plate code: the receiver r, which also
+    perceives t, counts it once, and t is one vehicle seen."""
+    monkeypatch.setitem(MODULES, "forge_tx", ForgeTxModule)
+    mix = (("ConnectedVehicle", 1.0), ("Forger", 1.0))
+    forger = find_id("f", "Forger", 5, mix)
+    receiver = find_id("r", "ConnectedVehicle", 5, mix)
+    target = find_id("t", "ConnectedVehicle", 5, mix)
+    spec = VehicleTypeSpec("Forger", FlowGraph(("forge_tx",)),
+                           params={"forge_tx": {"plate": target}})
+    trace = [TraceTick(tick, (state(forger, -20.0, 0.0),
+                              state(receiver, 0.0, 0.0))
+                       + ((state(target, 30.0, 0.0),)
+                          if tick >= spawns_at else ()))
+             for tick in range(4)]
+    cfg = ScenarioConfig(out_dir=str(tmp_path / "out"), seed=5, mix=mix,
+                         extra_types={"Forger": spec})
+    assert run(cfg, trace=trace).vehicles_seen == 3
+    counts = [next((v["local_objects"], v["received_objects"],
+                    v["all_objects"]) for v in line["vehicles"]
+                   if v["id"] == receiver) for line in read_run(cfg.out_dir)]
+    if spawns_at == 0:
+        assert counts == [(1, 0, 1), (1, 1, 1), (1, 1, 1), (1, 1, 1)]
+    else:
+        assert counts == [(0, 0, 0), (0, 1, 1), (1, 1, 1), (1, 1, 1)]
+
+
 class LidarModule:
     """A registered sensor that is not named `camera`."""
 
@@ -1052,12 +1187,18 @@ def test_run_reads_trace_once_and_stops_at_range_end(tmp_path):
     assert pulled == [0, 1, 2, 3, 4]
 
 
-def test_run_registry_interns_only_trace_ids(tmp_path, monkeypatch):
+def test_run_registry_codes_each_plate_once(tmp_path, monkeypatch):
+    """A run's one plate registry codes every trace id and, once each as
+    a broadcast first carries it, every fabricated plate."""
     import cavsim.scenario as scenario
 
-    interned = []
+    interned, registries = [], []
 
     class Recorded(scenario.PlateRegistry):
+        def __init__(self):
+            super().__init__()
+            registries.append(self)
+
         def intern(self, plate):
             interned.append(plate)
             return super().intern(plate)
@@ -1068,10 +1209,15 @@ def test_run_registry_interns_only_trace_ids(tmp_path, monkeypatch):
     summary = run(ScenarioConfig(out_dir=str(tmp_path / "out"), seed=6,
                                  mix=mix), trace=trace)
     assert summary.ticks_executed == 6
-    spammers = [s.id for s in trace[0].states
-                if assign_type(6, s.id, mix) == "SpamAttacker"]
-    assert spammers  # the run did fabricate plates
-    assert set(interned) == {s.id for tt in trace for s in tt.states}
+    ids = {s.id for tt in trace for s in tt.states}
+    fabricated = [p for p in interned if p not in ids]
+    assert fabricated  # the run did fabricate plates
+    assert all(p.startswith("spam:") for p in fabricated)
+    assert len(set(fabricated)) == len(fabricated)
+    assert set(interned) == ids | set(fabricated)
+    (registry,) = registries
+    assert len(registry) == len(ids) + len(fabricated)
+    assert summary.vehicles_seen == len(ids)
 
 
 def test_vehicles_seen_counts_distinct_trace_ids(tmp_path):
