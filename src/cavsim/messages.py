@@ -6,12 +6,13 @@ CPM is in-vehicle only: the `local` flag, set on a CPM the vehicle's own
 camera produced.  The network clears it as it takes a CPM in, so it
 never reaches a recipient or the wire.
 
-A CPM also carries `mask`, derived data that no module sets: an int
-with bit c set for each object whose plate has code c in the run's plate
-registry (identity.py).  The camera builds it for its local CPM, cpm_tx
-ORs its inbox's masks, and the network's intake builds it for any CPM
-that arrives without one, so every delivered CPM has one.  It plays no
-part in equality, repr or the wire.
+A CPM also carries `mask`, derived data: an int with bit c set for
+each object whose plate has code c in the run's plate registry
+(identity.py).  Only the network sets it: its intake builds every CPM it
+delivers, mask included, from the objects the sent CPM carries, and
+ignores any mask the sender set.  A CPM made in the vehicle has none; the
+object store builds its mask as it reads it.  It plays no part in
+equality, repr or the wire.
 
 PerceivedObject and Cpm are plain slots dataclasses, not frozen ones:
 a frozen dataclass costs several times as much to build, and these are
@@ -45,7 +46,8 @@ class Cpm:
 
     Read-only by convention (see the module docstring).  `local` marks a
     CPM produced inside the vehicle; it never leaves the vehicle.  `mask`
-    is the objects' plate mask, None until it is built; do not set it.
+    is the objects' plate mask on a CPM the network delivers, else None;
+    only the network sets it.
     """
 
     sender_station: int

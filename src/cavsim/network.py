@@ -14,16 +14,19 @@ Wire format (little-endian, bit-exact):
     u32 sender_station, u32 gen_tick, f64 x, f64 y, f64 heading,
     u16 object_count, then per object:
     u32 plate_code, f64 x, f64 y, f64 heading, u32 observed_tick.
-shb_broadcast is the network's one intake: it refuses a CPM with more
-objects than the u16 count can hold (ValidationError, raised in the
-sending module, so it is that vehicle's error), builds the plate mask of
-a CPM that has none from the network's plate registry (an object with no
-plate to code fails the sender the same way, so no recipient gets it),
-and clears the in-vehicle `local` flag, carrying the mask over, so the
-flag never reaches a recipient or the wire.  Past it, a buffered CPM is
-only filed.  Plate strings map to dense u32 codes through a plate
-registry, the run's one table.  A run needs only the encoded length,
-cpm_wire_size; serialize_cpm defines the bytes it counts.
+shb_broadcast is the network's one intake, and the one place a wire CPM
+is made: it refuses a CPM with more objects than the u16 count can hold
+(ValidationError, raised in the sending module, so it is that vehicle's
+error), then builds the CPM it delivers from the sent one's fields: its
+objects as a tuple, the in-vehicle `local` flag cleared, so the flag
+never reaches a recipient or the wire, and the plate mask of those
+objects from the network's plate registry, whatever mask the sender set
+(an object with no plate to code fails the sender the same way, so no
+recipient gets it).  The sender's CPM is left as it was.  Past the
+intake, a buffered CPM is only filed.  Plate strings map to dense u32
+codes through a plate registry, the run's one table.  A run needs only
+the encoded length, cpm_wire_size; serialize_cpm defines the bytes it
+counts.
 """
 
 from __future__ import annotations
@@ -70,12 +73,13 @@ def serialize_cpm(cpm: Cpm, registry: PlateRegistry) -> bytes:
 class NetworkSim:
     """Collects a tick's broadcasts and delivers them the next tick.
 
-    A broadcast is checked, given its plate mask and cleared as it is
-    taken in, then appended to a buffer.  seal(locator) files each
-    delivery of a buffered broadcast into its recipient's inbox, a list
-    in a defaultdict; step() hands out, and clears, the inboxes sealed
-    since the last step, as a mapping with no default.  `registry` is the
-    plate registry the masks are built from (a fresh one by default).
+    A broadcast is checked and rebuilt as a wire CPM, with its plate
+    mask, as it is taken in, then appended to a buffer.  seal(locator)
+    files each delivery of a buffered broadcast into its recipient's
+    inbox, a list in a defaultdict; step() hands out, and clears, the
+    inboxes sealed since the last step, as a mapping with no default.
+    `registry` is the plate registry the masks are built from (a fresh
+    one by default).
     """
 
     def __init__(self, registry: PlateRegistry | None = None):
@@ -88,16 +92,15 @@ class NetworkSim:
 
         A CPM with more objects than the wire can count raises
         ValidationError, and one with an object that has no plate to code
-        raises as the registry does; either buffers nothing.  A CPM
-        without a mask gets one, and the local flag is cleared.
+        raises as the registry does; either buffers nothing.  What is
+        buffered, and delivered, is a new CPM: the sent one's header, its
+        objects as a tuple, local False and the mask of those objects.
         Recipients are resolved at the seal.
         """
         _check_object_count(cpm)
-        if cpm.mask is None:
-            cpm.mask = self.registry.mask(cpm.objects)
-        if cpm.local:
-            cpm = Cpm(cpm.sender_station, cpm.gen_tick, cpm.sender_pose,
-                      cpm.objects, False, cpm.mask)
+        objects = tuple(cpm.objects)
+        cpm = Cpm(cpm.sender_station, cpm.gen_tick, cpm.sender_pose,
+                  objects, False, self.registry.mask(objects))
         self._buffer.append((sender, cpm))
         return cpm_wire_size(cpm)
 

@@ -20,12 +20,15 @@ as its outbox (rx and proof_gen do).  A vehicle perceives when one of
 its modules is not of a built-in class that never calls ctx.perceive();
 the name a module is registered under plays no part.
 
-Plates reach the object store as the plate masks CPMs carry (see
-messages.py), built where a CPM is made or at the network's intake and
-never read back from its objects, so a module that edits the objects of
-a CPM it received changes no other vehicle's object counts; the proof
-verifier still reads each object's plate.  ctx.plate_mask() and
-ctx.plate_code() answer from the run's one plate registry.
+Plates reach the object store as plate masks (see messages.py): the
+network builds the mask of every CPM it delivers, from that CPM's objects,
+and the store builds the mask of a CPM its own vehicle made.  So a module
+that edits the objects of a CPM it received changes no other vehicle's
+object counts, and a sender cannot hand recipients a mask that disagrees
+with its objects; the proof verifier still reads each object's plate.
+A delivered CPM is shared by its recipients, mask included, so treat it
+as read-only.  ctx.plate_mask() and ctx.plate_code() answer from the
+run's one plate registry.
 
 A module class may declare `idle = True`.  It promises that when its
 inbox is empty and its vehicle perceives nothing, `process()` returns
@@ -213,8 +216,8 @@ def _whole(key: str, value, least: int, most: int = sys.maxsize) -> int:
 
 
 class CameraModule:
-    """Wraps the perception result of the tick into a local CPM, with its
-    plate mask.
+    """Wraps the perception result of the tick into a local CPM; the
+    object store builds its plate mask.
 
     Emits nothing on ticks without perceived objects.
     """
@@ -228,8 +231,7 @@ class CameraModule:
             return []
         pose = (ctx.state.x, ctx.state.y, ctx.state.heading)
         # station 0 stands for none: a local CPM never reaches the wire
-        return [Cpm(ctx.station or 0, ctx.tick, pose, objs, True,
-                    ctx.plate_mask(objs))]
+        return [Cpm(ctx.station or 0, ctx.tick, pose, objs, True)]
 
 
 class ObjectStoreModule:
@@ -237,11 +239,11 @@ class ObjectStoreModule:
 
     `local` and `received` are plate masks (see messages.py): one OR per
     CPM, never a walk over its objects, and a store's size follows the
-    highest code it knows.  A CPM without a mask (a local one that a
-    custom sensor built) gets one here.  The vehicle's own plate never
-    counts: its bit is set in both masks from the first call on (0 in
-    both stands for a store that knows nothing yet), and each count is
-    one less than its mask's bits.
+    highest code it knows.  A CPM without a mask (a local one, from the
+    camera or a custom sensor) gets one here, held only in the OR.  The
+    vehicle's own plate never counts: its bit is set in both masks from
+    the first call on (0 in both stands for a store that knows nothing
+    yet), and each count is one less than its mask's bits.
     """
 
     idle = True
@@ -271,8 +273,8 @@ class ObjectStoreModule:
 
 
 class CpmTxModule:
-    """Assembles one wire CPM per tick from local perceptions, its mask
-    the OR of theirs.
+    """Assembles one wire CPM per tick from local perceptions; the
+    network builds its plate mask.
 
     Broadcasts only on ticks with at least one locally perceived object.
     """
@@ -282,15 +284,11 @@ class CpmTxModule:
 
     def process(self, inbox, ctx):
         objects = []
-        mask = 0
         for cpm in inbox:
             objects.extend(cpm.objects)
-            m = cpm.mask
-            mask |= ctx.plate_mask(cpm.objects) if m is None else m
         if objects:
             pose = (ctx.state.x, ctx.state.y, ctx.state.heading)
-            ctx.broadcast(Cpm(ctx.station, ctx.tick, pose, tuple(objects),
-                              False, mask))
+            ctx.broadcast(Cpm(ctx.station, ctx.tick, pose, tuple(objects)))
         return []
 
 

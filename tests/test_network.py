@@ -224,6 +224,23 @@ def test_shb_broadcast_rejects_too_many_objects():
     assert net.step() == {2: [full]}
 
 
+def test_delivered_objects_are_a_tuple_of_the_sent_ones():
+    net = NetworkSim()
+    sent = [obj("a"), obj("b")]
+    cpm = Cpm(1, 0, (1.0, 2.0, 0.5), sent)
+    net.shb_broadcast(1, cpm)
+    inboxes = delivered(net, full_scan_locator({1: (0.0, 0.0), 2: (10.0, 0.0),
+                                                3: (0.0, 10.0)}, 300.0))
+    for station in (2, 3):
+        got = inboxes[station][0]
+        assert type(got.objects) is tuple
+        assert got.objects == tuple(sent)
+        assert got.objects is not sent
+    # a later edit of the sender's list reaches no recipient
+    sent.append(obj("c"))
+    assert len(inboxes[2][0].objects) == 2
+
+
 def test_too_many_objects_rejected():
     reg = PlateRegistry()
     objects = tuple(obj(f"p{i}") for i in range(70000))

@@ -638,15 +638,17 @@ def test_local_cpm_broadcast_arrives_plain():
     ctx = make_ctx(0, "ego", 1, net=net)
     cpm = camera_cpm(1, 0, [obj("a")])
     assert ctx.broadcast(cpm) == 34 + 32
-    # a CPM with nothing to clear goes out as it is
+    # a CPM with nothing to clear is delivered as a copy the network made
     plain = wire_cpm(1, 0, [obj("b")])
     assert ctx.broadcast(plain) == 34 + 32
     net.seal(full_scan_locator({1: (0.0, 0.0), 2: (5.0, 0.0)}, 300.0))
-    got, same = net.step()[2]
+    got, copied = net.step()[2]
     assert got.local is False
     assert got == wire_cpm(1, 0, [obj("a")])
-    assert cpm.local is True  # the sender's own CPM is left as it was
-    assert same is plain
+    assert copied == plain and copied is not plain
+    # the sender's own CPMs are left as they were
+    assert cpm.local is True
+    assert cpm.mask is None and plain.mask is None
 
 
 class BoomModule:

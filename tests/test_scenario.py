@@ -939,6 +939,50 @@ def test_tampered_inbox_changes_no_other_vehicles_counts(tmp_path,
     assert received["tamper"] == received["control"]
 
 
+class SendModule:
+    """Broadcasts the objects of its inbox in one CPM a tick: plainly,
+    with a mask of 0 given ("given"), or plainly and then with the mask of
+    the CPM it sent set to 0 ("edited")."""
+
+    __slots__ = ("how",)
+
+    def __init__(self, how="plain"):
+        self.how = how
+
+    def process(self, inbox, ctx):
+        objects = tuple(o for cpm in inbox for o in cpm.objects)
+        if objects:
+            pose = (ctx.state.x, ctx.state.y, ctx.state.heading)
+            mask = 0 if self.how == "given" else None
+            cpm = Cpm(ctx.station, ctx.tick, pose, objects, False, mask)
+            ctx.broadcast(cpm)
+            if self.how == "edited":
+                cpm.mask = 0
+        return []
+
+
+@pytest.mark.parametrize("how", ["plain", "given", "edited"])
+def test_sender_mask_changes_no_recipients_counts(tmp_path, monkeypatch,
+                                                  how):
+    """The network builds the mask of every CPM it delivers from the
+    objects it carries, so a sender that gives a mask of 0, or sets one on
+    the CPM it sent, changes no recipient's count.  With the intake
+    trusting the sender's mask, both gave 30,274 in place of 30,953."""
+    monkeypatch.setitem(MODULES, "snd", SendModule)
+    mix = (("ConnectedVehicle", 0.8), ("Snd", 0.2))
+    spec = VehicleTypeSpec("Snd", FlowGraph(("camera", "snd"),
+                                            {"camera": ("snd",)}),
+                           params={"snd": {"how": how}})
+    cfg = ScenarioConfig(out_dir=str(tmp_path), seed=3, mix=mix,
+                         extra_types={"Snd": spec})
+    run(cfg, trace=synth_traffic(3, 200, 6, 400.0))
+    ticks = read_run(cfg.out_dir)
+    assert all(v["errors"] == 0 for t in ticks for v in t["vehicles"])
+    assert sum(v["received_objects"] for v in ticks[-1]["vehicles"]
+               if assign_type(3, v["id"], mix) == "ConnectedVehicle") \
+        == 30_953
+
+
 class JunkTxModule:
     """Broadcasts a CPM whose one object is a str, not a PerceivedObject;
     with junk = False it broadcasts nothing."""
