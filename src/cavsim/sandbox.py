@@ -8,9 +8,9 @@ each other except through delivered messages.  Vehicle types are
 declarative: a list of modules, an adjacency list of edges, the entry
 modules that receive the network inbox, and per-module parameters.
 
-A module that holds no state (no __dict__, no slots) is built once per
-vehicle type and shared by its vehicles; any other is built fresh for
-each vehicle, a respawned one included.
+Each vehicle, a respawned one included, gets every module built fresh
+from the factory registered under its name at that moment; it shares
+only its type's step table with the other vehicles of its type.
 
 A module's process(inbox, ctx) returns its outbox: a list, or None for
 no messages; anything else fails the module, as does a broadcast that
@@ -469,8 +469,6 @@ class VehicleTypeSpec:
         object.__setattr__(self, "_steps", tuple(
             (name, name in self.entry, tuple(at[p] for p in preds[name]))
             for name in order))
-        # the shared modules: name -> (factory, instance)
-        object.__setattr__(self, "_shared", {})
 
 
 def builtin_vehicle_types() -> dict[str, VehicleTypeSpec]:
@@ -551,24 +549,14 @@ class Vehicle:
 
 def build_vehicle(spec: VehicleTypeSpec, plate: str,
                   station: int | None) -> Vehicle:
-    """Instantiate a vehicle with fresh state in every module that holds
-    state; the others, built once while their factory stays registered,
-    and the step table are the type's own."""
+    """Instantiate a vehicle with every module built fresh from the
+    factory registered for its name; the step table is the type's own."""
     modules = {}
     for name in spec.graph.nodes:
         factory = MODULES.get(name)
         if factory is None:
             raise SchemaError(f"unknown module {name!r}")
-        held = spec._shared.get(name)
-        if held is not None and held[0] is factory:
-            modules[name] = held[1]
-            continue
-        modules[name] = module = factory(**spec.params.get(name, {}))
-        # no __dict__, and no slot or built-in base field in its class's
-        # MRO (any would make it larger than an object): no state to share
-        cls = type(module)
-        if not cls.__dictoffset__ and cls.__basicsize__ == object.__basicsize__:
-            spec._shared[name] = (factory, module)
+        modules[name] = factory(**spec.params.get(name, {}))
     return Vehicle(plate, station, spec.name, modules, spec._steps)
 
 

@@ -23,9 +23,8 @@ effect.
 
 A run reads its trace once, tick by tick: from a trace file it holds one
 tick of the trace at a time.  Besides that it holds each vehicle's
-module state (one shared instance per vehicle type for each module
-without state) and match-table entry (and, after a quiet tick, its
-record's counters as a string shared among equal ones), the inboxes
+module state (its own instance of each module) and match-table entry
+(and, after a quiet tick, its record's counters text), the inboxes
 sealed for the next tick, and one tick's structures (sweep maps,
 percepts, inboxes), which are freed as the tick ends, the index's cells
 only until the sweep has run, and at most one WRITE_CHUNK of encoded
@@ -245,9 +244,6 @@ def _run_ticks(config: ScenarioConfig, trace: Iterable[TraceTick],
     stations = itertools.count(1)
     # the run's one match table, kept up to date at spawn and despawn
     match = MatchTable()
-    # one string for equal record_counters of quiet vehicles, kept no
-    # larger than the vehicles alive
-    shared: dict[str, str] = {}
     perf = time.perf_counter
 
     def agent_records(tick, order, states, inboxes, percepts):
@@ -269,8 +265,7 @@ def _run_ticks(config: ScenarioConfig, trace: Iterable[TraceTick],
             counters = record_counters(ctx)
             # a quiet tick with no error leaves the modules as they were,
             # so each following quiet tick has these counters too
-            v.quiet = (shared.setdefault(counters, counters)
-                       if quiet and not ctx.errors else None)
+            v.quiet = counters if quiet and not ctx.errors else None
             yield record_at(plate, counters, state)
 
     def run_tick(tt: TraceTick) -> None:
@@ -287,8 +282,6 @@ def _run_ticks(config: ScenarioConfig, trace: Iterable[TraceTick],
         inboxes = net.step()
         t1 = perf()
 
-        if len(shared) > len(vehicles):
-            shared.clear()
         grid = rebuild(tt.states, cell)
         states = grid.states
         for plate in [p for p in vehicles if p not in states]:

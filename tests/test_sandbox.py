@@ -767,7 +767,7 @@ def test_ctx_identity_lookups():
     assert ctx.plate_of(1) == "a"
 
 
-# --- per-type sharing --------------------------------------------------------
+# --- per-type step tables, per-vehicle modules -------------------------------
 
 def test_vehicles_of_one_type_share_routing_tables():
     spec = builtin_vehicle_types()["ConnectedVehicle"]
@@ -798,17 +798,14 @@ def test_step_table_is_the_types_and_in_topological_order():
                              for name in order]
 
 
-STATELESS = {"camera", "cpm_tx", "rx", "proof_gen"}
-
-
 @pytest.mark.parametrize("type_name", sorted(builtin_vehicle_types()))
-def test_vehicles_share_stateless_modules_only(type_name):
+def test_vehicles_build_their_own_modules(type_name):
     spec = builtin_vehicle_types()[type_name]
     a = build_vehicle(spec, "a", 1).modules
     b = build_vehicle(spec, "b", 2).modules
     assert a.keys() == b.keys() == set(spec.graph.nodes)
+    assert not {id(m) for m in a.values()} & {id(m) for m in b.values()}
     for name in spec.graph.nodes:
-        assert (a[name] is b[name]) == (name in STATELESS), name
         assert type(a[name]) is type(b[name]) is MODULES[name]
 
 
@@ -838,16 +835,15 @@ class SlottedChild(EmptyModule):
     __slots__ = ("extra",)
 
 
-@pytest.mark.parametrize("factory,shared", [
-    (EmptyModule, True), (SlotModule, False), (EmptyChild, False),
-    (SlottedChild, False), (RecordingModule, False)])
-def test_only_a_module_without_state_is_shared(factory, shared):
+@pytest.mark.parametrize("factory", [EmptyModule, SlotModule, EmptyChild,
+                                     SlottedChild, RecordingModule])
+def test_every_factory_builds_per_vehicle(factory):
     register_module("probe", factory)
     try:
         spec = VehicleTypeSpec("P", FlowGraph(("probe",), {}))
         a, b = (build_vehicle(spec, p, None).modules["probe"]
                 for p in "ab")
-        assert (a is b) == shared
+        assert a is not b
         assert type(a) is factory
     finally:
         del MODULES["probe"]
@@ -858,20 +854,22 @@ class EmptyTwin(EmptyModule):
 
 
 def test_reregistered_module_is_not_served_from_the_old_instance():
-    # a shared instance serves only while its factory is the registered one
+    # each vehicle gets the factory registered when it is built
     spec = VehicleTypeSpec("P", FlowGraph(("probe",), {}))
 
     def built(plate):
         return build_vehicle(spec, plate, None).modules["probe"]
 
+    made = []
     try:
         for factory in (EmptyModule, EmptyTwin, EmptyChild, EmptyModule):
             register_module("probe", factory)
             a, b = built("a"), built("b")
             assert type(a) is type(b) is factory
-            assert (a is b) == (factory is not EmptyChild)
+            made += [a, b]
     finally:
         del MODULES["probe"]
+    assert len({id(m) for m in made}) == len(made)
 
 
 @pytest.mark.parametrize("type_name", ["PoTVehicle", "ReplayAttacker"])
@@ -884,7 +882,7 @@ def test_modules_maps_each_name_to_the_instance_that_runs(type_name,
             return process(self, inbox, ctx)
         monkeypatch.setattr(cls, "process", spy)
     spec = builtin_vehicle_types()[type_name]
-    build_vehicle(spec, "other", 2)  # a second vehicle shares some modules
+    build_vehicle(spec, "other", 2)
     v = build_vehicle(spec, "me", 1)
     tick_vehicle(v, [wire_cpm(9, 0, [obj("a")])],
                  make_ctx(0, "me", 1, percept=(obj("b"),)))
