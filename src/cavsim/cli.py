@@ -6,8 +6,7 @@ import argparse
 import sys
 
 from .errors import SimError
-from .scenario import (REPORT_KINDS, ScenarioConfig, load_config,
-                       parse_tick_range, report, run)
+from .scenario import REPORT_KINDS, load_config, report, run
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -17,15 +16,18 @@ def build_parser() -> argparse.ArgumentParser:
                     "on-board data flow")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="execute a scenario")
+    # a flag not given sets no attribute, so the flags given are the
+    # [scenario] overrides, read like the keys of the same names
+    p_run = sub.add_parser("run", help="execute a scenario",
+                           argument_default=argparse.SUPPRESS)
     p_run.add_argument("--config", required=True, help="scenario config file")
     p_run.add_argument("--trace", help="trace file (overrides config)")
     p_run.add_argument("--out", help="output directory (overrides config)")
-    p_run.add_argument("--seed", type=int, help="seed (overrides config)")
+    p_run.add_argument("--seed", help="whole-number seed (overrides config)")
     p_run.add_argument("--ticks", help="tick range A:B (overrides config)")
-    p_run.add_argument("--workers", type=int,
-                       help="worker count, >= 1 (overrides config; "
-                            "no effect: the run is single-threaded)")
+    p_run.add_argument("--workers",
+                       help="worker count, a whole number >= 1 (overrides "
+                            "config; no effect: the run is single-threaded)")
 
     p_rep = sub.add_parser("report", help="aggregate a finished run to CSV")
     p_rep.add_argument("--run", required=True, dest="run_dir",
@@ -40,19 +42,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    config: ScenarioConfig = load_config(args.config)
-    if args.trace is not None:
-        config.trace_path = args.trace
-        config.trace_format = None
-    if args.out is not None:
-        config.out_dir = args.out
-    if args.seed is not None:
-        config.seed = args.seed
-    if args.ticks is not None:
-        config.tick_range = parse_tick_range(args.ticks)
-    if args.workers is not None:
-        config.workers = args.workers
-    summary = run(config)
+    overrides = {key: value for key, value in vars(args).items()
+                 if key not in ("command", "config")}
+    summary = run(load_config(args.config, overrides))
     print(f"ticks executed: {summary.ticks_executed}")
     print(f"vehicles seen:  {summary.vehicles_seen}")
     print(f"metrics:        {summary.metrics_path}")

@@ -69,8 +69,6 @@ TIMING_COLUMNS = ("tick", "position_rebuild", "perception", "agent_ticks",
                   "network_step", "metrics_write")
 
 REPORT_KINDS = ("bandwidth", "ttv", "cpr", "timing")
-PERCEPTION_KEYS = ("fov_half_angle_deg", "max_range", "max_plate_angle_deg",
-                   "plate_width")
 
 
 @dataclass
@@ -452,36 +450,26 @@ def _parse_vehicle_type(name: str, section,
                 f"one of its keys ({', '.join(keys)})"))
         if dot:
             params.setdefault(module, {})[pname] = _parse_value(value)
-    connected = section.get("connected")
     if "modules" in section:
-        return VehicleTypeSpec(
+        base = VehicleTypeSpec(
             name, FlowGraph(nodes, _parse_edges(section.get("edges", ""))),
-            _names_list(section.get("entry", "")),
-            _parse_connected(name, "true" if connected is None
-                             else connected), params)
+            _names_list(section.get("entry", "")))
+    try:  # configparser's boolean words
+        connected = section.getboolean("connected", base.connected)
+    except ValueError:
+        raise ConfigError(f"vehicle type {name!r}: connected = "
+                          f"{section['connected']!r} is not true/false, "
+                          f"yes/no, on/off or 1/0") from None
     merged = {m: dict(p) for m, p in base.params.items()}
     for module, p in params.items():
         merged.setdefault(module, {}).update(p)
-    return replace(base, params=merged,
-                   connected=(base.connected if connected is None
-                              else _parse_connected(name, connected)))
+    return replace(base, params=merged, connected=connected)
 
 
-def _parse_connected(name: str, raw: str) -> bool:
-    """A vehicle type's `connected`, in configparser's boolean words."""
-    value = configparser.ConfigParser.BOOLEAN_STATES.get(raw.strip().lower())
-    if value is None:
-        raise ConfigError(f"vehicle type {name!r}: connected = {raw!r} is "
-                          f"not true/false, yes/no, on/off or 1/0")
-    return value
-
-
-def _number(section, convert, key: str, default):
-    """section[key] converted by int or float, or default when absent.  An
-    int key also takes a whole number written as a float, such as 2.0."""
-    raw = section.get(key)
-    if raw is None:
-        return default
+def _number(raw: str, where: str, convert=float):
+    """raw as a finite float, or as an int when convert is int; an int also
+    takes a whole number written as a float, such as 2.0.  An error names
+    the key as `where`."""
     if convert is int:
         try:
             return int(raw)
@@ -492,22 +480,88 @@ def _number(section, convert, key: str, default):
     except ValueError:
         value = math.nan
     if not math.isfinite(value):
-        raise ConfigError(f"[{section.name}] {key} = {raw!r} is not "
-                          f"a finite number")
+        raise ConfigError(f"{where} = {raw!r} is not a finite number")
     if convert is float:
         return value
     if not value.is_integer():
-        raise ConfigError(f"[{section.name}] {key} = {raw!r} is not "
-                          f"a whole number")
+        raise ConfigError(f"{where} = {raw!r} is not a whole number")
     return int(value)
 
 
-def parse_config(stream: IO[str]) -> ScenarioConfig:
+def _whole(raw: str, where: str) -> int:
+    return _number(raw, where, int)
+
+
+def _degrees(raw: str, where: str) -> float:
+    return math.radians(_number(raw, where))
+
+
+def _text(raw: str, where: str) -> str:
+    return raw
+
+
+def parse_tick_range(raw: str, where: str = "ticks") -> tuple[int, int] | None:
+    """Parse 'A:B' into the half-open range [A, B); empty text is None, the
+    whole trace.  An error names the key as `where`."""
+    if not raw:
+        return None
+    try:
+        lo, hi = raw.split(":")
+        return (int(lo), int(hi))
+    except ValueError:
+        raise ConfigError(f"{where} = {raw!r} is not a tick range A:B"
+                          ) from None
+
+
+# each key of [scenario] and [perception]: the field it sets and the reader
+# of its text.  A key whose field is None is retired: it is read and dropped.
+SCENARIO_KEYS = {
+    "seed": ("seed", _whole),
+    "ticks": ("tick_range", parse_tick_range),
+    "trace": ("trace_path", _text),
+    "trace_format": ("trace_format", _text),
+    "out": ("out_dir", _text),
+    "perception_radius": ("perception_radius", _number),
+    "comm_range": ("comm_range", _number),
+    "workers": ("workers", _whole),
+    "default_length": ("default_length", _number),
+    "default_width": ("default_width", _number),
+    # the grid cell follows the two radii; perfbench's configs still write it
+    "cell_size": (None, _number),
+}
+PERCEPTION_KEYS = {
+    "fov_half_angle_deg": ("fov_half_angle", _degrees),
+    "max_range": ("max_range", _number),
+    "max_plate_angle_deg": ("max_plate_angle", _degrees),
+    "plate_width": ("plate_width", _number),
+}
+
+
+def _read_section(section, keys: dict) -> dict:
+    """The fields `section` sets, each key read as `keys` says; a key that
+    `keys` does not list is an error that names the section and the key."""
+    fields = {}
+    for key, raw in section.items():
+        if key not in keys:
+            raise ConfigError(f"[{section.name}] {key!r} is not one of its "
+                              f"keys ({', '.join(keys)})")
+        name, read = keys[key]
+        fields[name] = read(raw, f"[{section.name}] {key}")
+    fields.pop(None, None)
+    return fields
+
+
+def parse_config(stream: IO[str],
+                 overrides: dict[str, str] | None = None) -> ScenarioConfig:
     """Parse the INI-style scenario config.
 
     Sections: [scenario] top-level keys, [perception] camera settings,
     [mix] type-name = weight, and one [vehicle_type.NAME] per custom type
     (keys: modules, edges, entry, connected, plus module.param entries).
+    Any other section, and a key that its section does not read, is an
+    error.  `overrides` maps [scenario] keys to their text and replaces
+    the stream's values, read the same way; a `trace` among them also
+    drops the stream's `trace_format`, whose format was its trace's.
     """
     # no section header is empty, so [DEFAULT] is an unknown section below
     # instead of keys merged into every other section
@@ -518,81 +572,40 @@ def parse_config(stream: IO[str]) -> ScenarioConfig:
     except configparser.Error as exc:  # its message may span lines
         raise ConfigError("bad config file: " + " ".join(
             line.strip() for line in str(exc).splitlines())) from exc
+    if overrides:
+        parser.read_dict({"scenario": overrides})
+        if "trace" in overrides:
+            parser.remove_option("scenario", "trace_format")
 
     cfg = ScenarioConfig()
-    if parser.has_section("scenario"):
-        s = parser["scenario"]
-        cfg.seed = _number(s, int, "seed", cfg.seed)
-        cfg.out_dir = s.get("out", cfg.out_dir)
-        cfg.trace_path = s.get("trace", cfg.trace_path)
-        cfg.trace_format = s.get("trace_format", cfg.trace_format)
-        cfg.perception_radius = _number(s, float, "perception_radius",
-                                        cfg.perception_radius)
-        cfg.comm_range = _number(s, float, "comm_range", cfg.comm_range)
-        cfg.workers = _number(s, int, "workers", cfg.workers)
-        cfg.default_length = _number(s, float, "default_length",
-                                     cfg.default_length)
-        cfg.default_width = _number(s, float, "default_width",
-                                    cfg.default_width)
-        ticks = s.get("ticks", None)
-        if ticks:
-            cfg.tick_range = parse_tick_range(ticks)
-
-    if parser.has_section("perception"):
-        p = parser["perception"]
-        for key in p:
-            if key not in PERCEPTION_KEYS:
-                raise ConfigError(f"[perception] {key!r} is not one of its "
-                                  f"keys ({', '.join(PERCEPTION_KEYS)})")
-        base = PerceptionConfig()
-        cfg.perception = PerceptionConfig(
-            fov_half_angle=math.radians(_number(
-                p, float, "fov_half_angle_deg",
-                math.degrees(base.fov_half_angle))),
-            max_range=_number(p, float, "max_range", base.max_range),
-            max_plate_angle=math.radians(_number(
-                p, float, "max_plate_angle_deg",
-                math.degrees(base.max_plate_angle))),
-            plate_width=_number(p, float, "plate_width", base.plate_width))
-
     builtin = builtin_vehicle_types()
-    for section in parser.sections():
-        if section.startswith("vehicle_type."):
-            name = section[len("vehicle_type."):]
-            cfg.extra_types[name] = _parse_vehicle_type(
-                name, parser[section], builtin)
-        elif section not in ("scenario", "perception", "mix"):
-            raise ConfigError(f"unknown section [{section}] (want scenario, "
+    for name in parser.sections():
+        section = parser[name]
+        if name == "scenario":
+            cfg = replace(cfg, **_read_section(section, SCENARIO_KEYS))
+        elif name == "perception":
+            cfg.perception = PerceptionConfig(**_read_section(
+                section, PERCEPTION_KEYS))
+        elif name == "mix":
+            cfg.mix = tuple((key, _number(raw, f"[mix] {key}"))
+                            for key, raw in section.items())
+        elif name.startswith("vehicle_type."):
+            type_name = name[len("vehicle_type."):]
+            cfg.extra_types[type_name] = _parse_vehicle_type(
+                type_name, section, builtin)
+        else:
+            raise ConfigError(f"unknown section [{name}] (want scenario, "
                               f"perception, mix or vehicle_type.NAME)")
-
-    if parser.has_section("mix"):
-        mix = []
-        for name, raw in parser["mix"].items():
-            try:
-                weight = float(raw)
-            except ValueError:
-                raise ConfigError(f"mix weight for {name!r} is not a number")
-            mix.append((name, weight))
-        cfg.mix = tuple(mix)
-
     return cfg
 
 
-def parse_tick_range(raw: str) -> tuple[int, int]:
-    """Parse 'A:B' into the half-open range [A, B)."""
-    lo, sep, hi = raw.partition(":")
-    if not sep:
-        raise ConfigError(f"bad tick range {raw!r} (want A:B)")
-    try:
-        return (int(lo), int(hi))
-    except ValueError:
-        raise ConfigError(f"bad tick range {raw!r}") from None
-
-
-def load_config(path: str) -> ScenarioConfig:
-    with open(path, "r", encoding="utf-8") as f:
+def load_config(path: str,
+                overrides: dict[str, str] | None = None) -> ScenarioConfig:
+    """Read the config file at `path` (UTF-8, a leading byte order mark
+    allowed) through parse_config, with its `overrides`."""
+    with open(path, "r", encoding="utf-8-sig") as f:
         try:
-            return parse_config(f)
+            return parse_config(f, overrides)
         except UnicodeDecodeError as exc:
             raise ConfigError(f"{path!r} is not UTF-8 text: {exc.reason} "
                               f"(byte 0x{exc.object[exc.start]:02x})"

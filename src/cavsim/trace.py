@@ -403,7 +403,8 @@ def iter_trace(path: str, fmt: str | None = None, *,
 def _read_ticks(path: str, ticks: Callable[..., Iterator[TraceTick]],
                 default_length: float,
                 default_width: float) -> Iterator[TraceTick]:
-    with open(path, "r", encoding="utf-8", newline="") as f:
+    # utf-8-sig skips a leading byte order mark, which is not part of the text
+    with open(path, "r", encoding="utf-8-sig", newline="") as f:
         try:
             yield from ticks(f, default_length, default_width)
         except UnicodeDecodeError as exc:

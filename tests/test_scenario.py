@@ -109,8 +109,6 @@ def test_parse_config_full():
 seed = 11
 ticks = 2:9
 cell_size = 250
-; [scenario] ignores a key it does not read
-not_a_key = 1
 perception_radius = 90
 comm_range = 200
 workers = 4
@@ -138,6 +136,10 @@ entry = rx
 [vehicle_type.SpamAttacker]
 spam_tx.k = 9
 """
+    # [scenario] refuses a key it does not read
+    with pytest.raises(ConfigError, match=r"^\[scenario\] 'not_a_key' "):
+        parse_config(io.StringIO(text.replace("[scenario]\n",
+                                              "[scenario]\nnot_a_key = 1\n")))
     cfg = parse_config(io.StringIO(text))
     assert cfg.seed == 11
     assert cfg.tick_range == (2, 9)
@@ -444,6 +446,37 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     assert exc.value.code == 2
 
 
+def test_cli_flags_read_like_their_keys(tmp_path, capsys):
+    # --seed and --workers take a whole number written as a float, as the
+    # seed and workers keys do, and replace the config's values
+    from cavsim.cli import main
+
+    trace_path = tmp_path / "t.csv"
+    with open(trace_path, "w") as f:
+        write_csv(synth_traffic(3, 8, 4, 100.0), f)
+    runs = {}
+    for name, seed, flags in (("key", 1000, []),
+                              ("flags", 3, ["--seed", "1e3", "--workers",
+                                            "2.0"]),
+                              ("other", 3, [])):
+        config_path = tmp_path / f"{name}.ini"
+        config_path.write_text(f"[scenario]\nseed = {seed}\n[mix]\n"
+                               "ConnectedVehicle = 1\nSpamAttacker = 1\n")
+        rc = main(["run", "--config", str(config_path), "--trace",
+                   str(trace_path), "--out", str(tmp_path / name), *flags])
+        assert rc == 0, capsys.readouterr().err
+        runs[name] = read_bytes(tmp_path / name / "metrics.jsonl")
+    assert runs["flags"] == runs["key"] != runs["other"]
+
+
+def test_empty_ticks_key_runs_the_whole_trace(tmp_path):
+    trace = write_trace(tmp_path / "t.csv", synth_traffic(1, 4, 3, 100.0))
+    cfg = parse_config(io.StringIO(
+        f"[scenario]\nticks =\ntrace = {trace}\nout = {tmp_path / 'o'}\n"))
+    assert cfg.tick_range is None
+    assert run(cfg).ticks_executed == 3
+
+
 def test_cli_fcd_trace(tmp_path, capsys):
     from cavsim.cli import main
 
@@ -694,12 +727,20 @@ def test_section_it_does_not_read(section):
     assert f"[{section}]" in str(exc.value)
 
 
-@pytest.mark.parametrize("text,names", [
+@pytest.mark.parametrize("text,names,flags", [
     ("[perception]\nfov_half_angle = 30\n", ["[perception]",
-                                              "fov_half_angle"]),
-    ("[mixx]\nSpamAttacker = 1\n", ["[mixx]"]),
-], ids=["perception-key", "section"])
-def test_cli_config_typo_is_one_error_line(tmp_path, capsys, text, names):
+                                              "fov_half_angle"], []),
+    ("[mixx]\nSpamAttacker = 1\n", ["[mixx]"], []),
+    ("[scenario]\ncomm_rang = 50\n", ["[scenario]", "comm_rang"], []),
+    # a flag's value is read as its [scenario] key's
+    ("[scenario]\nseed = 1\n", ["seed", "'x'"], ["--seed", "x"]),
+    ("[scenario]\nseed = 1\n", ["seed", "'1.5'"], ["--seed", "1.5"]),
+    ("[scenario]\nseed = 1\n", ["ticks", "'5'"], ["--ticks", "5"]),
+    ("[scenario]\nseed = 1\n", ["workers", "'x'"], ["--workers", "x"]),
+], ids=["perception-key", "section", "scenario-key", "seed-flag-text",
+        "seed-flag-fraction", "ticks-flag", "workers-flag"])
+def test_cli_config_typo_is_one_error_line(tmp_path, capsys, text, names,
+                                           flags):
     from cavsim.cli import main
 
     trace_path = tmp_path / "t.csv"
@@ -708,7 +749,7 @@ def test_cli_config_typo_is_one_error_line(tmp_path, capsys, text, names):
     config_path = tmp_path / "c.ini"
     config_path.write_text(text)
     rc = main(["run", "--config", str(config_path), "--trace", str(trace_path),
-               "--out", str(tmp_path / "o")])
+               "--out", str(tmp_path / "o"), *flags])
     assert rc == 1
     captured = capsys.readouterr()
     err = captured.err.splitlines()

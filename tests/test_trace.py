@@ -485,6 +485,104 @@ def test_cli_tick_range_stops_reading_early(tmp_path, capsys):
     assert (out_dir / "metrics.idx").read_text().count("\n") == 2
 
 
+def test_cli_byte_order_mark_is_not_read(tmp_path, capsys):
+    # a UTF-8 byte order mark before a CSV trace's header or a config's
+    # first section header reads as if it were absent
+    bom = b"\xef\xbb\xbf"
+    trace, config = multi_tick_csv(3, b""), b"[scenario]\nseed = 1\n"
+    runs = {}
+    for case, files in (("plain", (trace, config)),
+                        ("trace", (bom + trace, config)),
+                        ("config", (trace, bom + config))):
+        (tmp_path / case).mkdir()
+        rc, err, out_dir = cli_run(tmp_path / case, capsys, "t.csv", *files)
+        assert rc == 0, err
+        runs[case] = (out_dir / "metrics.jsonl").read_bytes()
+    assert runs["plain"]
+    assert runs["trace"] == runs["plain"] == runs["config"]
+
+
+@pytest.mark.parametrize("which", ["trace", "config"])
+def test_cli_not_utf8_after_byte_order_mark(tmp_path, capsys, which):
+    # skipping the mark still leaves the rest checked as UTF-8 text
+    bom = b"\xef\xbb\xbf"
+    trace, config = multi_tick_csv(3, b""), b"[scenario]\nseed = 1\n"
+    if which == "trace":
+        trace = bom + trace + b"5,caf\xe9,1,2,0,4,1.8\n"
+    else:
+        config = bom + config + b"; caf\xe9\n"
+    files = (trace, config)
+    rc, err, out_dir = cli_run(tmp_path, capsys, "t.csv", *files)
+    assert_failed_cleanly(tmp_path, rc, err, out_dir)
+    assert "is not UTF-8 text" in err and "(byte 0xe9)" in err
+
+
+FCD_TWO = """<fcd-export>
+  <timestep time="0"><vehicle id="a" x="0" y="0" angle="90"/>
+    <vehicle id="b" x="-10" y="0" angle="90"/></timestep>
+  <timestep time="1"><vehicle id="a" x="5" y="0" angle="90"/>
+    <vehicle id="b" x="-5" y="0" angle="90"/></timestep>
+</fcd-export>
+"""
+
+
+def run_config(tmp_path, capsys, config, *extra):
+    """`cavsim run` of the config text written to c.ini; (exit code,
+    stderr)."""
+    from cavsim.cli import main
+
+    (tmp_path / "c.ini").write_text(config)
+    rc = main(["run", "--config", str(tmp_path / "c.ini"), *extra])
+    return rc, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fmt,name,ext,data", [
+    ("csv", "t.txt", "csv", multi_tick_csv(3, b"")),
+    ("fcd", "t.dat", "xml", FCD_TWO.encode()),
+])
+def test_trace_format_key_reads_any_file_name(tmp_path, capsys, fmt, name,
+                                              ext, data):
+    # the key names the format where the extension does not; the run is
+    # that of the same bytes under the extension of their format
+    (tmp_path / name).write_bytes(data)
+    (tmp_path / f"t.{ext}").write_bytes(data)
+    rc, err = run_config(tmp_path, capsys,
+                         f"[scenario]\ntrace = {tmp_path / name}\n"
+                         f"trace_format = {fmt}\nout = {tmp_path / 'key'}\n")
+    assert rc == 0, err
+    rc, err = run_config(tmp_path, capsys,
+                         f"[scenario]\nout = {tmp_path / 'ext'}\n",
+                         "--trace", str(tmp_path / f"t.{ext}"))
+    assert rc == 0, err
+    key = (tmp_path / "key" / "metrics.jsonl").read_bytes()
+    assert key and key == (tmp_path / "ext" / "metrics.jsonl").read_bytes()
+
+
+def test_trace_flag_drops_the_config_trace_format(tmp_path, capsys):
+    # the config's format was its own trace's: --trace guesses the format
+    # of the file it names from that file's extension
+    (tmp_path / "t.dat").write_text(FCD_TWO)
+    (tmp_path / "t.csv").write_bytes(multi_tick_csv(3, b""))
+    rc, err = run_config(tmp_path, capsys,
+                         f"[scenario]\ntrace = {tmp_path / 't.dat'}\n"
+                         f"trace_format = fcd\nout = {tmp_path / 'out'}\n",
+                         "--trace", str(tmp_path / "t.csv"))
+    assert rc == 0, err
+    assert (tmp_path / "out" / "metrics.idx").read_text().count("\n") == 3
+
+
+def test_unknown_trace_format_is_one_error_line(tmp_path, capsys):
+    (tmp_path / "t.csv").write_bytes(multi_tick_csv(3, b""))
+    rc, err = run_config(tmp_path, capsys,
+                         f"[scenario]\ntrace = {tmp_path / 't.csv'}\n"
+                         f"trace_format = parquet\n"
+                         f"out = {tmp_path / 'out'}\n")
+    assert rc == 1
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "'parquet'" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.ini", "t.csv"]
+
+
 # --- values shared across ticks, FCD without an element tree ---------------
 
 def reference_parse_fcd(stream, default_length=5.0, default_width=1.8):
