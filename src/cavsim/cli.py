@@ -6,7 +6,7 @@ import argparse
 import sys
 
 from .errors import SimError
-from .scenario import REPORT_KINDS, load_config, report, run
+from .scenario import REPORT_KINDS, _number, _whole, load_config, report, run
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -33,11 +33,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--run", required=True, dest="run_dir",
                        help="run output directory")
     p_rep.add_argument("--kind", required=True, choices=REPORT_KINDS)
-    p_rep.add_argument("--tick", type=int,
-                       help="tick for ttv/cpr only (ttv default: whole run; "
-                            "cpr default: last tick)")
-    p_rep.add_argument("--cell", type=float,
-                       help="cell size in meters, for cpr only (default 100)")
+    # --tick and --cell are read like the run flags, after parsing, so a
+    # bad value is one error line
+    p_rep.add_argument("--tick", help="whole-number tick, ttv and cpr only "
+                                      "(default: whole run; cpr: last tick)")
+    p_rep.add_argument("--cell", help="cell size in meters, a number, for "
+                                      "cpr only (default 100)")
     return parser
 
 
@@ -54,8 +55,10 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    report(args.run_dir, args.kind, sys.stdout, tick=args.tick,
-           cell_size=args.cell)
+    tick = None if args.tick is None else _whole(args.tick, "--tick")
+    cell = None if args.cell is None else _number(args.cell,
+                                                  "--cell (cell size)")
+    report(args.run_dir, args.kind, sys.stdout, tick=tick, cell_size=cell)
     return 0
 
 

@@ -352,6 +352,8 @@ def report(run_dir: str, kind: str, out: IO[str], tick: int | None = None,
     if cell_size is not None and kind != "cpr":
         raise ConfigError(f"the {kind} report takes no cell size; only cpr "
                           f"does")
+    if cell_size is not None:
+        check_cell_size(cell_size)
     if kind == "timing":
         with open_run_file(run_dir, TIMINGS_FILE) as f:
             while chunk := f.read(1 << 16):
@@ -387,7 +389,6 @@ def _aggregate(run_dir: str, kind: str, tick: int | None,
                 hist = scan_ttv_total(f)
         return "delay,count\n", sorted(hist.items())
     cell_size = 100.0 if cell_size is None else cell_size  # cpr
-    check_cell_size(cell_size)
     heat = cpr(load_run(run_dir, tick), cell_size)
     return "cell_x,cell_y,ratio\n", [(*k, heat[k]) for k in sorted(heat)]
 
@@ -502,15 +503,14 @@ def _text(raw: str, where: str) -> str:
 
 def parse_tick_range(raw: str, where: str = "ticks") -> tuple[int, int] | None:
     """Parse 'A:B' into the half-open range [A, B); empty text is None, the
-    whole trace.  An error names the key as `where`."""
+    whole trace.  Each end is a whole number read like `seed`.  An error
+    names the key as `where`."""
     if not raw:
         return None
-    try:
-        lo, hi = raw.split(":")
-        return (int(lo), int(hi))
-    except ValueError:
-        raise ConfigError(f"{where} = {raw!r} is not a tick range A:B"
-                          ) from None
+    ends = raw.split(":")
+    if len(ends) != 2:
+        raise ConfigError(f"{where} = {raw!r} is not a tick range A:B")
+    return (_whole(ends[0], where), _whole(ends[1], where))
 
 
 # each key of [scenario] and [perception]: the field it sets and the reader

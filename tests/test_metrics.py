@@ -1,4 +1,5 @@
 import gc
+import io
 import json
 import os
 import time
@@ -91,6 +92,11 @@ def test_index_points_at_correct_lines(tmp_path):
             data.seek(offset)
             line = json.loads(data.read(length))
             assert line["tick"] == t
+
+
+def test_read_index_skips_blank_lines():
+    text = "0 0 10\n\n  \n1 10 12\n\n"
+    assert read_index(io.StringIO(text)) == [(0, 0, 10), (1, 10, 12)]
 
 
 def test_seek_equals_linear_scan(tmp_path):

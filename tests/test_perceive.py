@@ -50,6 +50,16 @@ def test_no_neighbors():
     assert perceive(ego, [], CFG) == ()
 
 
+def test_ego_among_its_neighbours_is_skipped(rng):
+    ego = VehicleState("ego", 0.0, 0.0, 0.3)
+    scene = random_scene(rng, 30)
+    want = perceive(ego, scene, CFG)
+    assert want
+    assert perceive(ego, [ego, *scene], CFG) == want
+    assert perceive(ego, [*scene[:10], ego, *scene[10:]], CFG) == want
+    assert perceive(ego, [ego], CFG) == ()
+
+
 def test_one_unobstructed_tailing_vehicle():
     ego = VehicleState("ego", -10.0, 0.0, 0.0)
     tgt = VehicleState("tgt", 0.0, 0.0, 0.0)

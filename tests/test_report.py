@@ -149,7 +149,7 @@ def small_run(tmp_path):
     return out
 
 
-@pytest.mark.parametrize("cell", ["nan", "inf", "0", "-5"])
+@pytest.mark.parametrize("cell", ["nan", "inf", "0", "-5", "x"])
 def test_cli_cpr_bad_cell_size(tmp_path, capsys, cell):
     # The run directory does not exist: the cell size is checked first.
     err = cli_error(capsys, "--run", str(tmp_path / "nowhere"),
@@ -163,6 +163,41 @@ def test_cpr_bad_cell_size(small_run, cell):
         report(small_run, "cpr", io.StringIO(), cell_size=cell)
     with pytest.raises(ConfigError):
         cpr(load_run(small_run, 0), cell)
+
+
+def test_cell_size_that_is_not_a_number_is_not_blamed_on_the_run(small_run):
+    # report() checks its cell size before it reads metrics.jsonl, so a
+    # cell size of the wrong type is the caller's error, not the run's
+    with pytest.raises(TypeError) as exc:
+        report(small_run, "cpr", io.StringIO(), cell_size="50")
+    assert "metrics.jsonl" not in str(exc.value)
+
+
+@pytest.mark.parametrize("kind", ["ttv", "cpr"])
+def test_cli_tick_and_cell_read_like_the_run_flags(mixed_run, capsys, kind):
+    # --tick takes a whole number written as a float, as --seed does, and
+    # --cell a number with an exponent, as comm_range does
+    outs = []
+    for tick, size in (("4", "50"), ("4e0", "5e1"), ("4.0", "50.0")):
+        cell = ["--cell", size] if kind == "cpr" else []
+        assert main(["report", "--run", mixed_run, "--kind", kind,
+                     "--tick", tick, *cell]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0].count("\n") > 1
+    assert outs[0] == outs[1] == outs[2]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--kind", "ttv", "--tick", "x"], "--tick = 'x' is not a finite number"),
+    (["--kind", "cpr", "--tick", "1.5"],
+     "--tick = '1.5' is not a whole number"),
+    (["--kind", "cpr", "--tick", "inf"], "--tick = 'inf' is not a finite"),
+], ids=["tick-text", "tick-fraction", "tick-inf"])
+def test_cli_bad_tick_is_one_error_line(tmp_path, capsys, argv, message):
+    # The run directory does not exist: the tick is read first.
+    err = cli_error(capsys, "--run", str(tmp_path / "nowhere"), *argv)
+    assert err.startswith(f"error: {message}")
+    assert len(err.splitlines()) == 1
 
 
 def test_cli_cpr_cell_size_with_infinite_reciprocal(small_run, capsys):

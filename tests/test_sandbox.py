@@ -754,6 +754,25 @@ def test_outbox_that_is_not_a_list_is_its_module_error(monkeypatch, kind):
     assert v.modules["sink1"].sizes == v.modules["sink2"].sizes == []
 
 
+class NoneModule:
+    def process(self, inbox, ctx):
+        return None
+
+
+def test_outbox_none_passes_nothing_and_is_no_error(monkeypatch):
+    monkeypatch.setitem(MODULES, "none", NoneModule)
+    monkeypatch.setitem(MODULES, "sink", RecordingModule)
+    spec = VehicleTypeSpec(
+        "Quiet", FlowGraph(("camera", "none", "sink"),
+                           {"camera": ("none",), "none": ("sink",)}))
+    v = build_vehicle(spec, "x", 1)
+    ctx = make_ctx(0, "x", 1, percept=(obj("a"),))
+    tick_vehicle(v, (), ctx)
+    assert ctx.errors == 0
+    # the camera's CPM stops at the module that returned None
+    assert v.modules["sink"].sizes == [0]
+
+
 def test_broadcast_without_station_raises():
     ctx = make_ctx(0, "u", None)
     with pytest.raises(SimError):

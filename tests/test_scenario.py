@@ -4,6 +4,7 @@ import io
 import math
 import os
 import re
+import subprocess
 import sys
 import tracemalloc
 from dataclasses import replace
@@ -446,6 +447,30 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     assert exc.value.code == 2
 
 
+def test_cli_process_exit_codes(tmp_path):
+    # `python -m cavsim.cli` as a user runs it: main()'s return value is
+    # the process's exit code, and argparse's usage error exits 2
+    out = str(tmp_path / "out")
+    run(ScenarioConfig(out_dir=out, seed=3), trace=synth_traffic(3, 8, 3, 300.0))
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
+
+    def cli(*argv):
+        return subprocess.run([sys.executable, "-m", "cavsim.cli", *argv],
+                               env=env, capture_output=True, text=True)
+
+    good = cli("report", "--run", out, "--kind", "ttv", "--tick", "1e0")
+    assert (good.returncode, good.stderr) == (0, "")
+    assert good.stdout.startswith("delay,count\n")
+    bad = cli("report", "--run", out, "--kind", "ttv", "--tick", "x")
+    assert bad.returncode == 1 and bad.stdout == ""
+    assert bad.stderr == "error: --tick = 'x' is not a finite number\n"
+    usage = cli("run")
+    assert usage.returncode == 2 and usage.stdout == ""
+    assert "the following arguments are required: --config" in usage.stderr
+
+
 def test_cli_flags_read_like_their_keys(tmp_path, capsys):
     # --seed and --workers take a whole number written as a float, as the
     # seed and workers keys do, and replace the config's values
@@ -467,6 +492,32 @@ def test_cli_flags_read_like_their_keys(tmp_path, capsys):
         assert rc == 0, capsys.readouterr().err
         runs[name] = read_bytes(tmp_path / name / "metrics.jsonl")
     assert runs["flags"] == runs["key"] != runs["other"]
+
+
+@pytest.mark.parametrize("how,plain,written", [("key", "0:10", "0:1e1"),
+                                                ("flag", "0:2", "0:2e0")],
+                         ids=["key", "flag"])
+def test_tick_range_ends_read_like_seed(tmp_path, capsys, how, plain,
+                                        written):
+    # both ends of a tick range, key or flag, take a whole number written
+    # as a float, as seed does
+    from cavsim.cli import main
+
+    trace_path = tmp_path / "t.csv"
+    with open(trace_path, "w") as f:
+        write_csv(synth_traffic(3, 8, 12, 100.0), f)
+    runs = {}
+    for name, ticks in (("plain", plain), ("written", written),
+                        ("other", "0:1")):
+        key = f"ticks = {ticks}\n" if how == "key" else ""
+        flags = ["--ticks", ticks] if how == "flag" else []
+        config_path = tmp_path / f"{name}.ini"
+        config_path.write_text(f"[scenario]\nseed = 3\n{key}")
+        rc = main(["run", "--config", str(config_path), "--trace",
+                   str(trace_path), "--out", str(tmp_path / name), *flags])
+        assert rc == 0, capsys.readouterr().err
+        runs[name] = read_bytes(tmp_path / name / "metrics.jsonl")
+    assert runs["written"] == runs["plain"] != runs["other"]
 
 
 def test_empty_ticks_key_runs_the_whole_trace(tmp_path):
@@ -737,8 +788,16 @@ def test_section_it_does_not_read(section):
     ("[scenario]\nseed = 1\n", ["seed", "'1.5'"], ["--seed", "1.5"]),
     ("[scenario]\nseed = 1\n", ["ticks", "'5'"], ["--ticks", "5"]),
     ("[scenario]\nseed = 1\n", ["workers", "'x'"], ["--workers", "x"]),
+    # each end of a tick range is read like seed
+    ("[scenario]\nticks = 0:1.5\n", ["[scenario] ticks", "'1.5'"], []),
+    ("[mix]\n", ["mix is empty"], []),
+    # these name the field, not the key
+    ("[perception]\nfov_half_angle_deg = 0\n", ["fov_half_angle"], []),
+    ("[perception]\nfov_half_angle_deg = 91\n", ["fov_half_angle"], []),
+    ("[perception]\nplate_width = 0\n", ["must be positive"], []),
 ], ids=["perception-key", "section", "scenario-key", "seed-flag-text",
-        "seed-flag-fraction", "ticks-flag", "workers-flag"])
+        "seed-flag-fraction", "ticks-flag", "workers-flag", "ticks-fraction",
+        "mix-empty", "fov-0", "fov-91", "plate-width-0"])
 def test_cli_config_typo_is_one_error_line(tmp_path, capsys, text, names,
                                            flags):
     from cavsim.cli import main
@@ -839,6 +898,23 @@ def test_bad_row_at_last_tick_leaves_no_output(tmp_path):
     with pytest.raises(ValidationError, match="row 32"):
         run(cfg)
     assert sorted(os.listdir(tmp_path)) == ["t.csv"]
+
+
+def test_run_without_a_trace_leaves_no_output(tmp_path):
+    with pytest.raises(ConfigError, match="no trace given"):
+        run(ScenarioConfig(out_dir=str(tmp_path / "out")))
+    assert os.listdir(tmp_path) == []
+
+
+def test_duplicate_id_in_a_given_trace_leaves_no_output(tmp_path):
+    # a trace handed to run() skips the file readers' duplicate check: the
+    # grid rebuild refuses the tick instead
+    a, a2 = state("a", 0.0, 0.0), state("a", 50.0, 0.0)
+    with pytest.raises(ValidationError,
+                       match="duplicate vehicle id in grid rebuild"):
+        run(ScenarioConfig(out_dir=str(tmp_path / "out")),
+            trace=[TraceTick(0, (a, a2))])
+    assert os.listdir(tmp_path) == []
 
 
 def test_old_cell_size_key_changes_nothing(tmp_path):

@@ -271,7 +271,12 @@ def test_empty_id_rejected_in_both_formats():
     ("t.csv", csv_doc(width="inf")),
     ("t.xml", fcd_doc(y="nan")),
     ("t.xml", fcd_doc(time="soon")),
-], ids=["csv-x-nan", "csv-width-inf", "fcd-y-nan", "fcd-time-text"])
+    ("t.csv", csv_doc() + "0,a,9,0,0,5,2\n1,a,0,0,0,5,2\n"),
+    ("t.csv", csv_doc() + "1,a,0,0,0,5,2\n1,a,9,0,0,5,2\n"),
+    ("t.csv", ",".join(CSV_COLUMNS) + ",speed\n0,a,0,0,0,5,2,3\n"),
+], ids=["csv-x-nan", "csv-width-inf", "fcd-y-nan", "fcd-time-text",
+        "csv-duplicate-id-next-tick", "csv-duplicate-id-last-tick",
+        "csv-extra-column"])
 def test_cli_malformed_trace_value(tmp_path, capsys, name, doc):
     from cavsim.cli import main
 
@@ -403,6 +408,23 @@ def test_csv_field_count_must_match_header(row, count):
     assert str(exc.value).startswith(f"row 4: {count} fields")
 
 
+def test_csv_unexpected_column_named():
+    with pytest.raises(SchemaError) as exc:
+        read_trace(",".join(CSV_COLUMNS) + ",speed\n0,a,0,0,0,5,2,3\n", "csv")
+    assert str(exc.value) == "unexpected column 'speed'"
+
+
+@pytest.mark.parametrize("rows, tick", [
+    ("0,a,0,0,0,5,2\n0,a,9,0,0,5,2\n1,a,0,0,0,5,2\n", 0),
+    ("0,b,0,0,0,5,2\n1,a,0,0,0,5,2\n1,a,9,0,0,5,2\n", 1),
+], ids=["next-tick", "last-tick"])
+def test_csv_duplicate_id_names_its_tick(rows, tick):
+    # found when the next tick starts, and when the file ends
+    with pytest.raises(ValidationError) as exc:
+        read_trace(",".join(CSV_COLUMNS) + "\n" + rows, "csv")
+    assert str(exc.value) == f"tick {tick}: duplicate vehicle id 'a'"
+
+
 def test_csv_duplicate_column_rejected():
     with pytest.raises(SchemaError) as exc:
         read_trace(",".join(CSV_COLUMNS) + ",x\n", "csv")
@@ -460,6 +482,14 @@ def test_cli_field_count_mismatch(tmp_path, capsys, row):
                                multi_tick_csv(6, row))
     assert_failed_cleanly(tmp_path, rc, err, out_dir)
     assert "fields" in err
+
+
+def test_cli_zero_byte_csv_is_an_empty_run(tmp_path, capsys):
+    # no header is no tick, as a header alone is
+    rc, err, out_dir = cli_run(tmp_path, capsys, "t.csv", b"")
+    assert (rc, err) == (0, "")
+    assert (out_dir / "metrics.jsonl").read_bytes() == b""
+    assert (out_dir / "metrics.idx").read_bytes() == b""
 
 
 def test_cli_non_utf8_byte_in_last_tick(tmp_path, capsys):
@@ -581,6 +611,18 @@ def test_unknown_trace_format_is_one_error_line(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert "'parquet'" in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.ini", "t.csv"]
+
+
+def test_trace_extension_without_a_format_is_one_error_line(tmp_path,
+                                                           capsys):
+    (tmp_path / "t.xyz").write_bytes(multi_tick_csv(3, b""))
+    rc, err = run_config(tmp_path, capsys,
+                         f"[scenario]\ntrace = {tmp_path / 't.xyz'}\n"
+                         f"out = {tmp_path / 'out'}\n")
+    assert rc == 1
+    assert err == f"error: cannot guess trace format of " \
+                  f"{str(tmp_path / 't.xyz')!r}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.ini", "t.xyz"]
 
 
 # --- values shared across ticks, FCD without an element tree ---------------

@@ -7,7 +7,9 @@ Under PATH and under the interpreter that runs this tool, it runs one
 small seeded scenario through the `cavsim` command line (all seven
 built-in types, a custom type, churn, a CSV trace written by
 `synth_traffic` and `write_csv`, a config that sets a key of every kind,
-and a --seed flag), then the four reports, and compares:
+and a --seed flag), then the four reports, `ttv` and `cpr` at a --tick
+written as a float and `cpr` at a --cell written with an exponent, and
+compares:
 metrics.jsonl, metrics.idx and the bandwidth, ttv and cpr CSVs byte for
 byte, and of the timing CSV, whose values are wall times, the header and
 the tick column.  It prints each interpreter's version and one line per
@@ -28,11 +30,12 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))), "src")
 
 # every reader of the config: whole numbers (one written as a float), plain
-# numbers, degrees, the tick range, text, the retired cell_size, the [mix]
-# weights, booleans and module parameters; CHILD's --seed replaces the seed
+# numbers, degrees, the tick range (an end written with an exponent), text,
+# the retired cell_size, the [mix] weights, booleans and module parameters;
+# CHILD's --seed replaces the seed
 CONFIG = """[scenario]
 seed = 7
-ticks = 1:7
+ticks = 1:7e0
 perception_radius = 100
 comm_range = 150
 workers = 2.0
@@ -85,10 +88,13 @@ argv = ["run", "--config", os.path.join(out, "scenario.ini"),
 with open(os.path.join(out, "run.out"), "w", encoding="ascii") as f:
     with contextlib.redirect_stdout(f):
         code = main(argv)
+flags = {"ttv": ["--tick", "4.0"],
+         "cpr": ["--tick", "5e0", "--cell", "1.2e2"]}
 for kind in ("bandwidth", "ttv", "cpr", "timing"):
+    argv = ["report", "--run", run_dir, "--kind", kind, *flags.get(kind, [])]
     with open(os.path.join(out, kind + ".csv"), "w", encoding="ascii") as f:
         with contextlib.redirect_stdout(f):
-            code = code or main(["report", "--run", run_dir, "--kind", kind])
+            code = code or main(argv)
 print(sys.version.split()[0])
 sys.exit(code)
 """
